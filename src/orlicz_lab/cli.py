@@ -166,7 +166,8 @@ def _cmd_cex(args) -> int:
     if args.action == "rho":
         with open(args.combo) as fh:
             X = _parse_combo(instance, json.load(fh))
-        _emit({"rho_c": cex.rho_c(instance, X)}, args.output)
+        value = cex.rho_c(instance, X)
+        _emit({"rho_c": value if math.isfinite(value) else "inf"}, args.output)
         return 0
     raise InputError(f"unknown cex action {args.action!r}")
 

@@ -20,7 +20,11 @@ The induced coherent risk measure ``rho_c(X) = inf{m : X + m*1 in C}``
 satisfies the Fatou property by the order-closedness of C, yet
 ``rho_c(-W_0) > 0`` while members ``X_sr`` with ``rho_c(X_sr) <= 0``
 approximate ``-W_0`` against any finite list of dual targets - the
-finite-scale shadow of the failure of the dual representation.
+finite-scale shadow of the failure of the dual representation.  Since
+``T(X + m*1) = T X + m T 1`` is affine in ``m``, ``rho_c`` is one LP in
+``(lambda, z, m)``: its optimum is a membership certificate at ``m*``,
+its duals a Farkas certificate for every ``m < m*``, and an infeasible
+LP means ``rho_c = +inf``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from scipy.optimize import linprog
 
 from .block_sequences import REGIONS, Block, BlockSequence, build_disjoint_sequence, \
     blocks_from_json, blocks_to_json, series_modular
-from .errors import CertificateError, InputError, NotAMember, TruncationTooSmall
+from .errors import CertificateError, InputError, NotAMember, \
+    NumericFailure, TruncationTooSmall
 from .finite_model import FiniteSpace, RandomVariable, pairing
 from .orlicz_functions import OrliczFunction, conjugate, parse_phi_spec, \
     phi_spec_string
@@ -440,6 +445,27 @@ def _lp_rows(instance: CounterexampleInstance, image: TImage):
     return labels, np.array(A), np.array(b), eq, pairs, col
 
 
+def _certificate_from_z(instance: CounterexampleInstance, z, pairs,
+                        tol: float) -> MembershipCertificate:
+    """``(lambda, y)`` from an LP's z block (ordered like ``pairs``).
+
+    HiGHS returns z entries down to about -1e-7, so z is clipped first;
+    lambda is re-derived from z (lambda = sum 2^i z), since dividing by
+    the solver's raw lambda amplifies noise when the optimum is near 0.
+    """
+    z = np.maximum(np.asarray(z, dtype=float), 0.0)
+    lam = float(sum((2.0 ** i) * z[k] for k, (i, _) in enumerate(pairs)))
+    if lam <= max(tol, 1e-7):
+        return MembershipCertificate(0.0, (((1, 1), 0.5),), instance.variant)
+    y = tuple(sorted((pair, float(z[k]) / lam) for k, pair in enumerate(pairs)
+                     if z[k] / lam > tol))
+    cert = MembershipCertificate(lam, y, instance.variant)
+    if abs(cert.row_weighted_sum - 1.0) > 1e-6:
+        raise CertificateError(
+            f"row-weighted sum {cert.row_weighted_sum!r} != 1")
+    return cert
+
+
 def membership(instance: CounterexampleInstance, image: TImage,
                tol: float = _FEAS_TOL) -> MembershipCertificate:
     """Decide ``image in T(C)`` by LP feasibility in ``(lambda, z)``.
@@ -449,28 +475,14 @@ def membership(instance: CounterexampleInstance, image: TImage,
     componentwise nonnegative); raises NotAMember carrying a Farkas
     certificate (row multipliers proving emptiness) otherwise.
     """
-    labels, A, b, eq, pairs, col = _lp_rows(instance, image)
+    labels, A, b, eq, pairs, _ = _lp_rows(instance, image)
     nvar = A.shape[1]
     c = np.zeros(nvar)
     c[0] = -1.0  # maximize lambda
     res = linprog(c, A_ub=A, b_ub=b, A_eq=eq.reshape(1, -1), b_eq=[0.0],
                   bounds=[(0, None)] * nvar, method="highs")
     if res.status == 0:
-        # re-derive lambda from the z block through the equality
-        # constraint (lambda = sum 2^i z); dividing by the solver's raw
-        # lambda amplifies noise when the optimum sits near zero
-        lam = sum((2.0 ** i) * float(res.x[col[(i, j)]]) for (i, j) in pairs)
-        if lam > max(tol, 1e-7):
-            y = tuple(sorted(((i, j), float(res.x[col[(i, j)]]) / lam)
-                             for (i, j) in pairs
-                             if res.x[col[(i, j)]] / lam > tol))
-            cert = MembershipCertificate(lam, y, instance.variant)
-            if abs(cert.row_weighted_sum - 1.0) > 1e-6:
-                raise CertificateError(
-                    f"row-weighted sum {cert.row_weighted_sum!r} != 1"
-                )
-            return cert
-        return MembershipCertificate(0.0, (((1, 1), 0.5),), instance.variant)
+        return _certificate_from_z(instance, res.x[1:], pairs, tol)
     # Farkas alternative: mu >= 0, A^T mu + nu * eq >= 0, mu . b < 0
     nrow = A.shape[0]
     fc = np.concatenate([b, [0.0, 0.0]])
@@ -594,33 +606,59 @@ def weak_approx_select(instance: CounterexampleInstance, targets, eps: float):
                         "certificate": cert}
 
 
-def rho_c(instance: CounterexampleInstance, X: Combo, tol: float = 1e-6,
-          bracket_seed: float = 1.0) -> float:
-    """``inf{m : X + m*1 in C}`` by bisection on LP membership."""
-    from .risk_measures import acceptance_eval
-    from .errors import BracketInvalid
+def rho_c(instance: CounterexampleInstance, X: Combo,
+          tol: float = 1e-6) -> float:
+    """``inf{m : X + m*1 in C}`` as one LP over ``(lambda, z, m)``.
 
-    def member(Z: Combo) -> bool:
-        try:
-            membership(instance, t_operator(instance, Z))
-            return True
-        except NotAMember:
-            return False
+    ``T(X + m*1) = T X0 + (c1 + m) T 1`` (``X0`` the non-constant part
+    of X, ``c1`` its constant), so the membership rows become
+    ``A (lambda, z) - m b1 <= b0 + c1 b1`` with ``m`` free; the tail row
+    ``u_tail(m) = tail + min(0, (c1 + m)/t_N)`` splits into two.  Both
+    certificates are checked before ``m*`` is returned, else
+    CertificateError:
 
-    lo, hi = -bracket_seed, bracket_seed
-    for _ in range(200):
-        if member(X + hi):
-            break
-        hi *= 2.0
-    else:
-        raise BracketInvalid("no m with X + m*1 in C")
-    for _ in range(200):
-        if not member(X + lo):
-            break
-        lo *= 2.0
-    else:
-        raise BracketInvalid("X + m*1 in C for every m")
-    return acceptance_eval(member, X, (lo, hi), tol=tol)
+    * primal: ``(lambda, z)`` verifies for ``X + m*`` at ``tol``;
+    * dual: ``mu >= 0``, ``mu . b1 = 1``, ``A^T mu + nu eq >= 0`` and
+      ``-mu . (b0 + c1 b1) = m*``, a Farkas certificate (objective
+      ``m - m*``) that ``X + m`` is not in C for every ``m < m*``.
+
+    An infeasible LP (e.g. a negative ``Xtail`` coefficient) gives +inf.
+    """
+    ins = instance
+    c1 = X.constant_part
+    _, A, b0, eq, pairs, _ = _lp_rows(ins, t_operator(ins, X - c1))
+    b1 = _lp_rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[2]
+    # the last row is the tail row, where T 1 contributes 0; its twin
+    # carries the constant part's (c1 + m)/t_N
+    A = np.vstack([A, A[-1]])
+    b0 = np.append(b0, b0[-1])
+    b1 = np.append(b1, 1.0 / ins.t_last)
+    rhs = b0 + c1 * b1
+    nvar = A.shape[1]
+    cost = np.zeros(nvar + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=np.hstack([A, -b1.reshape(-1, 1)]), b_ub=rhs,
+                  A_eq=np.append(eq, 0.0).reshape(1, -1), b_eq=[0.0],
+                  bounds=[(0, None)] * nvar + [(None, None)], method="highs",
+                  # at HiGHS's default 1e-7 the optimum violates rows by up
+                  # to 4e-8, which the primal check at tol = 1e-8 rejects
+                  options={"primal_feasibility_tolerance": 1e-10})
+    if res.status == 2:
+        return math.inf
+    if res.status != 0:
+        raise NumericFailure(f"rho_c LP failed: {res.message}")
+    m = float(res.x[-1]) + 0.0  # no -0.0 in reports
+    cert = _certificate_from_z(ins, res.x[1:nvar], pairs, _FEAS_TOL)
+    if not verify_certificate(ins, t_operator(ins, X + m), cert, tol=tol):
+        raise CertificateError(f"primal certificate fails at m* = {m!r}")
+    mu = -res.ineqlin.marginals
+    nu = -float(res.eqlin.marginals[0])
+    scale = tol * (1.0 + float(np.sum(np.abs(mu))))
+    if (np.any(mu < -tol) or abs(float(mu @ b1) - 1.0) > scale
+            or np.any(A.T @ mu + nu * eq < -scale * np.abs(A).max())
+            or -float(mu @ rhs) < m - scale * (1.0 + abs(m))):
+        raise CertificateError(f"Farkas certificate fails below m* = {m!r}")
+    return m
 
 
 def limit_certificate(instance: CounterexampleInstance, members, limit: Combo,
@@ -743,7 +781,15 @@ def instance_from_json(text: str) -> CounterexampleInstance:
         payload = json.loads(text)
         phi = parse_phi_spec(payload["phi"])
         t = payload["truncation"]
-        return build_instance(phi, int(t["I"]), int(t["J"]), int(t["N"]),
-                              variant=payload.get("variant", "L"))
+        instance = build_instance(phi, int(t["I"]), int(t["J"]), int(t["N"]),
+                                  variant=payload.get("variant", "L"))
+        for key, seq in (("first_region", instance.x_seq),
+                         ("third_region", instance.z_seq)):
+            stored = [(float(b["t"]), float(b["p"]))
+                      for b in payload[key]["blocks"]]
+            if stored != [(b.height, b.probability) for b in seq.blocks]:
+                raise InputError(f"stored {key} blocks differ from the "
+                                 f"blocks rebuilt from {payload['phi']!r}")
+        return instance
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"malformed instance JSON: {exc}") from None

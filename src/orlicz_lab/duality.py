@@ -177,6 +177,7 @@ def extract_scenarios(rho: RiskMeasure, candidates, mode: str = "auto",
     """
     from .finite_model import expectation
 
+    candidates = list(candidates)
     survivors, rejected = [], []
     for Y in candidates:
         cv = conjugate_rho(rho, -Y, mode=mode)
@@ -194,8 +195,7 @@ def extract_scenarios(rho: RiskMeasure, candidates, mode: str = "auto",
             survivors.append(Y)
         else:
             rejected.append(Y)
-    report = {"n_candidates": len(list(candidates)) if not hasattr(candidates, "__len__")
-              else len(candidates),
+    report = {"n_candidates": len(candidates),
               "n_survivors": len(survivors), "n_rejected": len(rejected)}
     if not survivors:
         return None, report

@@ -550,8 +550,9 @@ def phi_spec_string(phi: OrliczFunction) -> str:
     if isinstance(phi, EntropyFunction):
         return "entropy"
     if isinstance(phi, PiecewiseLinearFunction) and phi.name == "sparse":
-        # burst count recoverable from the number of breakpoints
-        return f"sparse:bursts={len(phi.breakpoints)}"
+        # burst count from the number of breakpoints, ratio from the
+        # first one (ratio**1); repr keeps the float lossless
+        return f"sparse:bursts={len(phi.breakpoints)},ratio={float(phi.breakpoints[0])!r}"
     raise InputError(f"{phi.name} has no spec-string form")
 
 

@@ -146,6 +146,15 @@ class TestCex:
         assert code == 0
         assert report["rho_c"] == pytest.approx(math.sqrt(3.0), abs=1e-4)
 
+    def test_rho_infinite_prints_inf(self, capsys, instance_json, tmp_path):
+        combo = tmp_path / "combo.json"
+        combo.write_text(json.dumps({"Xtail:2": -1}))
+        code, report = run_json(capsys, ["cex", "rho",
+                                         "--instance", instance_json,
+                                         "--combo", str(combo)])
+        assert code == 0
+        assert report["rho_c"] == "inf"
+
     def test_approx(self, capsys, tmp_path):
         instance = tmp_path / "big.json"
         assert run(["cex", "build", "--output", str(instance)]) == 0

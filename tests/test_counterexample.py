@@ -1,9 +1,11 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+import orlicz_lab.counterexample as cex
 from orlicz_lab.counterexample import (
     Combo,
     CounterexampleInstance,
@@ -260,6 +262,23 @@ class TestMembership:
                           variant=A.variant, u_tail=0.1)
             assert is_member(ins, image_add(A, bump))
 
+    def test_slightly_negative_z_entries_are_clipped(self):
+        # HiGHS returns z entries down to about -1e-7 at this position;
+        # lambda and y must both be derived from the clipped z
+        ins = build_instance(build_sparse_pair(sparse_schedule(12, 2.0)),
+                             4, 4, 8)
+        X = Combo(ins, {("X", 1): 1.8093261855260092,
+                        ("X", 3): 1.2242650100834385,
+                        ("W", 1, 1): -0.33433432250663586,
+                        ("Z", 1, 1): 1.0766668239344899,
+                        ("Xtail", 2): 1.3955700374183166})
+        img = t_operator(ins, X + (-0.75 * 2 ** -20))
+        cert = membership(ins, img)
+        assert cert.lam == 0.0 or \
+            cert.row_weighted_sum == pytest.approx(1.0, abs=1e-9)
+        assert verify_certificate(ins, img, cert)
+        assert rho_c(ins, X, tol=1e-8) <= 0.0
+
     def test_farkas_certificate_audits(self, instance):
         # every Farkas certificate must price the constraint rows so
         # that mu . b < 0 while mu^T A lies in the span of the equality
@@ -322,6 +341,125 @@ class TestRhoC:
         X = Combo(ins, {("W0",): -1.0})
         assert rho_c(ins, X * 2.0) == pytest.approx(
             2.0 * rho_c(ins, X), abs=1e-4)
+
+
+    def test_infinite_value_from_infeasible_lp(self, instance):
+        start = time.perf_counter()
+        value = rho_c(instance, Combo(instance, {("Xtail", 2): -1.0}))
+        assert value == math.inf
+        assert time.perf_counter() - start < 1.0
+
+    def test_exact_headline_values(self, instance):
+        ins = instance
+        assert rho_c(ins, Combo(ins, {("W0",): -1.0})) == \
+            pytest.approx(SQRT3, rel=1e-9)
+        t2 = ins.x_seq.blocks[1].height
+        for c in (1.35, 2.0, 2.6):
+            assert rho_c(ins, Combo(ins, {("X", 2): -c})) == \
+                pytest.approx(c * t2, rel=1e-9)
+
+    @staticmethod
+    def _closed_form(ins, X):
+        """``max_k -(T X)_k / (T 1)_k`` over ``(T 1)_k > 0``: the value
+        when the optimum has ``lambda = 0``, so that membership asks only
+        for a componentwise nonnegative image."""
+        def coords(img):
+            return list(img.u) + [img.a] + [v for _, v in img.v]
+        tx = coords(t_operator(ins, X))
+        t1 = coords(t_operator(ins, Combo(ins, {("one",): 1.0})))
+        return max(-a / b for a, b in zip(tx, t1) if b > 0.0)
+
+    def test_closed_form_at_zero_lambda(self, instance):
+        ins = instance
+        # bisection at tol=1e-9 stopped at 1.46766, 3.2e-5 relative low
+        X = Combo(ins, {("X", 3): -0.0031672018348364306,
+                        ("W0",): 0.1588557619426032,
+                        ("W", 2, 1): 0.32364962543718234,
+                        ("Z", 1, 1): 0.10042148873833678})
+        value = rho_c(ins, X)
+        assert value == pytest.approx(self._closed_form(ins, X), rel=1e-9)
+        assert value == pytest.approx(1.46771141906, abs=1e-10)
+        for Y in (Combo(ins, {("W0",): -1.0}), Combo(ins, {("X", 2): -2.0})):
+            assert rho_c(ins, Y) == pytest.approx(self._closed_form(ins, Y),
+                                                  rel=1e-9)
+
+    def test_tail_row_moves_with_the_constant(self, phi):
+        # at N = 1 the tail row u_tail(m) = tail + (c1 + m)/t_N binds for
+        # m < 0: with z on i = 1, lambda = u_tail / 2, and the a row
+        # m / sqrt(3) >= -lambda fixes m*
+        ins = build_instance(phi, 2, 2, 1)
+        X = Combo(ins, {("Xtail", 1): 2.0,
+                        **{("W", *k): 5.0 for k in ins.third_keys}})
+        expected = -1.0 / (1.0 / SQRT3 + 1.0 / (2.0 * ins.t_last))
+        assert rho_c(ins, X) == pytest.approx(expected, rel=1e-9)
+        assert rho_c(ins, X - 1.0) == pytest.approx(expected + 1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("variant", ["L", "H"])
+    def test_threshold_agrees_with_membership(self, instance, instance_h,
+                                              variant):
+        ins = instance if variant == "L" else instance_h
+        X = Combo(ins, {("W0",): -1.0, ("X", 1): 0.3, ("one",): 0.1})
+        value = rho_c(ins, X)
+        assert 0.0 < value < math.inf
+        assert is_member(ins, t_operator(ins, X + (value + 1e-6)))
+        assert not is_member(ins, t_operator(ins, X + (value - 1e-6)))
+
+    def test_variant_h_value(self, instance_h):
+        # bisection at tol=1e-9 gave 1.2986287501407787, biased by the
+        # 1e-7 feasibility tolerance of the membership LPs it bisected on
+        ins = instance_h
+        value = rho_c(ins, Combo(ins, {("W0",): -1.0}))
+        assert value == pytest.approx(1.2986287501407787, abs=1e-6)
+        assert rho_c(ins, Combo(ins, {("W0",): -2.0})) == \
+            pytest.approx(2.0 * value, rel=1e-9)
+
+    @staticmethod
+    def _tamper(monkeypatch, edit):
+        real = cex.linprog
+
+        def tampered(*args, **kwargs):
+            res = real(*args, **kwargs)
+            edit(res)
+            return res
+
+        monkeypatch.setattr(cex, "linprog", tampered)
+
+    def test_perturbed_dual_multipliers_raise(self, instance, monkeypatch):
+        X = Combo(instance, {("W0",): -1.0})
+
+        def scale_all(r):  # keeps the gap closed, breaks mu . b1 = 1
+            r.ineqlin.marginals *= 2.0
+            r.eqlin.marginals *= 2.0
+
+        def negative_tail(r):
+            # the last two rows are the tail row and its twin: equal rows
+            # of A and equal right-hand sides here, so moving weight from
+            # one to the other breaks only mu >= 0
+            r.ineqlin.marginals[-2] += 0.01
+            r.ineqlin.marginals[-1] -= 0.01
+
+        for edit in (lambda r: r.ineqlin.marginals.__imul__(0.5),
+                     lambda r: r.ineqlin.marginals.__isub__(0.1),
+                     lambda r: r.eqlin.marginals.__iadd__(1.0),
+                     scale_all, negative_tail):
+            with monkeypatch.context() as mp:
+                self._tamper(mp, edit)
+                with pytest.raises(CertificateError):
+                    rho_c(instance, X)
+
+    def test_perturbed_primal_point_raises(self, instance, monkeypatch):
+        X = Combo(instance, {("Xtail", 3): 2.0, ("W0",): -1.0,
+                             ("W", 1, 3): 0.5})
+        # z off the optimum fails the primal check; m* moved down fails
+        # it too, and m* moved up keeps a valid primal certificate but
+        # leaves the duality gap the dual check measures
+        for edit in (lambda r: r.x.__setitem__(1, r.x[1] + 0.5),
+                     lambda r: r.x.__setitem__(-1, r.x[-1] - 0.1),
+                     lambda r: r.x.__setitem__(-1, r.x[-1] + 0.1)):
+            with monkeypatch.context() as mp:
+                self._tamper(mp, edit)
+                with pytest.raises(CertificateError):
+                    rho_c(instance, X)
 
 
 class TestWeakApproxSelect:
@@ -438,6 +576,24 @@ class TestSerialization:
         assert again.I == instance.I and again.N == instance.N
         assert again.variant == instance.variant
         assert instance_to_json(again) == text
+
+    def test_instance_round_trip_keeps_sparse_ratio(self):
+        ins = build_instance(build_sparse_pair(sparse_schedule(12, 3.0)),
+                             2, 2, 3)
+        text = instance_to_json(ins)
+        again = instance_from_json(text)
+        assert again.x_seq.blocks[0].height == 3.0
+        assert instance_to_json(again) == text
+
+    def test_instance_tampered_blocks_rejected(self, instance):
+        payload = json.loads(instance_to_json(instance))
+        payload["first_region"]["blocks"][0]["t"] *= 1.5
+        with pytest.raises(InputError):
+            instance_from_json(json.dumps(payload))
+        payload = json.loads(instance_to_json(instance))
+        payload["phi"] = payload["phi"].replace("ratio=2.0", "ratio=3.0")
+        with pytest.raises(InputError):
+            instance_from_json(json.dumps(payload))
 
     def test_instance_malformed(self):
         with pytest.raises(InputError):

@@ -142,6 +142,15 @@ class TestExtractScenarios:
             X = sp.rv(rng.uniform(-3.0, 3.0, 4))
             assert rho2(X) == pytest.approx(rho(X), abs=1e-9)
 
+    def test_generator_input_counts_candidates(self):
+        sp = uniform_space(4)
+        Q = avar_scenarios(sp, 0.5)
+        rho = scenario_measure(Q)
+        for candidates in (list(Q.densities), (Y for Y in Q.densities)):
+            _, report = extract_scenarios(rho, candidates)
+            assert report["n_candidates"] == 6
+            assert report["n_survivors"] == 6
+
     def test_empty_extraction(self):
         sp = uniform_space(2)
         rho = scenario_measure(ScenarioSet((sp.constant(1.0),)))

@@ -172,6 +172,14 @@ class TestSpecParsing:
         grid = np.array([0.5, 1.0, 2.0])
         assert np.allclose(np.asarray(phi(grid)), np.asarray(again(grid)))
 
+    def test_sparse_ratio_survives_round_trip(self):
+        phi = parse_phi_spec("sparse:bursts=12,ratio=3")
+        text = phi_spec_string(phi)
+        assert text == "sparse:bursts=12,ratio=3.0"
+        again = parse_phi_spec(text)
+        assert again.breakpoints[0] == 3.0
+        assert list(again.slopes) == list(phi.slopes)
+
     def test_unknown_spec(self):
         with pytest.raises(InputError):
             parse_phi_spec("mystery:q=2")
