@@ -67,6 +67,11 @@ __all__ = [
 
 _SQRT3 = math.sqrt(3.0)
 _FEAS_TOL = 1e-9
+#: HiGHS options for the membership and rho_c LPs: at the default
+#: primal feasibility tolerance 1e-7 an optimum may violate rows by
+#: about 4e-8, so images that far below zero would pass as members and
+#: the rho_c primal check at tol = 1e-8 would reject its own optimum
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10}
 
 
 def diagonal_pairs(I: int, J: int):
@@ -215,7 +220,7 @@ class CounterexampleInstance:
         self._dual_cache[symbol] = rv
         return rv
 
-    def combo(self, coeffs=None, **named) -> "Combo":
+    def combo(self, coeffs=None) -> "Combo":
         return Combo(self, coeffs or {})
 
     @property
@@ -480,7 +485,8 @@ def membership(instance: CounterexampleInstance, image: TImage,
     c = np.zeros(nvar)
     c[0] = -1.0  # maximize lambda
     res = linprog(c, A_ub=A, b_ub=b, A_eq=eq.reshape(1, -1), b_eq=[0.0],
-                  bounds=[(0, None)] * nvar, method="highs")
+                  bounds=[(0, None)] * nvar, method="highs",
+                  options=_HIGHS_OPTIONS)
     if res.status == 0:
         return _certificate_from_z(instance, res.x[1:], pairs, tol)
     # Farkas alternative: mu >= 0, A^T mu + nu * eq >= 0, mu . b < 0
@@ -640,9 +646,7 @@ def rho_c(instance: CounterexampleInstance, X: Combo,
     res = linprog(cost, A_ub=np.hstack([A, -b1.reshape(-1, 1)]), b_ub=rhs,
                   A_eq=np.append(eq, 0.0).reshape(1, -1), b_eq=[0.0],
                   bounds=[(0, None)] * nvar + [(None, None)], method="highs",
-                  # at HiGHS's default 1e-7 the optimum violates rows by up
-                  # to 4e-8, which the primal check at tol = 1e-8 rejects
-                  options={"primal_feasibility_tolerance": 1e-10})
+                  options=_HIGHS_OPTIONS)
     if res.status == 2:
         return math.inf
     if res.status != 0:

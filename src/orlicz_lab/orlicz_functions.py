@@ -264,22 +264,23 @@ class PiecewiseLinearFunction(OrliczFunction):
         self.name = name
         self.delta2 = delta2
         self.conjugate_delta2 = conjugate_delta2
-        # knot values phi(b_k), accumulated left to right
-        widths = np.diff(np.concatenate(([0.0], b)))
+        # segment left ends b_0 = 0, b_1, ..., b_K and the knot values
+        # phi(b_k), accumulated left to right
+        self._edges = np.concatenate(([0.0], b))
+        widths = np.diff(self._edges)
         self._knots = np.concatenate(([0.0], np.cumsum(m[:-1] * widths)))
         self._conjugate = None
 
+    def _segment(self, t):
+        k = np.searchsorted(self._edges, t, side="right") - 1
+        return np.clip(k, 0, len(self._edges) - 1)
+
     def _eval(self, t):
-        edges = np.concatenate(([0.0], self.breakpoints))
-        k = np.searchsorted(edges, t, side="right") - 1
-        k = np.clip(k, 0, len(edges) - 1)
-        return self._knots[k] + self.slopes[k] * (t - edges[k])
+        k = self._segment(t)
+        return self._knots[k] + self.slopes[k] * (t - self._edges[k])
 
     def _rderiv(self, t):
-        edges = np.concatenate(([0.0], self.breakpoints))
-        k = np.searchsorted(edges, t, side="right") - 1
-        k = np.clip(k, 0, len(edges) - 1)
-        return self.slopes[k]
+        return self.slopes[self._segment(t)]
 
     @property
     def analytic_conjugate(self):
@@ -402,15 +403,18 @@ class _NumericConjugate(OrliczFunction):
         self.conjugate_delta2 = phi.delta2
 
     def _eval(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.array([conjugate_value(self.phi, float(x)) for x in s])
-        return out if out.size > 1 else out.reshape(())
+        return _elementwise(lambda x: conjugate_value(self.phi, x), s)
 
     def _rderiv(self, s):
         # the maximizer t(s) is the right-derivative of the conjugate
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.array([self.phi.rderiv_inverse_left(float(x)) for x in s])
-        return out if out.size > 1 else out.reshape(())
+        return _elementwise(self.phi.rderiv_inverse_left, s)
+
+
+def _elementwise(f, s):
+    """``f`` applied to each entry of ``s``; the result has the shape of
+    ``s`` (0-d, length 1 and empty inputs included)."""
+    s = np.asarray(s, dtype=float)
+    return np.array([f(float(x)) for x in s.ravel()], dtype=float).reshape(s.shape)
 
 
 def conjugate(phi: OrliczFunction) -> OrliczFunction:
@@ -440,6 +444,10 @@ def delta2_witnesses(phi: OrliczFunction, count: int, t_cap: float = 1e50):
     """Witnesses ``(n, t_n)`` with ``phi(2 t_n) > 2**n * phi(t_n)`` and
     ``phi(t_n) >= 3``, for ``n = 1..count``, found by geometric scanning.
 
+    ``t_n`` is the first point of :func:`_scan_grid` that satisfies both
+    inequalities.  The scan stops at the first point where ``phi(t)`` or
+    ``phi(2t)`` raises NumericFailure or ``phi(t)`` is not finite.  phi is
+    evaluated on the whole grid at once, so every ``n`` shares one pass.
     The lower bound ``phi(t_n) >= 3`` keeps downstream block
     probabilities ``1 / (2**n * phi(t_n))`` summable below 1/3.
     Raises :class:`WitnessNotFound` when some ``n`` has no witness below
@@ -449,29 +457,52 @@ def delta2_witnesses(phi: OrliczFunction, count: int, t_cap: float = 1e50):
         raise InputError("count must be >= 1")
     if t_cap <= 0:
         raise InputError("t_cap must be positive")
-    grid = _scan_grid(phi, t_cap)
+    grid = np.array(_scan_grid(phi, t_cap), dtype=float)
+    a, b = _evaluable_prefix(phi, grid)
+    finite = np.isfinite(a)
+    stop = len(a) if finite.all() else int(np.argmin(finite))
+    a, b = a[:stop], b[:stop]
     out = []
-    for n in range(1, count + 1):
-        bound = 2.0 ** n
-        found = None
-        for t in grid:
-            try:
-                a = float(phi(t))
-                b = float(phi(2.0 * t))
-            except NumericFailure:
-                break
-            if not math.isfinite(a):
-                break
-            if a >= 3.0 and b > bound * a:
-                found = t
-                break
-        if found is None:
-            raise WitnessNotFound(
-                f"{phi.name}: no Delta_2-failure witness for n={n} below cap "
-                f"{t_cap:g} (function plausibly satisfies Delta_2 up to the cap)"
-            )
-        out.append((n, found))
+    with np.errstate(over="ignore"):  # 2**n * a overflows for fast growth
+        for n in range(1, count + 1):
+            hits = np.flatnonzero((a >= 3.0) & (b > 2.0 ** n * a))
+            if hits.size == 0:
+                raise WitnessNotFound(
+                    f"{phi.name}: no Delta_2-failure witness for n={n} below cap "
+                    f"{t_cap:g} (function plausibly satisfies Delta_2 up to the cap)"
+                )
+            out.append((n, float(grid[hits[0]])))
     return out
+
+
+def _evaluable_prefix(phi: OrliczFunction, grid):
+    """``(phi(grid[:k]), phi(2 grid[:k]))`` for the longest prefix on which
+    neither call raises NumericFailure.
+
+    Failure is monotone in t (a domain cap, or a slope beyond the
+    representable range), so the prefix length is found by bisection;
+    when nothing fails this is one pair of calls.
+    """
+    def evaluate(k):
+        try:
+            return phi(grid[:k]), phi(2.0 * grid[:k])
+        except NumericFailure:
+            return None
+
+    full = evaluate(len(grid))
+    if full is not None:
+        return full
+    # invariant: the prefix of length lo evaluates, that of length hi raises
+    lo, hi = 0, len(grid)
+    best = evaluate(0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        got = evaluate(mid)
+        if got is None:
+            hi = mid
+        else:
+            lo, best = mid, got
+    return best
 
 
 def _scan_grid(phi: OrliczFunction, t_cap: float):

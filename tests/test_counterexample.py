@@ -262,22 +262,36 @@ class TestMembership:
                           variant=A.variant, u_tail=0.1)
             assert is_member(ins, image_add(A, bump))
 
-    def test_slightly_negative_z_entries_are_clipped(self):
-        # HiGHS returns z entries down to about -1e-7 at this position;
-        # lambda and y must both be derived from the clipped z
-        ins = build_instance(build_sparse_pair(sparse_schedule(12, 2.0)),
-                             4, 4, 8)
-        X = Combo(ins, {("X", 1): 1.8093261855260092,
-                        ("X", 3): 1.2242650100834385,
-                        ("W", 1, 1): -0.33433432250663586,
-                        ("Z", 1, 1): 1.0766668239344899,
-                        ("Xtail", 2): 1.3955700374183166})
-        img = t_operator(ins, X + (-0.75 * 2 ** -20))
-        cert = membership(ins, img)
-        assert cert.lam == 0.0 or \
-            cert.row_weighted_sum == pytest.approx(1.0, abs=1e-9)
-        assert verify_certificate(ins, img, cert)
-        assert rho_c(ins, X, tol=1e-8) <= 0.0
+    def test_slightly_negative_z_entries_are_clipped(self, instance):
+        # LP solutions carry z entries down to about -1e-7; lambda and y
+        # must both be derived from the clipped z (unclipped, lambda drops
+        # by 2.2e-6 and the row-weighted sum misses 1 by 2.8e-6)
+        ins = instance
+        pairs = cex._lp_rows(ins, t_operator(ins, Combo(ins, {})))[4]
+        z = np.zeros(len(pairs))
+        z[pairs.index((1, 1))] = 0.3
+        z[pairs.index((2, 1))] = 0.05
+        z[pairs.index((3, 2))] = -8e-8
+        z[pairs.index((4, 1))] = -1e-7
+        cert = cex._certificate_from_z(ins, z, pairs, 1e-9)
+        assert cert.lam == pytest.approx(2.0 * 0.3 + 4.0 * 0.05, abs=1e-15)
+        assert cert.y_dict() == {(1, 1): 0.3 / cert.lam,
+                                 (2, 1): 0.05 / cert.lam}
+        assert cert.row_weighted_sum == pytest.approx(1.0, abs=1e-12)
+
+    def test_images_slightly_below_zero_are_not_members(self, instance):
+        # at HiGHS's default feasibility tolerance 1e-7 the image at
+        # m = 1.46768, whose u is -6.8e-8, passed as a member although
+        # rho_c(X) = 1.4677114
+        ins = instance
+        X = Combo(ins, {("X", 3): -0.0031672018348364306,
+                        ("W0",): 0.1588557619426032,
+                        ("W", 2, 1): 0.32364962543718234,
+                        ("Z", 1, 1): 0.10042148873833678})
+        with pytest.raises(NotAMember):
+            membership(ins, t_operator(ins, X + 1.46768))
+        img = t_operator(ins, X + (rho_c(ins, X) + 1e-9))
+        assert verify_certificate(ins, img, membership(ins, img), tol=1e-9)
 
     def test_farkas_certificate_audits(self, instance):
         # every Farkas certificate must price the constraint rows so

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orlicz_lab.errors import (InputError, InvalidSchedule, NumericFailure,
                                WitnessNotFound)
@@ -21,6 +22,7 @@ from orlicz_lab.orlicz_functions import (
     sparse_schedule,
     young_check,
 )
+from orlicz_lab.orlicz_functions import _NumericConjugate, _scan_grid
 
 
 def grid_conjugate(phi, s, t_max=200.0, n=400_001):
@@ -28,6 +30,47 @@ def grid_conjugate(phi, s, t_max=200.0, n=400_001):
     t = np.linspace(0.0, t_max, n)
     vals = t * s - np.asarray(phi(t), dtype=float)
     return float(np.max(vals))
+
+
+def scalar_scan(phi, count, t_cap=1e50):
+    """Reference for delta2_witnesses: the scan one point at a time,
+    from the first grid point again for every n."""
+    grid = _scan_grid(phi, t_cap)
+    out = []
+    for n in range(1, count + 1):
+        bound = 2.0 ** n
+        found = None
+        for t in grid:
+            try:
+                a = float(phi(t))
+                b = float(phi(2.0 * t))
+            except NumericFailure:
+                break
+            if not math.isfinite(a):
+                break
+            if a >= 3.0 and b > bound * a:
+                found = t
+                break
+        if found is None:
+            raise WitnessNotFound(f"no witness for n={n}")
+        out.append((n, found))
+    return out
+
+
+def scan_outcome(scan, phi, count, t_cap):
+    """The witness list, or the type of the exception raised."""
+    try:
+        return scan(phi, count, t_cap)
+    except (WitnessNotFound, NumericFailure) as exc:
+        return type(exc)
+
+
+def assert_same_scan(phi, count, t_cap=1e50):
+    new = scan_outcome(delta2_witnesses, phi, count, t_cap)
+    old = scan_outcome(scalar_scan, phi, count, t_cap)
+    assert new == old, (phi.name, count, t_cap)
+    if isinstance(new, list):  # bit-identical floats
+        assert [t.hex() for _, t in new] == [float(t).hex() for _, t in old]
 
 
 class TestCatalogBasics:
@@ -143,6 +186,65 @@ class TestDelta2Witnesses:
     def test_witness_count_validation(self):
         with pytest.raises(InputError):
             delta2_witnesses(ExpFunction(), 0)
+
+    @pytest.mark.parametrize("t_cap", [1e10, 1e50, 1e300])
+    @pytest.mark.parametrize("side", ["phi", "conjugate"])
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_same_as_scalar_scan_on_catalog(self, name, side, t_cap):
+        phi = CATALOG[name] if side == "phi" else conjugate(CATALOG[name])
+        for count in (1, 4, 12, 30):
+            assert_same_scan(phi, count, t_cap)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(bursts=st.integers(3, 20), ratio=st.sampled_from([2.0, 2.5, 3.0]),
+           count=st.integers(1, 30), t_cap=st.sampled_from([1e10, 1e50, 1e300]),
+           side=st.sampled_from(["phi", "conjugate"]))
+    def test_same_as_scalar_scan_on_sparse_schedules(self, bursts, ratio, count,
+                                                     t_cap, side):
+        phi = build_sparse_pair(sparse_schedule(bursts, ratio))
+        assert_same_scan(phi if side == "phi" else conjugate(phi), count, t_cap)
+
+    def test_same_as_scalar_scan_with_domain_cap(self):
+        phi = PiecewiseLinearFunction((1.0, 4.0, 50.0, 300.0),
+                                      (0.5, 2.0, 40.0, 900.0, 5e4),
+                                      domain_cap=2e3)
+        for count in (1, 3, 6, 9):
+            assert_same_scan(phi, count)
+
+    def test_scan_stops_where_evaluation_raises(self):
+        # the conjugate of t is 0 on [0, 1] and +inf beyond; evaluating
+        # it past s = 1 raises, so the scan stops before any witness
+        psi = conjugate(PowerFunction(1.0))
+        with pytest.raises(NumericFailure):
+            psi(np.array([0.5, 2.0]))
+        with pytest.raises(WitnessNotFound):
+            delta2_witnesses(psi, 2)
+        assert_same_scan(psi, 2)
+
+    def test_witnesses_found_before_evaluation_raises(self):
+        # the numeric conjugate of a piecewise-linear phi without a cap
+        # raises beyond phi's maximal slope; its stretch witnesses lie
+        # below that point, so the scan must keep the evaluable prefix
+        psi = _NumericConjugate(build_sparse_pair(sparse_schedule(bursts=6)))
+        with pytest.raises(NumericFailure):
+            psi(np.array([1.0, 1e9]))
+        assert len(delta2_witnesses(psi, 3)) == 3
+        for count in (1, 3, 5, 8):
+            assert_same_scan(psi, count)
+
+    def test_one_pass_over_the_grid(self):
+        phi = build_sparse_pair(sparse_schedule())
+        calls = []
+
+        class Counting(PiecewiseLinearFunction):
+            def _eval(self, t):
+                calls.append(np.shape(t))
+                return super()._eval(t)
+
+        counted = Counting(phi.breakpoints, phi.slopes)
+        assert delta2_witnesses(counted, 10) == delta2_witnesses(phi, 10)
+        n_grid = len(_scan_grid(phi, 1e50))
+        assert calls == [(n_grid,), (n_grid,)]
 
 
 class TestSparseSchedule:
