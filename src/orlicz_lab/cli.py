@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto library modules and emit deterministic
-JSON reports (sorted keys, fixed summation order, seeds from
+JSON reports (sorted keys, correctly rounded sums, seeds from
 ``ORLICZ_LAB_SEED``).  Exit codes: 0 success, 2 not-a-member/infeasible
 (with the certificate in the JSON error payload on stderr), 3 invalid
-input, 4 numeric failure.
+input or a phi without the Delta_2-failure witnesses a construction
+needs (``witness-not-found``), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import InputError, NotAMember, OrliczLabError
+from .errors import InputError, NotAMember, OrliczLabError, WitnessNotFound
 from . import block_sequences as bs
 from . import closure_lab as cl
 from . import counterexample as cex
@@ -27,7 +28,6 @@ from . import risk_measures as rm
 from .finite_model import read_positions_csv
 from .orlicz_functions import (conjugate, conjugate_value, delta2_witnesses,
                                parse_phi_spec, phi_spec_string)
-from .errors import WitnessNotFound
 
 __all__ = ["main", "run"]
 
@@ -268,6 +268,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(error: str, exc: Exception, code: int, **extra) -> int:
+    json.dump({"error": error, "detail": str(exc), **extra}, sys.stderr,
+              sort_keys=True)
+    sys.stderr.write("\n")
+    return code
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -277,20 +284,15 @@ def run(argv=None) -> int:
                 raise InputError(f"--{name.replace('_', '-')} must be positive")
         return args.func(args)
     except NotAMember as exc:
-        json.dump({"error": "not-a-member", "detail": str(exc),
-                   "certificate": exc.certificate}, sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
+        return _fail("not-a-member", exc, 2, certificate=exc.certificate)
     except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
-        json.dump({"error": "invalid-input", "detail": str(exc)}, sys.stderr,
-                  sort_keys=True)
-        sys.stderr.write("\n")
-        return 3
+        return _fail("invalid-input", exc, 3)
+    except WitnessNotFound as exc:
+        # phi cannot carry the construction: a rejected input, reported
+        # with the status that `delta2` prints
+        return _fail("witness-not-found", exc, 3)
     except OrliczLabError as exc:
-        json.dump({"error": "numeric-failure", "detail": str(exc)},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 4
+        return _fail("numeric-failure", exc, 4)
 
 
 def main() -> None:

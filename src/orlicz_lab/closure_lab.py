@@ -36,25 +36,27 @@ def split_with_budget(X: RandomVariable, phi: OrliczFunction, budget: float):
     ``Z = X 1_{|X|>k}`` and ``W = X 1_{|X|<=k}``.
 
     The modular tail is a right-continuous step function of ``k``, so
-    scanning the distinct values of ``|X|`` (plus 0) is exact.
+    the distinct values of ``|X|`` (plus 0) hold the answer.  Each tail
+    is one correctly rounded sum over a subset of nonnegative terms, so
+    it is nonincreasing in the level, and bisection over those levels
+    finds the same smallest level as a linear scan.
     """
     if budget <= 0:
         raise InputError("budget must be positive")
     modular(X, phi, 1.0)  # raises NumericFailure when not finite
     x_abs = np.abs(X.x)
-    p = X.space.p
-    phi_vals = np.asarray(phi(x_abs), dtype=float)
-    levels = sorted(set([0.0] + [float(v) for v in x_abs]))
-    k = None
-    for level in levels:
-        tail = 0.0
-        for pi, xa, fv in zip(p, x_abs, phi_vals):
-            if xa > level:
-                tail += pi * fv
-        if tail <= budget:
-            k = level
-            break
-    assert k is not None  # the largest level always gives tail 0
+    terms = X.space.p * np.asarray(phi(x_abs), dtype=float)
+    levels = np.unique(np.concatenate(([0.0], x_abs)))
+    # invariant: the tail at levels[hi] fits the budget (the largest level
+    # has tail 0), the tail at levels[lo] does not (or lo = -1)
+    lo, hi = -1, len(levels) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.fsum(terms[x_abs > levels[mid]].tolist()) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    k = float(levels[hi])
     above = x_abs > k
     Z = X.space.rv(np.where(above, X.x, 0.0))
     W = X.space.rv(np.where(above, 0.0, X.x))

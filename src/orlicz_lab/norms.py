@@ -30,52 +30,61 @@ __all__ = [
 _MAX_DOUBLINGS = 200
 
 
+def _expect(p: np.ndarray, vals: np.ndarray) -> float:
+    """``sum_i p_i v_i`` as one correctly rounded sum, so the value does not
+    depend on the order of the atoms."""
+    return math.fsum((p * vals).tolist())
+
+
+def _modular(x: np.ndarray, p: np.ndarray, phi: OrliczFunction,
+             lam: float) -> float:
+    """E[phi(|x|/lam)]; NumericFailure names the first atom whose term is
+    not finite."""
+    try:
+        vals = np.asarray(phi(np.abs(x) / lam), dtype=float)
+    except NumericFailure as exc:
+        raise NumericFailure(f"modular evaluation failed: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise NumericFailure(
+            f"modular overflow at atom {int(bad[0])} (value {float(x[bad[0]])!r})"
+        )
+    return _expect(p, vals)
+
+
 def _modular_raw(x_abs: np.ndarray, p: np.ndarray, phi: OrliczFunction,
                  lam: float) -> float:
     """E[phi(|X|/lam)] with overflow / beyond-domain reported as +inf."""
     try:
-        vals = np.asarray(phi(x_abs / lam), dtype=float)
+        return _modular(x_abs, p, phi, lam)
     except NumericFailure:
         return math.inf
-    if np.any(~np.isfinite(vals)):
-        return math.inf
-    total = 0.0
-    for pi, vi in zip(p, vals):  # fixed order for reproducibility
-        total += pi * vi
-    return total
 
 
 def modular(X: RandomVariable, phi: OrliczFunction, lam: float) -> float:
     """E[phi(|X| / lam)] for lam > 0."""
     if lam <= 0:
         raise NumericFailure("modular requires lam > 0")
-    x_abs = np.abs(X.x)
-    try:
-        vals = np.asarray(phi(x_abs / lam), dtype=float)
-    except NumericFailure as exc:
-        raise NumericFailure(f"modular evaluation failed: {exc}") from exc
-    bad = np.where(~np.isfinite(vals))[0]
-    if len(bad):
-        raise NumericFailure(
-            f"modular overflow at atom {int(bad[0])} (value {X.values[int(bad[0])]!r})"
-        )
-    total = 0.0
-    for pi, vi in zip(X.space.probabilities, vals):
-        total += pi * vi
-    return total
+    return _modular(X.x, X.space.p, phi, lam)
 
 
 def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
-    """``inf{lam > 0 : E[phi(|X|/lam)] <= 1}`` by monotone bisection.
+    """``inf{lam > 0 : E[phi(|X|/lam)] <= 1}``.
 
-    Bracket is grown/shrunk by doubling from ``max|x_i|``; the returned
-    value is the lower bracket (the infimum is approached from the
-    right), with relative width 1e-10.
+    In closed form when phi provides one: under ``coef * t**p`` the norm
+    is ``m * (coef * E[(|X|/m)**p])**(1/p)`` with ``m = max|x_i|``.
+    Otherwise by monotone bisection: the bracket is grown/shrunk by
+    doubling from ``max|x_i|``, and the returned value is the lower
+    bracket (the infimum is approached from the right), with relative
+    width 1e-10.
     """
     x_abs = np.abs(X.x)
     if not np.any(x_abs > 0):
         return 0.0
     p = X.space.p
+    exact = phi.luxemburg_closed_form(x_abs, p)
+    if exact is not None:
+        return exact
     lam = float(np.max(x_abs))
     if _modular_raw(x_abs, p, phi, lam) <= 1.0:
         hi = lam
@@ -114,7 +123,7 @@ def phi_inverse(phi: OrliczFunction, v: float) -> float:
         return 0.0
     if isinstance(phi, PiecewiseLinearFunction):
         knots = phi._knots
-        edges = np.concatenate(([0.0], phi.breakpoints))
+        edges = phi._edges
         k = int(np.searchsorted(knots, v, side="right")) - 1
         k = min(k, len(edges) - 1)
         if phi.slopes[k] == 0.0:
@@ -181,10 +190,7 @@ def _g_vec(phi: OrliczFunction, s: np.ndarray) -> np.ndarray:
         if phi.domain_cap is None and np.any(s > phi.slopes[-1]):
             raise NumericFailure("slope beyond maximal slope")
         k = np.searchsorted(phi.slopes, s, side="left")
-        edges = np.concatenate(([0.0], phi.breakpoints,
-                                [phi.domain_cap if phi.domain_cap is not None
-                                 else phi.breakpoints[-1] if len(phi.breakpoints)
-                                 else 0.0]))
+        edges = phi._slope_edges
         k = np.clip(k, 0, len(edges) - 1)
         return edges[k]
     return np.array([phi.rderiv_inverse_left(float(x)) for x in s])
@@ -270,10 +276,7 @@ def _orlicz_definitional(y_abs: np.ndarray, p: np.ndarray,
             budget -= p[i] * slope * d
             if budget <= 1e-15:
                 break
-    total = 0.0
-    for pi, xi, yi in zip(p, x, y_abs):
-        total += pi * xi * yi
-    return total
+    return _expect(p, x * y_abs)
 
 
 def _orlicz_amemiya(y_abs: np.ndarray, p: np.ndarray,

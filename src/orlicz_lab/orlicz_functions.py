@@ -83,6 +83,11 @@ class OrliczFunction:
     def analytic_conjugate(self) -> "OrliczFunction | None":
         return None
 
+    def luxemburg_closed_form(self, x_abs: np.ndarray, p: np.ndarray) -> float | None:
+        """Luxemburg norm of atoms ``x_abs >= 0`` (not all zero) with
+        probabilities ``p`` in closed form, or None when there is none."""
+        return None
+
     def rderiv_inverse_left(self, s: float) -> float:
         """Left endpoint of ``{t : rderiv(t) = s}`` (0 when rderiv(0) >= s).
 
@@ -131,6 +136,13 @@ class PowerFunction(OrliczFunction):
 
     def _rderiv(self, t):
         return self.coef * self.p * t ** (self.p - 1.0)
+
+    def luxemburg_closed_form(self, x_abs, p):
+        # coef * E[(|X|/lam)**p] = 1, scaled by m = max|x| so that no
+        # power overflows
+        m = float(np.max(x_abs))
+        mean = math.fsum((p * (x_abs / m) ** self.p).tolist())
+        return m * (self.coef * mean) ** (1.0 / self.p)
 
     @property
     def analytic_conjugate(self):
@@ -269,6 +281,11 @@ class PiecewiseLinearFunction(OrliczFunction):
         self._edges = np.concatenate(([0.0], b))
         widths = np.diff(self._edges)
         self._knots = np.concatenate(([0.0], np.cumsum(m[:-1] * widths)))
+        # left end of the segment where the slope first reaches s, indexed
+        # by searchsorted(slopes, s, "left"); past the last slope it is
+        # the cap (or the last kink)
+        top = self.domain_cap if self.domain_cap is not None else self._edges[-1]
+        self._slope_edges = np.concatenate((self._edges, [top]))
         self._conjugate = None
 
     def _segment(self, t):

@@ -172,6 +172,19 @@ class TestCex:
         assert report["rho_minus_w0"] > 1.0
         assert report["approximants"][0]["rho"] <= 1e-5
 
+    @pytest.mark.parametrize("phi", ["exp", "power:p=2"])
+    def test_build_without_witnesses_is_rejected_input(self, capsys, phi):
+        # phi (or its conjugate) satisfies Delta_2, so it cannot carry the
+        # construction; `delta2` reports the same status
+        code = run(["cex", "build", "--phi", phi, "--I", "2", "--J", "2",
+                    "--N", "3"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "witness-not-found"
+        assert "Delta_2" in err["detail"]
+
     def test_bad_eps(self, instance_json, tmp_path):
         targets = tmp_path / "targets.json"
         targets.write_text("[]")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,32 @@ from orlicz_lab.closure_lab import (as_extraction, mazur_min_norm,
 from orlicz_lab.errors import (BoundViolation, HypothesisViolation, InputError)
 from orlicz_lab.finite_model import FiniteSpace, uniform_space
 from orlicz_lab.norms import luxemburg_norm, modular
-from orlicz_lab.orlicz_functions import ExpFunction, PowerFunction
+from orlicz_lab.orlicz_functions import CATALOG, ExpFunction, PowerFunction
+
+
+def tail(X, phi, level):
+    """E[1_{|X|>level} phi(|X|)] as one correctly rounded sum."""
+    x_abs = np.abs(X.x)
+    terms = X.space.p * np.asarray(phi(x_abs), dtype=float)
+    return math.fsum(terms[x_abs > level].tolist())
+
+
+def scan_split_level(X, phi, budget):
+    """Reference for split_with_budget: the levels 0 and |x_i| in
+    increasing order, the first whose tail fits the budget."""
+    for level in sorted({0.0, *(float(v) for v in np.abs(X.x))}):
+        if tail(X, phi, level) <= budget:
+            return level
+    raise AssertionError("the largest level has tail 0")
+
+
+def tied_draw(rng):
+    """Atoms with repeated magnitudes (either sign) and exact zeros."""
+    n = int(rng.integers(1, 60))
+    sp = FiniteSpace(tuple(rng.dirichlet(np.ones(n))))
+    x = np.round(rng.standard_normal(n), 1) * rng.choice([-1.0, 1.0], n)
+    x[rng.random(n) < 0.2] = 0.0
+    return sp.rv(x)
 
 
 class TestSplitWithBudget:
@@ -40,6 +67,38 @@ class TestSplitWithBudget:
         assert k == 0.0
         assert np.allclose(Z.x, X.x)
         assert np.allclose(W.x, 0.0)
+
+    @pytest.mark.parametrize("name", ["power2", "exp", "sparse"])
+    def test_same_level_as_linear_scan(self, name):
+        phi = CATALOG[name]
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            X = tied_draw(rng)
+            for budget in (1e-4, 1e-2, 0.1, 0.5, 1.0, 4.0):
+                k, Z, W = split_with_budget(X, phi, budget)
+                assert k == scan_split_level(X, phi, budget)
+                assert np.array_equal(Z.x, np.where(np.abs(X.x) > k, X.x, 0.0))
+                assert np.array_equal(W.x, np.where(np.abs(X.x) > k, 0.0, X.x))
+
+    @pytest.mark.parametrize("name", ["power2", "exp"])
+    def test_budget_equal_to_an_attained_tail(self, name):
+        # the tail at a level equal to the budget fits (<=); one ulp less
+        # and the split must move past that level
+        phi = CATALOG[name]
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            X = tied_draw(rng)
+            for level in np.unique(np.abs(X.x)):
+                budget = tail(X, phi, level)
+                if budget == 0.0:
+                    continue
+                k = split_with_budget(X, phi, budget)[0]
+                assert k == scan_split_level(X, phi, budget)
+                assert k <= level
+                below = np.nextafter(budget, 0.0)
+                k2 = split_with_budget(X, phi, below)[0]
+                assert k2 == scan_split_level(X, phi, below)
+                assert k2 > level
 
     def test_budget_validation(self):
         sp = uniform_space(2)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from orlicz_lab.errors import NumericFailure
 from orlicz_lab.finite_model import FiniteSpace, uniform_space
@@ -83,6 +84,72 @@ class TestLuxemburgNorm:
         n1 = luxemburg_norm(X, phi)
         n2 = luxemburg_norm(X * 2.5, phi)
         assert abs(n2 - 2.5 * n1) < 1e-8 * n2
+
+
+class TestPowerClosedForm:
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("coef", [1.0, 0.3, 7.5])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_modular_crosses_one_at_the_norm(self, p, coef, scale):
+        # E|X|^p at 1e150 is beyond the double range; the norm is not
+        rng = np.random.default_rng(17)
+        sp = FiniteSpace(tuple(rng.dirichlet(np.ones(9))))
+        X = sp.rv(scale * rng.uniform(-3.0, 3.0, 9))
+        phi = PowerFunction(p, coef)
+        v = luxemburg_norm(X, phi)
+        assert math.isfinite(v) and v > 0.0
+        assert modular(X, phi, v * (1.0 - 1e-9)) > 1.0
+        assert modular(X, phi, v * (1.0 + 1e-9)) <= 1.0
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_matches_the_lp_norm(self, p):
+        rng = np.random.default_rng(23)
+        sp = FiniteSpace(tuple(rng.dirichlet(np.ones(12))))
+        x = rng.standard_normal(12)
+        expect = (2.0 * math.fsum(sp.p * np.abs(x) ** p)) ** (1.0 / p)
+        got = luxemburg_norm(sp.rv(x), PowerFunction(p, 2.0))
+        assert got == pytest.approx(expect, rel=1e-14)
+
+
+# atoms as (weight, value) pairs; values are 0 or at least 1e-3 in
+# magnitude, so that scaling by |c| >= 1e-3 stays in the normal range
+atoms_st = st.lists(
+    st.tuples(st.floats(0.01, 1.0),
+              st.builds(lambda sign, mag: sign * mag,
+                        st.sampled_from([-1.0, 0.0, 1.0]),
+                        st.floats(1e-3, 50.0))),
+    min_size=1, max_size=8)
+
+
+def space_and_values(atoms):
+    w = np.array([a[0] for a in atoms])
+    return FiniteSpace(tuple(w / w.sum())), np.array([a[1] for a in atoms])
+
+
+class TestSumProperties:
+    """The modular is one correctly rounded sum, so it does not depend on
+    the order of the atoms; the norm is positively homogeneous."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @given(atoms=atoms_st, lam=st.floats(0.1, 10.0), data=st.data())
+    def test_permuting_atoms_changes_no_bit(self, name, atoms, lam, data):
+        phi = CATALOG[name]
+        sp, x = space_and_values(atoms)
+        perm = np.array(data.draw(st.permutations(range(len(atoms)))))
+        sp2 = FiniteSpace(tuple(sp.p[perm]))
+        X, X2 = sp.rv(x), sp2.rv(x[perm])
+        assert modular(X2, phi, lam) == modular(X, phi, lam)
+        assert luxemburg_norm(X2, phi) == luxemburg_norm(X, phi)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @given(atoms=atoms_st, sign=st.sampled_from([-1.0, 1.0]),
+           c=st.floats(1e-3, 1e3))
+    def test_homogeneity(self, name, atoms, sign, c):
+        phi = CATALOG[name]
+        sp, x = space_and_values(atoms)
+        n1 = luxemburg_norm(sp.rv(x), phi)
+        n2 = luxemburg_norm(sp.rv(sign * c * x), phi)
+        assert abs(n2 - c * n1) <= 1e-9 * c * n1
 
 
 class TestOrliczNorm:

@@ -195,7 +195,7 @@ class TestDelta2Witnesses:
         for count in (1, 4, 12, 30):
             assert_same_scan(phi, count, t_cap)
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(bursts=st.integers(3, 20), ratio=st.sampled_from([2.0, 2.5, 3.0]),
            count=st.integers(1, 30), t_cap=st.sampled_from([1e10, 1e50, 1e300]),
            side=st.sampled_from(["phi", "conjugate"]))
