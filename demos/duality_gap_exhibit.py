@@ -1,10 +1,11 @@
 """The headline exhibit: a Fatou coherent risk measure with no scenario
-representation, certified by linear programming at finite truncation.
+representation, certified by linear feasibility at finite truncation.
 
 The cone C collects positions whose image under the positive operator
 T X = (E[X Y_n])_n (+) E[X Z_0] (+) (E[X Z_ij])_ij admits a certificate
-(lambda, y).  Membership is an LP; exclusion comes with an auditable
-Farkas certificate.  The induced measure rho_c(X) = inf{m : X + m in C}
+(lambda, y).  Membership is linear feasibility, decided on this
+variant (L) by the exact polymatroid greedy without an LP solver;
+exclusion comes with an auditable Farkas certificate.  The induced measure rho_c(X) = inf{m : X + m in C}
 is coherent and Fatou, yet:
 
   *  rho_c(-W_0) = sqrt(3) > 0, with -W_0 excluded from C outright;
@@ -46,7 +47,7 @@ def main():
     try:
         membership(ins, img)
     except NotAMember as exc:
-        print("membership LP: infeasible.  Farkas row multipliers:")
+        print("membership (greedy): infeasible.  Farkas row multipliers:")
         for label, mult in sorted(exc.certificate.items()):
             if label != "__objective__":
                 print(f"  {mult:10.4f} x [{label}]")

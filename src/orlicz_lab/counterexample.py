@@ -8,23 +8,28 @@ the third, blocks ``Z_m`` from witnesses of the conjugate Psi with duals
 (E[X Z_m])_m`` maps a position to a sequence triple, and C is the set of
 positions whose image admits a certificate ``(lambda, y)``.  The
 substitution ``z = lambda * y`` linearizes the certificate constraints,
-so membership is a pure LP feasibility problem with auditable Farkas
-certificates on the infeasible side.
+so membership is a linear feasibility problem in ``(lambda, z)`` with
+auditable Farkas certificates on the infeasible side.
 
 Two constraint variants are supported: "L" (double-indexed third-region
 blocks, ``v(i,j) >= z(i,j)`` and prefix-sum u-constraints) and "H"
 (single-indexed third-region blocks, ``v(j) >= sum_i 4^i z(i,j)`` and
-tail-sum u-constraints via the summing basis).
+tail-sum u-constraints via the summing basis).  After ``w = 4^i z``,
+variant L's rows are a box plus a nested chain, a laminar polymatroid
+on which the greedy maximizes ``lambda = sum 2^-i w`` exactly (Edmonds
+1970), so L needs no LP solver; H's rows weight pairs by ``4^i`` per
+group and by 1 per suffix, which is no polymatroid, and H solves LPs
+with HiGHS.
 
 The induced coherent risk measure ``rho_c(X) = inf{m : X + m*1 in C}``
 satisfies the Fatou property by the order-closedness of C, yet
 ``rho_c(-W_0) > 0`` while members ``X_sr`` with ``rho_c(X_sr) <= 0``
 approximate ``-W_0`` against any finite list of dual targets - the
 finite-scale shadow of the failure of the dual representation.  Since
-``T(X + m*1) = T X + m T 1`` is affine in ``m``, ``rho_c`` is one LP in
-``(lambda, z, m)``: its optimum is a membership certificate at ``m*``,
-its duals a Farkas certificate for every ``m < m*``, and an infeasible
-LP means ``rho_c = +inf``.
+``T(X + m*1) = T X + m T 1`` is affine in ``m``, ``rho_c`` is one
+problem in ``(lambda, z, m)`` whose solution carries a membership
+certificate at ``m*`` and a Farkas certificate for every ``m < m*``;
+``rho_c = +inf`` exactly when the ``Xtail`` coefficient is negative.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ _FEAS_TOL = 1e-9
 #: about 4e-8, so images that far below zero would pass as members and
 #: the rho_c primal check at tol = 1e-8 would reject its own optimum
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10}
+#: the greedy's only slack: float rounding, 4 ulp relative on a + lambda*
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 def diagonal_pairs(I: int, J: int):
@@ -391,7 +398,12 @@ def summing(row, N: int | None = None):
 
 def _lp_rows(instance: CounterexampleInstance, image: TImage):
     """Constraint rows over variables ``(lambda, z_k)``; returns
-    (labels, A_ub, b_ub, A_eq)."""
+    (labels, A_ub, b_ub, A_eq, pairs, col).
+
+    Variant L's rows come in the order ``_greedy`` and ``_cover`` read
+    them: the a row, one box per pair (ordered like ``pairs``), the
+    prefix rows u(1..N), then the tail row when ``u_tail`` is finite.
+    """
     ins = instance
     if len(image.u) != ins.N or image.variant != ins.variant:
         raise InputError("image dimensions do not match the truncation")
@@ -471,16 +483,106 @@ def _certificate_from_z(instance: CounterexampleInstance, z, pairs,
     return cert
 
 
+def _greedy(b, pairs, N: int):
+    """Variant L: the ``z`` (ordered like ``pairs``) of largest
+    ``lambda`` under ``_lp_rows``' rows with capacities ``b >= 0``.
+
+    With ``w = 4^i z`` the rows past the first are the boxes
+    ``w(i,j) <= 4^i b`` and the chain ``w(j <= n) <= b`` for n <= N,
+    followed by rows holding every pair (the tail row and, in rho_c, its
+    twin); the objective is ``lambda = sum 2^-i w``.  Pairs are filled
+    in ascending i, ties in descending j, each up to its least remaining
+    slack.
+    """
+    P = len(pairs)
+    slack = list(b[1 + P:])
+    z = np.zeros(P)
+    for k in sorted(range(P), key=lambda k: (pairs[k][0], -pairs[k][1])):
+        i, j = pairs[k]
+        first = min(j, N + 1) - 1  # the chain rows holding (i, j)
+        w = min([4.0 ** i * b[1 + k]] + slack[first:])
+        for r in range(first, len(slack)):
+            slack[r] -= w
+        z[k] = w / 4.0 ** i
+    return z
+
+
+def _lam(z, pairs) -> float:
+    return math.fsum((2.0 ** i) * z[k] for k, (i, _) in enumerate(pairs))
+
+
+def _cover(b, pairs, N: int) -> np.ndarray:
+    """Variant L: row multipliers ``rho`` with ``rho_a = 1`` and
+    ``A^T rho + eq >= 0`` whose cost ``sum_{r>0} rho_r b_r`` is the
+    greedy's ``lambda*`` at capacities ``b >= 0``.
+
+    For each level i, the greedy's prefix (pairs with i' <= i) is
+    covered at least cost by one chain row (or none) plus the boxes of
+    the pairs that row leaves out; that cover's cost is the greedy's
+    ``w`` on the prefix.  Each row of the level-i cover gets
+    ``2^-i - 2^-(i+1)`` (``2^-I`` at the last level) in the units of
+    ``w = 4^i z``, so a pair of level i is covered ``2^-i`` times, its
+    weight in lambda.  Among covers of equal cost the one with the
+    fewest rows is taken, then the earliest row.  Every multiplier is
+    dyadic, so the inequality holds exactly in floats.
+    """
+    P = len(pairs)
+    I = max(i for i, _ in pairs)
+    box = [4.0 ** i * b[1 + k] for k, (i, _) in enumerate(pairs)]
+    rho = np.zeros(len(b))
+    rho[0] = 1.0
+    for level in range(1, I + 1):
+        step = 2.0 ** -(level + 1) if level < I else 2.0 ** -I
+        members = [k for k, (i, _) in enumerate(pairs) if i <= level]
+        options = [(sum(box[k] for k in members), len(members), 0, members)]
+        for r in range(1 + P, len(b)):
+            n = r - P if r - P <= N else math.inf
+            rest = [k for k in members if pairs[k][1] > n]
+            options.append((b[r] + sum(box[k] for k in rest), 1 + len(rest),
+                            r, rest))
+        _, _, r, rest = min(options, key=lambda o: o[:3])
+        if r:
+            rho[r] += step
+        for k in rest:
+            rho[1 + k] += 4.0 ** pairs[k][0] * step
+    return rho
+
+
 def membership(instance: CounterexampleInstance, image: TImage,
                tol: float = _FEAS_TOL) -> MembershipCertificate:
-    """Decide ``image in T(C)`` by LP feasibility in ``(lambda, z)``.
+    """Decide ``image in T(C)``: is there ``(lambda, z) >= 0`` meeting
+    ``_lp_rows``' rows?
 
-    Returns a certificate with ``y = z / lambda`` (or the canonical
-    ``lambda = 0`` certificate ``y(1,1) = 1/2`` when the image is
-    componentwise nonnegative); raises NotAMember carrying a Farkas
-    certificate (row multipliers proving emptiness) otherwise.
+    Variant L runs the greedy (``_greedy``): the image is a member
+    exactly when every row past the first has a nonnegative capacity and
+    ``a + lambda* >= 0``, up to 4 ulp of float rounding.  Variant H
+    maximizes lambda by a HiGHS LP.  Returns the certificate with
+    ``y = z / lambda`` of largest lambda (or the canonical ``lambda = 0``
+    certificate ``y(1,1) = 1/2`` when that lambda is at most
+    ``max(tol, 1e-7)``).  Otherwise raises NotAMember carrying a Farkas
+    certificate: row multipliers ``mu >= 0`` summing to at most 1 with
+    ``A^T mu + nu eq >= 0`` for some ``nu`` and ``mu . b < 0``, keyed by
+    row label, with ``mu . b`` as ``"__objective__"``.  On L the
+    certificate is a negative row or the greedy's cover (``_cover``),
+    audited before it is raised.
     """
     labels, A, b, eq, pairs, _ = _lp_rows(instance, image)
+    if instance.variant == "L":
+        if np.all(b[1:] >= 0.0):
+            z = _greedy(b, pairs, instance.N)
+            lam = _lam(z, pairs)
+            if b[0] + lam >= -_ROUNDING * max(abs(b[0]), lam):
+                return _certificate_from_z(instance, z, pairs, tol)
+            mu, nu = _cover(b, pairs, instance.N), 1.0
+        else:
+            mu, nu = np.eye(len(b))[1 + int(np.argmin(b[1:]))], 0.0
+        if not (mu @ b < 0.0 and np.all(A.T @ mu + nu * eq >= 0.0)):
+            raise CertificateError("greedy Farkas certificate fails its audit")
+        mu = mu / mu.sum()
+        certificate = {labels[r]: float(mu[r]) for r in np.flatnonzero(mu)}
+        certificate["__objective__"] = float(mu @ b)
+        raise NotAMember("image admits no certificate (not a member of C)",
+                         certificate=certificate)
     nvar = A.shape[1]
     c = np.zeros(nvar)
     c[0] = -1.0  # maximize lambda
@@ -612,34 +714,46 @@ def weak_approx_select(instance: CounterexampleInstance, targets, eps: float):
                         "certificate": cert}
 
 
-def rho_c(instance: CounterexampleInstance, X: Combo,
-          tol: float = 1e-6) -> float:
-    """``inf{m : X + m*1 in C}`` as one LP over ``(lambda, z, m)``.
+def _rho_newton(rhs, b1, pairs, N: int):
+    """Variant L: ``(m*, z, mu, nu)`` for rho_c's rows ``b(m) = rhs +
+    m b1`` (first row ``a(m)``, the rest capacities).
 
-    ``T(X + m*1) = T X0 + (c1 + m) T 1`` (``X0`` the non-constant part
-    of X, ``c1`` its constant), so the membership rows become
-    ``A (lambda, z) - m b1 <= b0 + c1 b1`` with ``m`` free; the tail row
-    ``u_tail(m) = tail + min(0, (c1 + m)/t_N)`` splits into two.  Both
-    certificates are checked before ``m*`` is returned, else
-    CertificateError:
-
-    * primal: ``(lambda, z)`` verifies for ``X + m*`` at ``tol``;
-    * dual: ``mu >= 0``, ``mu . b1 = 1``, ``A^T mu + nu eq >= 0`` and
-      ``-mu . (b0 + c1 b1) = m*``, a Farkas certificate (objective
-      ``m - m*``) that ``X + m`` is not in C for every ``m < m*``.
-
-    An infeasible LP (e.g. a negative ``Xtail`` coefficient) gives +inf.
+    Every row past the first needs ``b(m) >= 0``, a threshold in m; past
+    the largest threshold, ``g(m) = a(m) + lambda*(b(m))`` is concave and
+    increasing, and ``m*`` is its root.  Newton's method starts at that
+    threshold and moves right: the cover multipliers at m give a line
+    ``rho . b(m)`` through ``g(m)`` that lies above g, so each root of
+    such a line is at most ``m*``, and it stops when g is nonnegative (up
+    to rounding) or the line's root does not move.  The last line,
+    normalized by ``rho . b1``, is the Farkas certificate below ``m*``;
+    if the threshold itself is ``m*``, the threshold row is.
     """
-    ins = instance
-    c1 = X.constant_part
-    _, A, b0, eq, pairs, _ = _lp_rows(ins, t_operator(ins, X - c1))
-    b1 = _lp_rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[2]
-    # the last row is the tail row, where T 1 contributes 0; its twin
-    # carries the constant part's (c1 + m)/t_N
-    A = np.vstack([A, A[-1]])
-    b0 = np.append(b0, b0[-1])
-    b1 = np.append(b1, 1.0 / ins.t_last)
-    rhs = b0 + c1 * b1
+    # the one row without T 1, the tail row, holds for all m as tail >= 0
+    rows = 1 + np.flatnonzero(b1[1:] > 0.0)
+    cut = -rhs[rows] / b1[rows]
+    r = rows[int(np.argmax(cut))]
+    m = float(cut.max())
+    mu, nu = np.eye(len(rhs))[r] / b1[r], 0.0
+    while True:
+        # rows past the threshold can round to just below 0; the greedy
+        # and the cover ignore the first row
+        b = np.maximum(rhs + m * b1, 0.0)
+        z = _greedy(b, pairs, N)
+        a, lam = rhs[0] + m * b1[0], _lam(z, pairs)
+        if a + lam >= -_ROUNDING * max(abs(a), lam):
+            return m, z, mu, nu
+        rho = _cover(b, pairs, N)
+        slope = float(rho @ b1)
+        root = -float(rho @ rhs) / slope
+        mu, nu = rho / slope, 1.0 / slope
+        if root <= m:
+            return m, z, mu, nu
+        m = root
+
+
+def _rho_lp(A, rhs, b1, eq, labels):
+    """Variant H: ``(m*, z, mu, nu)`` from one HiGHS LP over
+    ``(lambda, z, m)``, minimizing m."""
     nvar = A.shape[1]
     cost = np.zeros(nvar + 1)
     cost[-1] = 1.0
@@ -648,15 +762,60 @@ def rho_c(instance: CounterexampleInstance, X: Combo,
                   bounds=[(0, None)] * nvar + [(None, None)], method="highs",
                   options=_HIGHS_OPTIONS)
     if res.status == 2:
-        return math.inf
+        # with a nonnegative tail coefficient every row holds for large
+        # m; HiGHS drops matrix entries below its small_matrix_value
+        # (1e-9), and 1/t_n falls below it for large n
+        short = [r for r in range(1, len(rhs)) if rhs[r] < 0.0]
+        r = min(short, key=lambda r: b1[r]) if short else 0
+        raise NumericFailure(
+            f"rho_c LP reports infeasible; row {labels[r]!r} has right-hand "
+            f"side {float(rhs[r])!r} and T 1 coefficient {float(b1[r])!r}")
     if res.status != 0:
         raise NumericFailure(f"rho_c LP failed: {res.message}")
-    m = float(res.x[-1]) + 0.0  # no -0.0 in reports
-    cert = _certificate_from_z(ins, res.x[1:nvar], pairs, _FEAS_TOL)
+    return (float(res.x[-1]), res.x[1:nvar], -res.ineqlin.marginals,
+            -float(res.eqlin.marginals[0]))
+
+
+def rho_c(instance: CounterexampleInstance, X: Combo,
+          tol: float = 1e-6) -> float:
+    """``inf{m : X + m*1 in C}``, solved over ``(lambda, z, m)``.
+
+    ``T(X + m*1) = T X0 + (c1 + m) T 1`` (``X0`` the non-constant part
+    of X, ``c1`` its constant), so the membership rows become
+    ``A (lambda, z) - m b1 <= b0 + c1 b1`` with ``m`` free; the tail row
+    ``u_tail(m) = tail + min(0, (c1 + m)/t_N)`` splits into two.  The
+    value is +inf exactly when the ``Xtail`` coefficient is negative,
+    since every other row's ``T 1`` coefficient is positive.  Variant L
+    runs Newton's method on the greedy (``_rho_newton``); variant H
+    solves one HiGHS LP, and raises NumericFailure naming the row when
+    that LP reports infeasible anyway.  Both certificates are checked
+    before ``m*`` is returned, else CertificateError:
+
+    * primal: ``(lambda, z)`` verifies for ``X + m*`` at ``tol``;
+    * dual: ``mu >= 0``, ``mu . b1 = 1``, ``A^T mu + nu eq >= 0`` and
+      ``-mu . (b0 + c1 b1) = m*``, a Farkas certificate (objective
+      ``m - m*``) that ``X + m`` is not in C for every ``m < m*``.
+    """
+    ins = instance
+    c1 = X.constant_part
+    labels, A, b0, eq, pairs, _ = _lp_rows(ins, t_operator(ins, X - c1))
+    if X.tail_coefficient < 0.0:
+        return math.inf
+    b1 = _lp_rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[2]
+    # the last row is the tail row, where T 1 contributes 0; its twin
+    # carries the constant part's (c1 + m)/t_N
+    A = np.vstack([A, A[-1]])
+    b0 = np.append(b0, b0[-1])
+    b1 = np.append(b1, 1.0 / ins.t_last)
+    rhs = b0 + c1 * b1
+    if ins.variant == "L":
+        m, z, mu, nu = _rho_newton(rhs, b1, pairs, ins.N)
+    else:
+        m, z, mu, nu = _rho_lp(A, rhs, b1, eq, labels + [labels[-1]])
+    m += 0.0  # no -0.0 in reports
+    cert = _certificate_from_z(ins, z, pairs, _FEAS_TOL)
     if not verify_certificate(ins, t_operator(ins, X + m), cert, tol=tol):
         raise CertificateError(f"primal certificate fails at m* = {m!r}")
-    mu = -res.ineqlin.marginals
-    nu = -float(res.eqlin.marginals[0])
     scale = tol * (1.0 + float(np.sum(np.abs(mu))))
     if (np.any(mu < -tol) or abs(float(mu @ b1) - 1.0) > scale
             or np.any(A.T @ mu + nu * eq < -scale * np.abs(A).max())

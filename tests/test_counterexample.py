@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import linprog
 
 import orlicz_lab.counterexample as cex
 from orlicz_lab.counterexample import (
@@ -27,7 +29,7 @@ from orlicz_lab.counterexample import (
     weak_approx_select,
 )
 from orlicz_lab.errors import (CertificateError, InputError, NotAMember,
-                               TruncationTooSmall)
+                               NumericFailure, TruncationTooSmall)
 from orlicz_lab.finite_model import pairing
 from orlicz_lab.orlicz_functions import (build_sparse_pair, conjugate,
                                          delta2_witnesses, sparse_schedule)
@@ -293,6 +295,30 @@ class TestMembership:
         img = t_operator(ins, X + (rho_c(ins, X) + 1e-9))
         assert verify_certificate(ins, img, membership(ins, img), tol=1e-9)
 
+    def test_pairs_past_n_sit_only_in_the_tail_row(self, phi):
+        # at J > N the pairs (i, j > N) are in no prefix row u(n): here
+        # u(3) = 0.5 must not cap z(1,5), which only u(tail) = 1 bounds
+        ins = build_instance(phi, 4, 5, 3)
+        X = Combo(ins, {("Xtail", 1): 1.0, ("X", 3): -0.5, ("W", 1, 5): 1.0,
+                        ("W0",): -0.4})
+        img = t_operator(ins, X)
+        cert = membership(ins, img)
+        assert cert.lam == pytest.approx(highs_max_lambda(ins, img),
+                                         rel=1e-9)
+        assert cert.lam == pytest.approx(0.5, rel=1e-15)
+        assert cert.y == (((1, 5), 0.5),)
+
+    def test_rows_of_tiny_scale_below_zero_are_not_members(self, instance):
+        # v(4,4) = -0.5 E[Z_44^2] = -2.2e-14 is a true negative row, which
+        # an LP at feasibility tolerance 1e-10 accepts
+        ins = instance
+        img = t_operator(ins, Combo(ins, {("Z", 4, 4): -0.5}))
+        assert -1e-13 < img.v_dict()[(4, 4)] < 0.0
+        with pytest.raises(NotAMember) as exc:
+            membership(ins, img)
+        assert exc.value.certificate == {"v(4,4) >= z(4,4)": 1.0,
+                                         "__objective__": img.v_dict()[(4, 4)]}
+
     def test_farkas_certificate_audits(self, instance):
         # every Farkas certificate must price the constraint rows so
         # that mu . b < 0 while mu^T A lies in the span of the equality
@@ -438,8 +464,8 @@ class TestRhoC:
 
         monkeypatch.setattr(cex, "linprog", tampered)
 
-    def test_perturbed_dual_multipliers_raise(self, instance, monkeypatch):
-        X = Combo(instance, {("W0",): -1.0})
+    def test_perturbed_dual_multipliers_raise(self, instance_h, monkeypatch):
+        X = Combo(instance_h, {("W0",): -1.0})
 
         def scale_all(r):  # keeps the gap closed, breaks mu . b1 = 1
             r.ineqlin.marginals *= 2.0
@@ -459,11 +485,11 @@ class TestRhoC:
             with monkeypatch.context() as mp:
                 self._tamper(mp, edit)
                 with pytest.raises(CertificateError):
-                    rho_c(instance, X)
+                    rho_c(instance_h, X)
 
-    def test_perturbed_primal_point_raises(self, instance, monkeypatch):
-        X = Combo(instance, {("Xtail", 3): 2.0, ("W0",): -1.0,
-                             ("W", 1, 3): 0.5})
+    def test_perturbed_primal_point_raises(self, instance_h, monkeypatch):
+        X = Combo(instance_h, {("Xtail", 3): 2.0, ("W0",): -1.0,
+                               ("W", 3): 0.5})
         # z off the optimum fails the primal check; m* moved down fails
         # it too, and m* moved up keeps a valid primal certificate but
         # leaves the duality gap the dual check measures
@@ -473,7 +499,215 @@ class TestRhoC:
             with monkeypatch.context() as mp:
                 self._tamper(mp, edit)
                 with pytest.raises(CertificateError):
+                    rho_c(instance_h, X)
+
+    @staticmethod
+    def _tamper_greedy(monkeypatch, edit):
+        real = cex._rho_newton
+
+        def tampered(*args, **kwargs):
+            m, z, mu, nu = real(*args, **kwargs)
+            return edit(m, z.copy(), mu.copy(), nu)
+
+        monkeypatch.setattr(cex, "_rho_newton", tampered)
+
+    def test_perturbed_greedy_multipliers_raise(self, instance, monkeypatch):
+        X = Combo(instance, {("W0",): -1.0})
+
+        def negative_tail(m, z, mu, nu):
+            # the tail row and its twin: equal rows of A and equal
+            # right-hand sides here, so this breaks only mu >= 0
+            mu[-2] += 0.01
+            mu[-1] -= 0.01
+            return m, z, mu, nu
+
+        for edit in (lambda m, z, mu, nu: (m, z, 0.5 * mu, nu),
+                     lambda m, z, mu, nu: (m, z, mu - 0.1, nu),
+                     lambda m, z, mu, nu: (m, z, mu, nu + 1.0),
+                     lambda m, z, mu, nu: (m, z, 2.0 * mu, 2.0 * nu),
+                     negative_tail):
+            with monkeypatch.context() as mp:
+                self._tamper_greedy(mp, edit)
+                with pytest.raises(CertificateError):
                     rho_c(instance, X)
+
+    def test_perturbed_greedy_primal_point_raises(self, instance,
+                                                  monkeypatch):
+        X = Combo(instance, {("Xtail", 3): 2.0, ("W0",): -1.0,
+                             ("W", 1, 3): 0.5})
+
+        def shift_z(m, z, mu, nu):
+            z[0] += 0.5
+            return m, z, mu, nu
+
+        for edit in (shift_z,
+                     lambda m, z, mu, nu: (m - 0.1, z, mu, nu),
+                     lambda m, z, mu, nu: (m + 0.1, z, mu, nu)):
+            with monkeypatch.context() as mp:
+                self._tamper_greedy(mp, edit)
+                with pytest.raises(CertificateError):
+                    rho_c(instance, X)
+
+    def test_minus_x_n_is_t_n(self, instance, instance_h):
+        # 1/t_n falls below HiGHS's small_matrix_value (1e-9) from n = 6
+        # on; the LP then read the row u(n) as 0 <= -1 and returned +inf
+        for n, b in enumerate(instance.x_seq.blocks, start=1):
+            X = Combo(instance, {("X", n): -1.0})
+            assert rho_c(instance, X) == pytest.approx(b.height, rel=1e-12)
+        assert rho_c(instance, Combo(instance, {("X", 6): -1.0})) == 2.0 ** 36
+        for n, b in enumerate(instance_h.x_seq.blocks, start=1):
+            try:
+                value = rho_c(instance_h, Combo(instance_h, {("X", n): -1.0}))
+            except NumericFailure as exc:
+                assert f"u({n})" in str(exc)
+            else:
+                assert value == pytest.approx(b.height, rel=1e-9)
+
+    def test_minus_z_key_is_its_height(self, instance):
+        # E[Z_key] falls to 8e-25, far below HiGHS's small_matrix_value
+        for key in instance.third_keys:
+            X = Combo(instance, {("Z", *key): -0.5})
+            assert rho_c(instance, X) == pytest.approx(
+                0.5 * instance._height_of[("Z", *key)], rel=1e-12)
+
+    def test_finite_unless_the_tail_coefficient_is_negative(self, instance):
+        ins = instance
+        value = rho_c(ins, Combo(ins, {("W", 4, 4): -1.0}))
+        assert 0.0 < value < math.inf
+        assert rho_c(ins, Combo(ins, {("Xtail", 2): -1e-3,
+                                      ("W0",): 5.0})) == math.inf
+        assert rho_c(ins, Combo(ins, {("Xtail", 2): 0.0, ("X", 8): -1.0})) \
+            == pytest.approx(ins.t_last, rel=1e-12)
+
+
+# -- the greedy against HiGHS ---------------------------------------------
+
+HIGHS = {"primal_feasibility_tolerance": 1e-10}
+
+
+def highs_max_lambda(ins, img):
+    """Reference: HiGHS' largest lambda on ``_lp_rows``' rows, or None
+    when the LP is infeasible."""
+    _, A, b, eq, _, _ = cex._lp_rows(ins, img)
+    cost = np.zeros(A.shape[1])
+    cost[0] = -1.0
+    res = linprog(cost, A_ub=A, b_ub=b, A_eq=eq.reshape(1, -1), b_eq=[0.0],
+                  bounds=[(0, None)] * A.shape[1], method="highs",
+                  options=HIGHS)
+    return float(res.x[0]) if res.status == 0 else None
+
+
+def highs_rho(ins, X):
+    """Reference: rho_c as one HiGHS LP over ``(lambda, z, m)``, or None
+    where HiGHS solves another LP.  It drops matrix entries below 1e-9
+    (its small_matrix_value), so a row whose ``T 1`` coefficient is that
+    small loses m; such a row must keep a clearly positive capacity."""
+    c1 = X.constant_part
+    _, A, b0, eq, _, _ = cex._lp_rows(ins, t_operator(ins, X - c1))
+    b1 = cex._lp_rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[2]
+    A = np.vstack([A, A[-1]])
+    rhs = np.append(b0, b0[-1]) + c1 * np.append(b1, 1.0 / ins.t_last)
+    b1 = np.append(b1, 1.0 / ins.t_last)
+    if np.any((b1 > 0.0) & (b1 < 1e-9) & (rhs < 1e-6)):
+        return None
+    nvar = A.shape[1]
+    cost = np.zeros(nvar + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=np.hstack([A, -b1.reshape(-1, 1)]), b_ub=rhs,
+                  A_eq=np.append(eq, 0.0).reshape(1, -1), b_eq=[0.0],
+                  bounds=[(0, None)] * nvar + [(None, None)], method="highs",
+                  options=HIGHS)
+    return float(res.x[-1]) if res.status == 0 else None
+
+
+def audit_farkas(ins, img, certificate):
+    """The audit of ``TestMembership.test_farkas_certificate_audits``."""
+    cert = dict(certificate)
+    cert.pop("__objective__")
+    labels, A, b, eq, _, _ = cex._lp_rows(ins, img)
+    mu = np.array([cert.get(lbl, 0.0) for lbl in labels])
+    assert np.all(mu >= 0.0)
+    assert float(mu @ b) < -1e-9 * max(1.0, float(np.abs(mu * b).max()))
+    combo = mu @ A
+    lower = [-combo[i] / eq[i] for i in range(len(eq)) if eq[i] > 0.0]
+    nu = max(lower) if lower else 0.0
+    assert np.all(combo + nu * eq >= -1e-7)
+
+
+TRUNCATIONS = [(4, 4, 8), (3, 4, 5), (4, 5, 3), (2, 2, 1)]
+POSITIVE = [0.125, 0.25, 0.5, 1.0, 2.0]
+
+
+@pytest.fixture(scope="module", params=TRUNCATIONS,
+                ids=["x".join(map(str, t)) for t in TRUNCATIONS])
+def truncated(request, phi):
+    return build_instance(phi, *request.param)
+
+
+@st.composite
+def positions(draw, ins):
+    """Dyadic combinations: ``X_n``, ``Xtail(r)`` and the constant at 0
+    or above, ``W_key`` above 0, ``W_0`` in [-4, 1], and at most one
+    block entering negatively; members and non-members of both kinds (a
+    negative row, or ``a + lambda* < 0``)."""
+    first = [("X", n) for n in range(1, ins.N + 1)] + \
+        [("Xtail", r) for r in range(1, ins.N + 1)] + [("one",)]
+    third = [("W", *k) for k in ins.third_keys]
+    coeffs = {s: draw(st.sampled_from([0.0] + POSITIVE)) for s in first}
+    coeffs.update({s: draw(st.sampled_from(POSITIVE)) for s in third})
+    coeffs[("W0",)] = draw(st.sampled_from([-4.0, -1.0, -0.25, 0.0, 1.0]))
+    flip = draw(st.one_of(st.none(), st.sampled_from(first[:-1] + third)))
+    if flip is not None:
+        coeffs[flip] = -draw(st.sampled_from(POSITIVE))
+    return Combo(ins, coeffs)
+
+
+class TestGreedyAgainstHighs:
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_membership_and_rho_match_the_lp(self, truncated, data):
+        ins = truncated
+        X = data.draw(positions(ins))
+        img = t_operator(ins, X)
+        b = cex._lp_rows(ins, img)[2]
+        # HiGHS accepts rows violated by up to its feasibility tolerance,
+        # so it cannot decide an image with a capacity just below 0
+        assume(not np.any((b[1:] < 0.0) & (b[1:] > -1e-9)))
+        reference = highs_max_lambda(ins, img)
+        try:
+            cert = membership(ins, img)
+        except NotAMember as exc:
+            assert reference is None
+            audit_farkas(ins, img, exc.certificate)
+        else:
+            assert reference is not None
+            assert verify_certificate(ins, img, cert)
+            pairs = cex._lp_rows(ins, img)[4]
+            lam = cex._lam(cex._greedy(b, pairs, ins.N), pairs)
+            assert lam == pytest.approx(reference, rel=1e-9, abs=1e-12)
+        value = rho_c(ins, X)
+        assert math.isfinite(value) == (X.tail_coefficient >= 0.0)
+        reference = highs_rho(ins, X)
+        if reference is not None:
+            assert value == pytest.approx(reference, rel=1e-9, abs=1e-9)
+
+
+class TestNoSolverOnVariantL:
+    def test_exhibit_rho_and_membership_make_no_lp(self, instance,
+                                                   monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("variant L called linprog")
+
+        monkeypatch.setattr(cex, "linprog", refuse)
+        ins = instance
+        report = gap_exhibit(ins, targets(ins), 1e-2)
+        assert report["infeasibility_certificate"] == {
+            "a >= -lambda": 2.0 / 3.0, "u(4) >= sum 4^i prefix z": 1.0 / 3.0,
+            "__objective__": -2.0 / 3.0}
+        assert rho_c(ins, Combo(ins, {("X", 2): -2.0})) == \
+            pytest.approx(2.0 * ins.x_seq.blocks[1].height, rel=1e-12)
+        with pytest.raises(NotAMember):
+            membership(ins, t_operator(ins, Combo(ins, {("W0",): -1.0})))
 
 
 class TestWeakApproxSelect:
