@@ -553,59 +553,58 @@ def membership(instance: CounterexampleInstance, image: TImage,
     """Decide ``image in T(C)``: is there ``(lambda, z) >= 0`` meeting
     ``_lp_rows``' rows?
 
-    Variant L runs the greedy (``_greedy``): the image is a member
-    exactly when every row past the first has a nonnegative capacity and
-    ``a + lambda* >= 0``, up to 4 ulp of float rounding.  Variant H
+    A row past the first with a negative capacity rejects the image.
+    Otherwise L runs the greedy (``_greedy``): the image is a member
+    exactly when ``a + lambda* >= 0``, up to 4 ulp of float rounding; H
     maximizes lambda by a HiGHS LP.  Returns the certificate with
     ``y = z / lambda`` of largest lambda (or the canonical ``lambda = 0``
     certificate ``y(1,1) = 1/2`` when that lambda is at most
     ``max(tol, 1e-7)``).  Otherwise raises NotAMember carrying a Farkas
     certificate: row multipliers ``mu >= 0`` summing to at most 1 with
     ``A^T mu + nu eq >= 0`` for some ``nu`` and ``mu . b < 0``, keyed by
-    row label, with ``mu . b`` as ``"__objective__"``.  On L the
-    certificate is a negative row or the greedy's cover (``_cover``),
-    audited before it is raised.
+    row label, with ``mu . b`` as ``"__objective__"``: a negative row or
+    L's cover (``_cover``), audited before it is raised, or H's LP.
     """
     labels, A, b, eq, pairs, _ = _lp_rows(instance, image)
-    if instance.variant == "L":
-        if np.all(b[1:] >= 0.0):
-            z = _greedy(b, pairs, instance.N)
-            lam = _lam(z, pairs)
-            if b[0] + lam >= -_ROUNDING * max(abs(b[0]), lam):
-                return _certificate_from_z(instance, z, pairs, tol)
-            mu, nu = _cover(b, pairs, instance.N), 1.0
-        else:
-            mu, nu = np.eye(len(b))[1 + int(np.argmin(b[1:]))], 0.0
-        if not (mu @ b < 0.0 and np.all(A.T @ mu + nu * eq >= 0.0)):
-            raise CertificateError("greedy Farkas certificate fails its audit")
-        mu = mu / mu.sum()
-        certificate = {labels[r]: float(mu[r]) for r in np.flatnonzero(mu)}
-        certificate["__objective__"] = float(mu @ b)
+    if np.any(b[1:] < 0.0):
+        mu, nu = np.eye(len(b))[1 + int(np.argmin(b[1:]))], 0.0
+    elif instance.variant == "L":
+        z = _greedy(b, pairs, instance.N)
+        lam = _lam(z, pairs)
+        if b[0] + lam >= -_ROUNDING * max(abs(b[0]), lam):
+            return _certificate_from_z(instance, z, pairs, tol)
+        mu, nu = _cover(b, pairs, instance.N), 1.0
+    else:  # H: maximize lambda by HiGHS, else a Farkas LP
+        nvar = A.shape[1]
+        c = np.zeros(nvar)
+        c[0] = -1.0  # maximize lambda
+        res = linprog(c, A_ub=A, b_ub=b, A_eq=eq.reshape(1, -1), b_eq=[0.0],
+                      bounds=[(0, None)] * nvar, method="highs",
+                      options=_HIGHS_OPTIONS)
+        if res.status == 0:
+            return _certificate_from_z(instance, res.x[1:], pairs, tol)
+        # Farkas alternative: mu >= 0, A^T mu + nu * eq >= 0, mu . b < 0
+        nrow = A.shape[0]
+        fc = np.concatenate([b, [0.0, 0.0]])
+        f_Aub = np.hstack([-A.T, -eq.reshape(-1, 1), eq.reshape(-1, 1)])
+        f_Aub = np.vstack([f_Aub, np.concatenate([np.ones(nrow), [0.0, 0.0]])])
+        f_bub = np.concatenate([np.zeros(nvar), [1.0]])
+        far = linprog(fc, A_ub=f_Aub, b_ub=f_bub,
+                      bounds=[(0, None)] * nrow + [(0, None), (0, None)],
+                      method="highs")
+        certificate = None
+        if far.status == 0 and far.fun < -tol:
+            mu = far.x[:nrow]
+            certificate = {labels[r]: float(mu[r]) for r in range(nrow)
+                           if mu[r] > tol}
+            certificate["__objective__"] = float(far.fun)
         raise NotAMember("image admits no certificate (not a member of C)",
                          certificate=certificate)
-    nvar = A.shape[1]
-    c = np.zeros(nvar)
-    c[0] = -1.0  # maximize lambda
-    res = linprog(c, A_ub=A, b_ub=b, A_eq=eq.reshape(1, -1), b_eq=[0.0],
-                  bounds=[(0, None)] * nvar, method="highs",
-                  options=_HIGHS_OPTIONS)
-    if res.status == 0:
-        return _certificate_from_z(instance, res.x[1:], pairs, tol)
-    # Farkas alternative: mu >= 0, A^T mu + nu * eq >= 0, mu . b < 0
-    nrow = A.shape[0]
-    fc = np.concatenate([b, [0.0, 0.0]])
-    f_Aub = np.hstack([-A.T, -eq.reshape(-1, 1), eq.reshape(-1, 1)])
-    f_Aub = np.vstack([f_Aub, np.concatenate([np.ones(nrow), [0.0, 0.0]])])
-    f_bub = np.concatenate([np.zeros(nvar), [1.0]])
-    far = linprog(fc, A_ub=f_Aub, b_ub=f_bub,
-                  bounds=[(0, None)] * nrow + [(0, None), (0, None)],
-                  method="highs")
-    certificate = None
-    if far.status == 0 and far.fun < -tol:
-        mu = far.x[:nrow]
-        certificate = {labels[r]: float(mu[r]) for r in range(nrow)
-                       if mu[r] > tol}
-        certificate["__objective__"] = float(far.fun)
+    if not (mu @ b < 0.0 and np.all(A.T @ mu + nu * eq >= 0.0)):
+        raise CertificateError("Farkas certificate fails its audit")
+    mu = mu / mu.sum()
+    certificate = {labels[r]: float(mu[r]) for r in np.flatnonzero(mu)}
+    certificate["__objective__"] = float(mu @ b)
     raise NotAMember("image admits no certificate (not a member of C)",
                      certificate=certificate)
 

@@ -204,16 +204,18 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction,
     inverts the right-derivative of phi at a common multiplier fixed by
     the unit-modular constraint, with residual budget distributed along
     flat segments).  An independent Amemiya value
-    ``inf_k (1 + E[psi(k|Y|)]) / k`` is computed by unimodal search and
-    the two must agree within 1e-6 relative; the definitional value is
-    returned.
+    ``inf_k (1 + E[psi(k|Y|)]) / k`` is computed by golden-section search
+    (``_orlicz_amemiya``) and the two must agree within 1e-6 relative;
+    the definitional value is returned.  The atoms are first sorted by
+    ``(|y_i|, p_i)``, so the value does not depend on their order.
     """
     y_abs = np.abs(Y.x)
     if not np.any(y_abs > 0):
         return 0.0
     if psi is None:
         psi = conjugate(phi)
-    p = Y.space.p
+    order = np.lexsort((Y.space.p, y_abs))
+    y_abs, p = y_abs[order], Y.space.p[order]
     definitional = _orlicz_definitional(y_abs, p, phi)
     amemiya = _orlicz_amemiya(y_abs, p, psi)
     scale = max(abs(definitional), abs(amemiya), 1e-300)
@@ -281,32 +283,31 @@ def _orlicz_definitional(y_abs: np.ndarray, p: np.ndarray,
 
 def _orlicz_amemiya(y_abs: np.ndarray, p: np.ndarray,
                     psi: OrliczFunction) -> float:
-    def objective(k: float) -> float:
+    """``inf_k (1 + E[psi(k|Y|)]) / k`` by one golden-section search over
+    ``log10 k`` in [-18, 18], down to width 1e-12.  In ``u = 1/k`` the
+    objective is ``u + u E[psi(|Y|/u)]``, a line plus the perspective of
+    a convex function, so it is unimodal in ``log k``.  It is +inf only at
+    large ``k`` (past psi's domain cap, or on overflow), so a tie of two
+    +inf probes moves the right end."""
+    def objective(log_k: float) -> float:
+        k = 10.0 ** log_k
         m = _modular_raw(k * y_abs, p, psi, 1.0)
         return (1.0 + m) / k if math.isfinite(m) else math.inf
 
-    # coarse scan over log k, then golden-section refinement
-    logs = np.linspace(-18.0, 18.0, 181)
-    vals = [objective(10.0 ** u) for u in logs]
-    j = int(np.argmin(vals))
-    lo = logs[max(j - 1, 0)]
-    hi = logs[min(j + 1, len(logs) - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = -18.0, 18.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = objective(10.0 ** c), objective(10.0 ** d)
-    for _ in range(120):
-        if abs(b - a) < 1e-12:
-            break
-        if fc < fd:
+    fc, fd = objective(c), objective(d)
+    while b - a >= 1e-12:
+        if fc < fd or fc == math.inf:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = objective(10.0 ** c)
+            fc = objective(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = objective(10.0 ** d)
+            fd = objective(d)
     return min(fc, fd)
 
 

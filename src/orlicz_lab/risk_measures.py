@@ -223,8 +223,11 @@ def fatou_harness(rho, family, X: RandomVariable, mode: str = "order",
 def avar_scenarios(space: FiniteSpace, alpha: float) -> ScenarioSet:
     """Vertices of ``{Y : 0 <= Y <= 1/alpha, E[Y] = 1}``.
 
-    Vertex enumeration (all coordinates at a bound except at most one
-    fractional), exact for small atom counts.
+    Vertex enumeration, exact for small atom counts: for each subset S of
+    atoms at the cap (in ``itertools.combinations`` order), the point of
+    mass 1, or one candidate per atom outside S taking the rest of the
+    mass, all built as one array.  The candidates are deduplicated once,
+    on their values rounded to 12 decimals, keeping the first of each.
     """
     if not 0 < alpha <= 1:
         raise InputError("alpha must be in (0, 1]")
@@ -235,35 +238,27 @@ def avar_scenarios(space: FiniteSpace, alpha: float) -> ScenarioSet:
         )
     cap = 1.0 / alpha
     p = space.p
-    seen = set()
-    vertices = []
-
-    def _push(vec):
-        key = tuple(round(v, 12) for v in vec)
-        if key not in seen:
-            seen.add(key)
-            vertices.append(space.rv(vec))
-
+    probs = p.tolist()
+    blocks = []
     for r in range(n + 1):
         for S in itertools.combinations(range(n), r):
-            mass = cap * sum(p[i] for i in S)
+            mass = cap * sum(probs[i] for i in S)
             if mass > 1.0 + 1e-12:
                 continue
+            vec = np.zeros(n)
+            vec[list(S)] = cap
             if abs(mass - 1.0) <= 1e-12:
-                vec = np.zeros(n)
-                vec[list(S)] = cap
-                _push(vec)
+                blocks.append(vec[None])
                 continue
-            for j in range(n):
-                if j in S:
-                    continue
-                yj = (1.0 - mass) / p[j]
-                if yj <= cap + 1e-12:
-                    vec = np.zeros(n)
-                    vec[list(S)] = cap
-                    vec[j] = min(yj, cap)
-                    _push(vec)
-    return ScenarioSet(tuple(vertices))
+            free = np.array([j for j in range(n) if j not in S], dtype=int)
+            yj = (1.0 - mass) / p[free]
+            keep = yj <= cap + 1e-12
+            block = np.tile(vec, (int(keep.sum()), 1))
+            block[np.arange(len(block)), free[keep]] = np.minimum(yj[keep], cap)
+            blocks.append(block)
+    rows = np.concatenate(blocks)
+    _, first = np.unique(np.round(rows, 12), axis=0, return_index=True)
+    return ScenarioSet(tuple(space.rv(row) for row in rows[np.sort(first)]))
 
 
 def worstcase_scenarios(space: FiniteSpace) -> ScenarioSet:

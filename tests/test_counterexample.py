@@ -319,6 +319,17 @@ class TestMembership:
         assert exc.value.certificate == {"v(4,4) >= z(4,4)": 1.0,
                                          "__objective__": img.v_dict()[(4, 4)]}
 
+    def test_h_rejects_a_tiny_negative_constant(self, instance_h):
+        # every row of T(-1e-12 * 1) is negative; HiGHS, at feasibility
+        # 1e-10, accepted it with the lambda = 0 certificate
+        ins = instance_h
+        img = t_operator(ins, Combo(ins, {("one",): -1e-12}))
+        with pytest.raises(NotAMember) as exc:
+            membership(ins, img)
+        assert exc.value.certificate == {"u(1) >= sum tail z": 1.0,
+                                         "__objective__": img.u[0]}
+        assert img.u[0] < 0.0
+
     def test_farkas_certificate_audits(self, instance):
         # every Farkas certificate must price the constraint rows so
         # that mu . b < 0 while mu^T A lies in the span of the equality

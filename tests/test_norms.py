@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from orlicz_lab import norms
 from orlicz_lab.errors import NumericFailure
 from orlicz_lab.finite_model import FiniteSpace, uniform_space
 from orlicz_lab.norms import (holder_check, luxemburg_norm, modular,
                               orlicz_norm, phi_inverse)
 from orlicz_lab.orlicz_functions import (CATALOG, EntropyFunction, ExpFunction,
-                                         PowerFunction, build_sparse_pair,
-                                         conjugate, sparse_schedule)
+                                         PiecewiseLinearFunction, PowerFunction,
+                                         build_sparse_pair, conjugate,
+                                         sparse_schedule)
 
 
 def two_atom_space(p):
@@ -140,6 +142,7 @@ class TestSumProperties:
         X, X2 = sp.rv(x), sp2.rv(x[perm])
         assert modular(X2, phi, lam) == modular(X, phi, lam)
         assert luxemburg_norm(X2, phi) == luxemburg_norm(X, phi)
+        assert orlicz_norm(X2, phi) == orlicz_norm(X, phi)
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     @given(atoms=atoms_st, sign=st.sampled_from([-1.0, 1.0]),
@@ -150,6 +153,70 @@ class TestSumProperties:
         n1 = luxemburg_norm(sp.rv(x), phi)
         n2 = luxemburg_norm(sp.rv(sign * c * x), phi)
         assert abs(n2 - c * n1) <= 1e-9 * c * n1
+
+
+def amemiya_by_grid(y_abs, p, psi):
+    """Reference Amemiya search: a 181-point scan over ``log10 k`` in
+    [-18, 18], then golden section between the neighbours of the best
+    grid point, stopped at width 1e-12."""
+    def objective(k):
+        m = norms._modular_raw(k * y_abs, p, psi, 1.0)
+        return (1.0 + m) / k if math.isfinite(m) else math.inf
+
+    logs = np.linspace(-18.0, 18.0, 181)
+    j = int(np.argmin([objective(10.0 ** u) for u in logs]))
+    a, b = logs[max(j - 1, 0)], logs[min(j + 1, len(logs) - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = objective(10.0 ** c), objective(10.0 ** d)
+    while abs(b - a) >= 1e-12:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = objective(10.0 ** c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = objective(10.0 ** d)
+    return min(fc, fd)
+
+
+# psi(t) = 0.1 (t - 1)+ up to its cap 2: the Amemiya objective
+# (1 + E psi(k|Y|)) / k falls all the way to the cap, where it is minimal
+CAPPED = PiecewiseLinearFunction([1.0], [0.0, 0.1], domain_cap=2.0)
+AMEMIYA_PSI = {**{name: conjugate(phi) for name, phi in CATALOG.items()},
+               "capped": CAPPED}
+
+
+class TestAmemiyaSearch:
+    """One golden section over the whole of [-18, 18] finds the value of
+    the grid scan plus local golden section it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(AMEMIYA_PSI))
+    @given(atoms=atoms_st)
+    def test_matches_the_grid_search(self, name, atoms):
+        sp, y = space_and_values(atoms)
+        y_abs = np.abs(y)
+        assume(np.any(y_abs > 0))
+        psi = AMEMIYA_PSI[name]
+        ref = amemiya_by_grid(y_abs, sp.p, psi)
+        assert math.isfinite(ref)
+        got = norms._orlicz_amemiya(y_abs, sp.p, psi)
+        assert abs(got - ref) <= 1e-12 * ref
+
+    def test_minimizer_at_the_cap(self):
+        # the objective is 0.9 / k + 0.1 up to the cap k = 2 (psi is
+        # evaluated up to 1e-12 past it), and +inf beyond
+        got = norms._orlicz_amemiya(np.array([1.0]), np.array([1.0]), CAPPED)
+        assert abs(got - 0.55) <= 5e-12 * 0.55
+
+    def test_a_tie_of_infinite_probes_moves_the_right_end(self):
+        # at |y| = 1e6 the cap sits at k = 2e-6, left of both first
+        # probes (log10 k = -4.25 and 4.25), where the objective is +inf
+        y, p = np.array([1e6]), np.array([1.0])
+        got = norms._orlicz_amemiya(y, p, CAPPED)
+        assert math.isfinite(got)
+        assert abs(got - amemiya_by_grid(y, p, CAPPED)) <= 1e-12 * got
 
 
 class TestOrliczNorm:

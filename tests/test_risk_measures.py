@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -80,6 +81,55 @@ class TestScenarioEval:
         assert rho.scenarios is not None
 
 
+def avar_vertices_by_loop(space, alpha):
+    """Reference enumeration, one candidate at a time: for each subset S
+    at the cap, the vertex with mass exactly 1 or, for each atom j outside
+    S in turn, the vertex with j fractional; a candidate is kept when its
+    coordinates rounded to 12 decimals are new."""
+    n, cap, p = space.n_atoms, 1.0 / alpha, space.p
+    seen, vertices = set(), []
+
+    def push(vec):
+        key = tuple(round(v, 12) for v in vec)
+        if key not in seen:
+            seen.add(key)
+            vertices.append(vec)
+
+    for r in range(n + 1):
+        for S in itertools.combinations(range(n), r):
+            mass = cap * sum(p[i] for i in S)
+            if mass > 1.0 + 1e-12:
+                continue
+            if abs(mass - 1.0) <= 1e-12:
+                vec = np.zeros(n)
+                vec[list(S)] = cap
+                push(vec)
+                continue
+            for j in range(n):
+                if j in S:
+                    continue
+                yj = (1.0 - mass) / p[j]
+                if yj <= cap + 1e-12:
+                    vec = np.zeros(n)
+                    vec[list(S)] = cap
+                    vec[j] = min(yj, cap)
+                    push(vec)
+    return vertices
+
+
+def avar_reference_spaces(n):
+    """Equal and Dirichlet probabilities on n atoms, each with alpha = 1,
+    with alpha = P(S) for S the first ceil(n/2) atoms (the cap fills S to
+    mass 1, up to rounding: the exact-mass branch), and a generic alpha."""
+    rng = np.random.default_rng([23, n])
+    for p in (np.full(n, 1.0 / n), rng.dirichlet(np.full(n, 2.0))):
+        sp = FiniteSpace(tuple(p))
+        mass = float(sum(sp.p[i] for i in range((n + 1) // 2)))
+        assert abs((1.0 / mass) * mass - 1.0) <= 1e-12
+        for alpha in (1.0, mass, 0.3):
+            yield sp, alpha
+
+
 class TestAvar:
     def test_vertex_count_uniform_four(self):
         sp = uniform_space(4)
@@ -112,6 +162,15 @@ class TestAvar:
     def test_atom_limit(self):
         with pytest.raises(InputError):
             avar_scenarios(uniform_space(13), 0.5)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_vertices_match_the_loop_bit_for_bit(self, n):
+        for sp, alpha in avar_reference_spaces(n):
+            got = [Y.x for Y in avar_scenarios(sp, alpha).densities]
+            ref = avar_vertices_by_loop(sp, alpha)
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert g.tobytes() == r.tobytes()
 
 
 class TestWorstcase:
