@@ -1,12 +1,14 @@
 """Fenchel-Moreau conjugation, biconjugation, scenario extraction.
 
 The conjugate ``rho*(Y) = sup_X (E[XY] - rho(X))`` is computed two ways:
-exactly in *polyhedral* mode when rho is a finite scenario maximum (an
-LP decides whether -Y lies in the convex hull of the scenario set, with
-a growth direction as the unbounded-value certificate), and empirically
-in *box* mode by supergradient ascent over ``[-M, M]^atoms`` with one
-automatic box doubling to flag boundary-limited suprema.  Reports
-always state which surrogate was used.
+exactly in *polyhedral* mode when rho is a scenario maximum (it is 0
+when -Y lies in the scenario set Q and +infinity otherwise: a bounds
+check decides this for a capped set such as AVaR's, an LP for the
+convex hull of a density list), and empirically in *box* mode by
+supergradient ascent over ``[-M, M]^atoms`` with one automatic box
+doubling to flag boundary-limited suprema.  Every +infinity carries a
+growth direction, verified without the solver before it is returned.
+Reports always state which surrogate was used.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import InputError
+from .errors import CertificateError, InputError
 from .finite_model import RandomVariable, pairing
 from .risk_measures import RiskMeasure, ScenarioSet
 
@@ -58,10 +60,11 @@ class ConjugateValue:
 def _hull_lp(Q: ScenarioSet, target: np.ndarray):
     """Feasibility of ``sum_k w_k Y_k = target, w >= 0, sum w = 1``.
 
-    Returns (feasible, growth_direction).  When infeasible, a separating
-    hyperplane ``X`` with ``E[X * target] > max_k E[X Y_k]`` is produced
-    from the LP that maximizes that margin over a normalized X; along
-    t*X the objective E[XY] - rho(X) grows without bound.
+    Returns None when feasible.  Otherwise a separating hyperplane ``X``
+    with ``E[X * target] > max_k E[X Y_k]`` is produced from the LP that
+    maximizes that margin over a normalized X, and its negation, the
+    direction along which E[XY] - rho(X) grows without bound, is
+    returned; CertificateError when that LP fails.
     """
     mats = np.array([Y.x for Y in Q.densities])  # k x n
     p = Q.space.p
@@ -71,7 +74,7 @@ def _hull_lp(Q: ScenarioSet, target: np.ndarray):
     res = linprog(np.zeros(k), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * k,
                   method="highs")
     if res.status == 0:
-        return True, None
+        return None
     # separating direction: max s s.t. <p*x, target> - <p*x, Y_k> >= s,
     # |x_i| <= 1.  LP variables (x, s).
     c = np.zeros(n + 1)
@@ -82,10 +85,25 @@ def _hull_lp(Q: ScenarioSet, target: np.ndarray):
         A_ub[j, -1] = 1.0
     sep = linprog(c, A_ub=A_ub, b_ub=np.zeros(k),
                   bounds=[(-1, 1)] * n + [(None, None)], method="highs")
+    if sep.status != 0:
+        raise CertificateError(
+            f"hull LP infeasible but the separating LP failed: {sep.message}"
+        )
     # the LP separates `target`; the conjugate objective (which pairs
     # with -target) grows without bound along the negated direction
-    direction = tuple(-float(v) for v in sep.x[:n]) if sep.status == 0 else None
-    return False, direction
+    return tuple(-float(v) for v in sep.x[:n])
+
+
+def _verified_growth(Q: ScenarioSet, Y: RandomVariable, direction) -> tuple:
+    """``direction`` when ``E[xY] > sigma_Q(-x)`` along it, so that
+    ``E[txY] - rho(tx)`` grows without bound in t; else CertificateError."""
+    x = Y.space.rv(direction)
+    slope = pairing(x, Y) - Q.support(-x)
+    if not slope > 0.0:
+        raise CertificateError(
+            f"growth direction does not verify: slope {slope!r} <= 0"
+        )
+    return direction
 
 
 def conjugate_rho(rho: RiskMeasure, Y: RandomVariable, mode: str = "auto",
@@ -94,19 +112,28 @@ def conjugate_rho(rho: RiskMeasure, Y: RandomVariable, mode: str = "auto",
 
     ``mode``: "polyhedral" (requires a scenario-maximum rho; exact),
     "box" (supergradient ascent over the box), or "auto" (polyhedral
-    when available).
+    when available).  In polyhedral mode the value is 0 when -Y lies in
+    the scenario set Q, decided by its bounds for a capped set and by a
+    convex-hull LP for a density list, and +infinity otherwise, with a
+    growth direction that is checked against ``sigma_Q`` before it is
+    returned (CertificateError when it does not verify).
     """
     if mode not in ("auto", "polyhedral", "box"):
         raise InputError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "polyhedral" if rho.scenarios is not None else "box"
     if mode == "polyhedral":
-        if rho.scenarios is None:
+        Q = rho.scenarios
+        if Q is None:
             raise InputError("polyhedral mode requires a finite scenario maximum")
-        feasible, direction = _hull_lp(rho.scenarios, -Y.x)
-        if feasible:
+        if Q.cap is None:
+            direction = _hull_lp(Q, -Y.x)
+        else:
+            direction = Q.violated_bound(-Y.x)
+        if direction is None:
             return ConjugateValue(0.0, "polyhedral")
-        return ConjugateValue(math.inf, "polyhedral", certificate=direction)
+        return ConjugateValue(math.inf, "polyhedral",
+                              certificate=_verified_growth(Q, Y, direction))
     if box_radius <= 0:
         raise InputError("box radius must be positive")
     v1, on_edge1 = _box_sup(rho, Y, box_radius)

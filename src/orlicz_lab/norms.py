@@ -204,10 +204,11 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction,
     inverts the right-derivative of phi at a common multiplier fixed by
     the unit-modular constraint, with residual budget distributed along
     flat segments).  An independent Amemiya value
-    ``inf_k (1 + E[psi(k|Y|)]) / k`` is computed by golden-section search
-    (``_orlicz_amemiya``) and the two must agree within 1e-6 relative;
-    the definitional value is returned.  The atoms are first sorted by
-    ``(|y_i|, p_i)``, so the value does not depend on their order.
+    ``inf_k (1 + E[psi(k|Y|)]) / k`` is computed (``_orlicz_amemiya``: in
+    closed form for a power psi, else by golden-section search) and the
+    two must agree within 1e-6 relative; the definitional value is
+    returned.  The atoms are first sorted by ``(|y_i|, p_i)``, so the
+    value does not depend on their order.
     """
     y_abs = np.abs(Y.x)
     if not np.any(y_abs > 0):
@@ -283,12 +284,17 @@ def _orlicz_definitional(y_abs: np.ndarray, p: np.ndarray,
 
 def _orlicz_amemiya(y_abs: np.ndarray, p: np.ndarray,
                     psi: OrliczFunction) -> float:
-    """``inf_k (1 + E[psi(k|Y|)]) / k`` by one golden-section search over
-    ``log10 k`` in [-18, 18], down to width 1e-12.  In ``u = 1/k`` the
-    objective is ``u + u E[psi(|Y|/u)]``, a line plus the perspective of
-    a convex function, so it is unimodal in ``log k``.  It is +inf only at
-    large ``k`` (past psi's domain cap, or on overflow), so a tie of two
-    +inf probes moves the right end."""
+    """``inf_k (1 + E[psi(k|Y|)]) / k``, in closed form when psi provides
+    one, else by one golden-section search over ``log10 k`` in [-18, 18],
+    down to width 1e-12.  In ``u = 1/k`` the objective is
+    ``u + u E[psi(|Y|/u)]``, a line plus the perspective of a convex
+    function, so it is unimodal in ``log k``.  It is +inf only at large
+    ``k`` (past psi's domain cap, or on overflow), so a tie of two +inf
+    probes moves the right end."""
+    exact = psi.amemiya_closed_form(y_abs, p)
+    if exact is not None:
+        return exact
+
     def objective(log_k: float) -> float:
         k = 10.0 ** log_k
         m = _modular_raw(k * y_abs, p, psi, 1.0)

@@ -88,6 +88,12 @@ class OrliczFunction:
         probabilities ``p`` in closed form, or None when there is none."""
         return None
 
+    def amemiya_closed_form(self, y_abs: np.ndarray, p: np.ndarray) -> float | None:
+        """Amemiya value ``inf_k (1 + E[self(k * y_abs)]) / k`` of atoms
+        ``y_abs >= 0`` (not all zero) with probabilities ``p`` in closed
+        form, or None when there is none."""
+        return None
+
     def rderiv_inverse_left(self, s: float) -> float:
         """Left endpoint of ``{t : rderiv(t) = s}`` (0 when rderiv(0) >= s).
 
@@ -143,6 +149,17 @@ class PowerFunction(OrliczFunction):
         m = float(np.max(x_abs))
         mean = math.fsum((p * (x_abs / m) ** self.p).tolist())
         return m * (self.coef * mean) ** (1.0 / self.p)
+
+    def amemiya_closed_form(self, y_abs, p):
+        # (1 + A k**q) / k with A = coef * E|Y|**q is least where
+        # k**q = 1 / (A (q - 1)), at q/(q - 1) * (A (q - 1))**(1/q); scaled
+        # by m = max|y| so that no power overflows
+        q = self.p
+        if q == 1.0:
+            return None  # the infimum is approached only as k -> inf
+        m = float(np.max(y_abs))
+        mean = math.fsum((p * (y_abs / m) ** q).tolist())
+        return m * q / (q - 1.0) * (self.coef * (q - 1.0) * mean) ** (1.0 / q)
 
     @property
     def analytic_conjugate(self):

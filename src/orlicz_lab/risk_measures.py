@@ -1,17 +1,20 @@
 """Coherent and convex risk measures on finite spaces.
 
-Scenario sets are finite lists of nonnegative unit-expectation
-densities; polytopes such as the average value at risk ball are
-represented by vertex enumeration for small atom counts, so scenario
-maxima are exact and no convex solver enters the core.
+A scenario set is a finite list of nonnegative unit-expectation
+densities, or the capped polytope ``{0 <= Y <= cap, E[Y] = 1}`` of the
+average value at risk, kept by its bounds: its support function is one
+sort, and membership is a bounds check.  Its vertices are enumerated
+only when asked for (up to 12 atoms).  Scenario maxima are exact, and
+no convex solver enters the core.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +23,7 @@ from .finite_model import FiniteSpace, RandomVariable, expectation, pairing
 
 __all__ = [
     "ScenarioSet",
+    "CappedScenarioSet",
     "RiskMeasure",
     "scenario_eval",
     "scenario_measure",
@@ -36,31 +40,115 @@ __all__ = [
 ]
 
 _MAX_VERTEX_ATOMS = 12
+#: A density coordinate below ``-_BOUND_TOL`` is negative (above
+#: ``cap + _BOUND_TOL``, over the cap); ``|E[Y] - 1| > _MASS_TOL`` is off
+#: unit expectation.
+_BOUND_TOL = 1e-12
+_MASS_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class ScenarioSet:
     """Finite set Q of nonnegative densities with unit expectation."""
 
-    densities: tuple  # tuple of RandomVariable
+    #: the bound ``Y <= cap`` of a capped set; None for a density list
+    cap = None
 
-    def __post_init__(self):
-        if not self.densities:
+    def __init__(self, densities):
+        densities = tuple(densities)
+        if not densities:
             raise EmptyScenarioSet("a scenario set needs at least one density")
-        for Y in self.densities:
-            if np.any(Y.x < -1e-12):
+        for Y in densities:
+            if np.any(Y.x < -_BOUND_TOL):
                 raise InputError("scenario densities must be nonnegative")
-            if abs(expectation(Y) - 1.0) > 1e-10:
+            if abs(expectation(Y) - 1.0) > _MASS_TOL:
                 raise InputError(
                     f"scenario density has expectation {expectation(Y)!r}, not 1"
                 )
-
-    @property
-    def space(self) -> FiniteSpace:
-        return self.densities[0].space
+        self.densities = densities
+        self.space = densities[0].space
 
     def __len__(self):
         return len(self.densities)
+
+    def support(self, X: RandomVariable) -> float:
+        """``sigma_Q(X) = max_{Y in Q} E[XY]`` over the density list."""
+        return max(pairing(X, Y) for Y in self.densities)
+
+
+class CappedScenarioSet(ScenarioSet):
+    """``Q = {Y : 0 <= Y <= cap, E[Y] = 1}`` (``cap >= 1``), kept by its
+    bounds.  ``densities`` enumerates the vertices on first use (up to
+    12 atoms) and keeps them."""
+
+    def __init__(self, space: FiniteSpace, cap: float):
+        self.space = space
+        self.cap = cap
+
+    @functools.cached_property
+    def densities(self) -> tuple:
+        """The vertices: for each subset S of atoms at the cap (in
+        ``itertools.combinations`` order), the point of mass 1, or one
+        candidate per atom outside S taking the rest of the mass, all
+        built as one array.  The candidates are deduplicated once, on
+        their values rounded to 12 decimals, keeping the first of each."""
+        space, cap = self.space, self.cap
+        n = space.n_atoms
+        if n > _MAX_VERTEX_ATOMS:
+            raise InputError(
+                f"vertex enumeration limited to {_MAX_VERTEX_ATOMS} atoms, got {n}"
+            )
+        p = space.p
+        probs = p.tolist()
+        blocks = []
+        for r in range(n + 1):
+            for S in itertools.combinations(range(n), r):
+                mass = cap * sum(probs[i] for i in S)
+                if mass > 1.0 + 1e-12:
+                    continue
+                vec = np.zeros(n)
+                vec[list(S)] = cap
+                if abs(mass - 1.0) <= 1e-12:
+                    blocks.append(vec[None])
+                    continue
+                free = np.array([j for j in range(n) if j not in S], dtype=int)
+                yj = (1.0 - mass) / p[free]
+                keep = yj <= cap + 1e-12
+                block = np.tile(vec, (int(keep.sum()), 1))
+                block[np.arange(len(block)), free[keep]] = np.minimum(yj[keep], cap)
+                blocks.append(block)
+        rows = np.concatenate(blocks)
+        _, first = np.unique(np.round(rows, 12), axis=0, return_index=True)
+        return ScenarioSet(space.rv(row) for row in rows[np.sort(first)]).densities
+
+    def support(self, X: RandomVariable) -> float:
+        """``sigma_Q(X) = max_{Y in Q} E[XY]``: in a stable sort of X from
+        the largest value down, each atom takes its mass ``p_i * cap``
+        until the total reaches 1; the terms are summed with ``fsum``."""
+        order = np.argsort(-X.x, kind="stable")
+        room = self.space.p[order] * self.cap
+        before = np.cumsum(room) - room
+        take = np.clip(1.0 - before, 0.0, room)
+        return math.fsum((take * X.x[order]).tolist())
+
+    def violated_bound(self, t: np.ndarray):
+        """None when ``t`` lies in Q, up to the tolerances ``ScenarioSet``
+        checks a density with (1e-12 on each bound, 1e-10 on the mean);
+        else a growth direction ``x`` of the conjugate at ``-t``, read
+        off the first violated bound: ``-1`` for
+        ``E[t] > 1``, ``+1`` for ``E[t] < 1``, ``-e_j`` for the first atom
+        above the cap, ``+e_j`` for the first negative atom.  Along each,
+        ``E[-x t] > sigma_Q(-x)``."""
+        n = len(t)
+        mean = expectation(self.space.rv(t))
+        if abs(mean - 1.0) > _MASS_TOL:
+            return (-1.0 if mean > 1.0 else 1.0,) * n
+        for atoms, sign in ((t > self.cap + _BOUND_TOL, -1.0),
+                            (t < -_BOUND_TOL, 1.0)):
+            if np.any(atoms):
+                x = np.zeros(n)
+                x[int(np.argmax(atoms))] = sign
+                return tuple(x.tolist())
+        return None
 
 
 @dataclass(frozen=True)
@@ -85,13 +173,9 @@ class RiskMeasure:
 
 
 def scenario_eval(Q: ScenarioSet, X: RandomVariable) -> float:
-    """``max_{Y in Q} E[-XY]`` over the finite density list."""
-    if not Q.densities:
-        raise EmptyScenarioSet("empty scenario set")
-    best = -math.inf
-    for Y in Q.densities:
-        best = max(best, pairing(-X, Y))
-    return best
+    """``max_{Y in Q} E[-XY] = sigma_Q(-X)``: the maximum over the density
+    list, or one sort for a capped set."""
+    return Q.support(-X)
 
 
 def scenario_measure(Q: ScenarioSet, name: str = "scenario") -> RiskMeasure:
@@ -220,45 +304,15 @@ def fatou_harness(rho, family, X: RandomVariable, mode: str = "order",
     }
 
 
-def avar_scenarios(space: FiniteSpace, alpha: float) -> ScenarioSet:
-    """Vertices of ``{Y : 0 <= Y <= 1/alpha, E[Y] = 1}``.
-
-    Vertex enumeration, exact for small atom counts: for each subset S of
-    atoms at the cap (in ``itertools.combinations`` order), the point of
-    mass 1, or one candidate per atom outside S taking the rest of the
-    mass, all built as one array.  The candidates are deduplicated once,
-    on their values rounded to 12 decimals, keeping the first of each.
-    """
+def avar_scenarios(space: FiniteSpace, alpha: float) -> CappedScenarioSet:
+    """``{Y : 0 <= Y <= 1/alpha, E[Y] = 1}``, the scenario set of AVaR at
+    level ``alpha``, kept by its bounds: AVaR is its support function at
+    ``-X``, the mean of the worst ``alpha`` share of the loss (Acerbi &
+    Tasche 2002), found by one sort.  The vertices are enumerated only
+    when ``densities`` is read, which is limited to 12 atoms."""
     if not 0 < alpha <= 1:
         raise InputError("alpha must be in (0, 1]")
-    n = space.n_atoms
-    if n > _MAX_VERTEX_ATOMS:
-        raise InputError(
-            f"vertex enumeration limited to {_MAX_VERTEX_ATOMS} atoms, got {n}"
-        )
-    cap = 1.0 / alpha
-    p = space.p
-    probs = p.tolist()
-    blocks = []
-    for r in range(n + 1):
-        for S in itertools.combinations(range(n), r):
-            mass = cap * sum(probs[i] for i in S)
-            if mass > 1.0 + 1e-12:
-                continue
-            vec = np.zeros(n)
-            vec[list(S)] = cap
-            if abs(mass - 1.0) <= 1e-12:
-                blocks.append(vec[None])
-                continue
-            free = np.array([j for j in range(n) if j not in S], dtype=int)
-            yj = (1.0 - mass) / p[free]
-            keep = yj <= cap + 1e-12
-            block = np.tile(vec, (int(keep.sum()), 1))
-            block[np.arange(len(block)), free[keep]] = np.minimum(yj[keep], cap)
-            blocks.append(block)
-    rows = np.concatenate(blocks)
-    _, first = np.unique(np.round(rows, 12), axis=0, return_index=True)
-    return ScenarioSet(tuple(space.rv(row) for row in rows[np.sort(first)]))
+    return CappedScenarioSet(space, 1.0 / alpha)
 
 
 def worstcase_scenarios(space: FiniteSpace) -> ScenarioSet:

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from orlicz_lab.cli import run
-from orlicz_lab.finite_model import FiniteSpace, write_positions_csv
+from orlicz_lab.finite_model import (FiniteSpace, read_positions_csv,
+                                     write_positions_csv)
 
 
 @pytest.fixture
@@ -97,6 +99,34 @@ class TestRiskAndDual:
         assert code == 0
         assert report["gap"] is False
         assert report["extracted_scenarios"]
+
+    def test_avar_on_300_atoms_matches_the_sorted_tail(self, capsys, tmp_path):
+        rng = np.random.default_rng(31)
+        path = tmp_path / "many.csv"
+        write_positions_csv(path, FiniteSpace(tuple(rng.dirichlet(np.ones(300))))
+                            .rv(rng.standard_normal(300)))
+        code, report = run_json(capsys, ["risk", "eval", "--measure",
+                                         "avar:alpha=0.3", "--input", str(path)])
+        assert code == 0
+        # the mean of the worst 30% of the loss -X, atom by atom
+        X = read_positions_csv(path)
+        total, mass = 0.0, 0.0
+        for i in np.argsort(X.x):
+            take = min(X.space.p[i], 0.3 - mass)
+            if take <= 0.0:
+                break
+            total, mass = total - take * X.x[i], mass + take
+        assert report["value"] == pytest.approx(total / 0.3, rel=1e-12)
+
+    def test_dual_beyond_the_vertex_limit_is_invalid_input(self, capsys,
+                                                           tmp_path):
+        path = tmp_path / "thirteen.csv"
+        write_positions_csv(path, FiniteSpace((1.0 / 13,) * 13).rv(range(13)))
+        assert run(["dual", "--measure", "avar:alpha=0.3",
+                    "--input", str(path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-input"
+        assert "12 atoms" in err["detail"]
 
     def test_dual_rejects_entropic(self, capsys, pos_csv):
         assert run(["dual", "--measure", "entropic:theta=1",

@@ -1,8 +1,11 @@
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from orlicz_lab import duality
 from orlicz_lab.duality import (
     ConjugateValue,
     biconjugate,
@@ -11,7 +14,7 @@ from orlicz_lab.duality import (
     extract_scenarios,
     report_to_json,
 )
-from orlicz_lab.errors import InputError
+from orlicz_lab.errors import CertificateError, InputError
 from orlicz_lab.finite_model import FiniteSpace, pairing, uniform_space
 from orlicz_lab.risk_measures import (
     ScenarioSet,
@@ -65,6 +68,105 @@ class TestPolyhedralConjugate:
         sp = uniform_space(2)
         with pytest.raises(InputError):
             conjugate_rho(entropic_measure(), sp.constant(0.0), mode="polyhedral")
+
+
+class TestBoundsDecision:
+    """For AVaR's capped set, -Y in Q is decided by the bounds
+    ``0 <= t <= cap, E[t] = 1``; a hull LP over the enumerated vertices
+    decides the same away from the boundary, and every +inf comes with a
+    verified growth direction."""
+
+    @pytest.mark.parametrize("t, direction", [
+        ([1.0, 1.0, 1.0, 2.0], (-1.0, -1.0, -1.0, -1.0)),  # E[t] > 1
+        ([1.0, 1.0, 1.0, 0.0], (1.0, 1.0, 1.0, 1.0)),      # E[t] < 1
+        ([0.5, 3.0, 0.5, 0.0], (0.0, -1.0, 0.0, 0.0)),     # over the cap
+        ([1.5, 2.0, 1.0, -0.5], (0.0, 0.0, 0.0, 1.0)),     # negative
+    ])
+    def test_direction_of_each_violated_bound(self, t, direction):
+        sp = uniform_space(4)
+        Q = avar_scenarios(sp, 0.4)  # cap 2.5
+        cv = conjugate_rho(scenario_measure(Q), -sp.rv(t))
+        assert cv.value == math.inf
+        assert cv.certificate == direction
+        x = sp.rv(direction)
+        assert pairing(x, -sp.rv(t)) > Q.support(-x)
+
+    @pytest.mark.parametrize("t, inside", [
+        ([1.0 + 5e-11] * 4, True), ([1.0 + 2e-10] * 4, False),
+        ([1.0 - 5e-11] * 4, True), ([1.0 - 2e-10] * 4, False),
+        ([-5e-13, 1.0, 1.0, 2.0], True), ([-2e-12, 1.0, 1.0, 2.0], False),
+    ])
+    def test_the_tolerances_of_a_density_list(self, t, inside):
+        # -Y is in the capped set exactly when ScenarioSet would take it
+        # as a density (it is below the cap here)
+        sp = uniform_space(4)
+        try:
+            ScenarioSet((sp.rv(t),))
+        except InputError:
+            assert not inside
+        else:
+            assert inside
+        cv = conjugate_rho(scenario_measure(avar_scenarios(sp, 0.4)), -sp.rv(t))
+        assert cv.value == (0.0 if inside else math.inf)
+
+    @given(data=st.data())
+    def test_matches_a_hull_lp_over_the_vertices(self, data):
+        n = data.draw(st.integers(1, 8))
+        if data.draw(st.booleans()):
+            p = np.full(n, 1.0 / n)
+        else:
+            w = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n,
+                                            max_size=n)))
+            p = w / w.sum()
+        sp = FiniteSpace(tuple(p))
+        alpha = data.draw(st.floats(0.1, 1.0))
+        Q = avar_scenarios(sp, alpha)
+        V = Q.densities
+        a, b = (data.draw(st.integers(0, len(V) - 1)) for _ in range(2))
+        s, r = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))
+        t = (1.0 - r) * (s * V[a].x + (1.0 - s) * V[b].x) + r  # in Q
+        # a mean-preserving move of atom j, then a shift of the mean
+        j = data.draw(st.integers(0, n - 1))
+        delta = data.draw(st.just(0.0) | st.floats(-2.0, 2.0))
+        eps = data.draw(st.just(0.0) | st.floats(-0.5, 0.5))
+        t = t + delta * (np.eye(n)[j] / p[j] - 1.0) + eps
+        assume(np.min(np.abs(t)) >= 1e-6 and np.min(np.abs(t - Q.cap)) >= 1e-6)
+        assume(eps == 0.0 or abs(float(p @ t) - 1.0) >= 1e-6)
+        Y = sp.rv(-t)
+        by_bounds = conjugate_rho(scenario_measure(Q), Y).value
+        by_hull = conjugate_rho(scenario_measure(ScenarioSet(V)), Y).value
+        assert by_bounds == by_hull
+
+    def test_a_perturbed_direction_is_rejected(self, monkeypatch):
+        sp = uniform_space(4)
+        Q = avar_scenarios(sp, 0.5)
+        spike = sp.rv([4.0, 0.0, 0.0, 0.0])
+        hull = ScenarioSet(Q.densities)
+        for S in (Q, hull):
+            good = conjugate_rho(scenario_measure(S), -spike).certificate
+            for bad in (tuple(-v for v in good), (0.0,) * 4):
+                if S is Q:
+                    monkeypatch.setattr(Q, "violated_bound", lambda t: bad)
+                else:
+                    monkeypatch.setattr(duality, "_hull_lp", lambda Q, t: bad)
+                with pytest.raises(CertificateError):
+                    conjugate_rho(scenario_measure(S), -spike)
+                monkeypatch.undo()
+
+    def test_a_failed_separating_lp_raises(self, monkeypatch):
+        sp = uniform_space(4)
+        rho = scenario_measure(ScenarioSet(avar_scenarios(sp, 0.5).densities))
+        real = duality.linprog
+
+        def failing_separation(c, **kwargs):
+            if "A_ub" in kwargs:  # the separating LP
+                return types.SimpleNamespace(status=4, x=None,
+                                             message="numerical difficulties")
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(duality, "linprog", failing_separation)
+        with pytest.raises(CertificateError):
+            conjugate_rho(rho, -sp.rv([4.0, 0.0, 0.0, 0.0]))
 
 
 class TestBoxConjugate:

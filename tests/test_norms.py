@@ -219,6 +219,31 @@ class TestAmemiyaSearch:
         assert abs(got - amemiya_by_grid(y, p, CAPPED)) <= 1e-12 * got
 
 
+class TestPowerAmemiya:
+    """For psi = c s**q (q > 1) the Amemiya value is
+    ``m q/(q-1) (c (q-1) E[(|y|/m)**q])**(1/q)``, ``m = max|y|``; it is
+    homogeneous, so at atoms near 1e+-150, where the search's range of k
+    and the unscaled powers give out, it is the scaled grid value."""
+
+    @pytest.mark.parametrize("coef", [0.3, 1.0, 7.5])
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    @given(atoms=atoms_st)
+    def test_matches_the_grid_search(self, q, coef, atoms):
+        sp, y = space_and_values(atoms)
+        y_abs = np.abs(y)
+        assume(np.any(y_abs > 0))
+        psi = PowerFunction(q, coef)
+        ref = amemiya_by_grid(y_abs, sp.p, psi)
+        for scale in (1e-150, 1.0, 1e150):
+            got = psi.amemiya_closed_form(scale * y_abs, sp.p)
+            assert abs(got - scale * ref) <= 1e-12 * scale * ref
+
+    def test_none_without_a_closed_form(self):
+        y, p = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+        assert PowerFunction(1.0).amemiya_closed_form(y, p) is None
+        assert conjugate(ExpFunction()).amemiya_closed_form(y, p) is None
+
+
 class TestOrliczNorm:
     def test_indicator_formula(self):
         # ||1_A||(Orlicz, wrt phi) = p * phi^{-1}(1/p)

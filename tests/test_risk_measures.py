@@ -1,11 +1,14 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from orlicz_lab.duality import conjugate_rho
 from orlicz_lab.errors import BracketInvalid, EmptyScenarioSet, InputError
-from orlicz_lab.finite_model import FiniteSpace, uniform_space
+from orlicz_lab.finite_model import FiniteSpace, pairing, uniform_space
 from orlicz_lab.risk_measures import (
     RiskMeasure,
     ScenarioSet,
@@ -160,8 +163,18 @@ class TestAvar:
             avar_scenarios(uniform_space(2), 0.0)
 
     def test_atom_limit(self):
+        # only the vertex list is limited to 12 atoms: at 13 the set still
+        # evaluates and conjugates by its bounds
+        sp = uniform_space(13)
+        Q = avar_scenarios(sp, 0.5)
+        X = sp.rv(np.linspace(-1.0, 1.0, 13))
+        assert scenario_eval(Q, X) == pytest.approx(avar_oracle(X, 0.5),
+                                                    abs=1e-12)
+        rho = scenario_measure(Q)
+        assert conjugate_rho(rho, -sp.constant(1.0)).value == 0.0
+        assert conjugate_rho(rho, -sp.constant(3.0)).value == math.inf
         with pytest.raises(InputError):
-            avar_scenarios(uniform_space(13), 0.5)
+            Q.densities
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_vertices_match_the_loop_bit_for_bit(self, n):
@@ -171,6 +184,28 @@ class TestAvar:
             assert len(got) == len(ref)
             for g, r in zip(got, ref):
                 assert g.tobytes() == r.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def avar_reference_sets(n):
+    """``avar_reference_spaces(n)`` with each set's vertex matrix."""
+    return [(sp, alpha, np.array(avar_vertices_by_loop(sp, alpha)))
+            for sp, alpha in avar_reference_spaces(n)]
+
+
+class TestAvarBySorting:
+    """The sort-based AVaR is the maximum over the enumerated vertices."""
+
+    @given(n=st.integers(1, 12), k=st.integers(0, 5), data=st.data())
+    def test_equals_the_vertex_maximum(self, n, k, data):
+        sp, alpha, vertices = avar_reference_sets(n)[k]
+        # values from a short list as well, so that ties are drawn
+        value = st.floats(-100.0, 100.0) | st.sampled_from([-1.0, 0.0, 2.5])
+        x = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        X = sp.rv(x)
+        ref = max(pairing(-X, sp.rv(v)) for v in vertices)
+        got = scenario_eval(avar_scenarios(sp, alpha), X)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestWorstcase:
