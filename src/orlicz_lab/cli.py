@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto library modules and emit deterministic
-JSON reports (sorted keys, correctly rounded sums, seeds from
-``ORLICZ_LAB_SEED``).  Exit codes: 0 success, 2 not-a-member/infeasible
-(with the certificate in the JSON error payload on stderr), 3 invalid
-input or a phi without the Delta_2-failure witnesses a construction
-needs (``witness-not-found``), 4 numeric failure.
+JSON reports (sorted keys, correctly rounded sums).  Exit codes: 0
+success, 2 not-a-member/infeasible (with the certificate in the JSON
+error payload on stderr), 3 invalid input or a phi without the
+Delta_2-failure witnesses a construction needs (``witness-not-found``),
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -39,10 +38,6 @@ def _emit(report: dict, output: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _seed() -> int:
-    return int(os.environ.get("ORLICZ_LAB_SEED", "0"))
 
 
 def _parse_combo(instance, payload: dict) -> "cex.Combo":
@@ -182,7 +177,7 @@ def _cmd_closure(args) -> int:
                        "tail_modular": norms.modular(Z, phi, 1.0)})
         Z_parts.append(Z)
     mazur = cl.mazur_min_norm([Z for Z in Z_parts] + [-Z for Z in Z_parts],
-                              phi, 1e-6, seed=_seed())
+                              phi, 1e-6)
     x_tilde, checks = cl.order_dominator(Z_parts, [], phi)
     _emit({
         "step1_splits": splits,

@@ -168,20 +168,21 @@ class CounterexampleInstance:
 
     def _build_space(self):
         probs, labels = [], []
+        # every symbol is a key; each block shares its atom with its dual
         self._atom_of = {}
         self._height_of = {}
         for b in self.x_seq.blocks:
-            self._atom_of[("X", b.index)] = len(probs)
+            self._atom_of[("X", b.index)] = self._atom_of[("Y", b.index)] = len(probs)
             self._height_of[("X", b.index)] = b.height
             probs.append(b.probability)
             labels.append(f"A{b.index}")
-        self._atom_of[("W0",)] = len(probs)
+        self._atom_of[("W0",)] = self._atom_of[("Z0",)] = len(probs)
         self._height_of[("W0",)] = _SQRT3
         p2 = self.w0_seq.blocks[0].probability
         probs.append(p2)
         labels.append("B0")
         for key, b in zip(self.third_keys, self.z_seq.blocks):
-            self._atom_of[("Z", *key)] = len(probs)
+            self._atom_of[("Z", *key)] = self._atom_of[("W", *key)] = len(probs)
             self._height_of[("Z", *key)] = b.height
             probs.append(b.probability)
             labels.append("C" + "_".join(map(str, key)))
@@ -218,11 +219,8 @@ class CounterexampleInstance:
         if symbol == ("one",):
             rv = self.space.constant(1.0)
         else:
-            base = symbol[0]
-            atom_key = ("X", symbol[1]) if base in ("X", "Y") else \
-                (("W0",) if base in ("W0", "Z0") else ("Z", *symbol[1:]))
             vec = np.zeros(self.space.n_atoms)
-            vec[self._atom_of[atom_key]] = self._height_of[symbol]
+            vec[self._atom_of[symbol]] = self._height_of[symbol]
             rv = self.space.rv(vec)
         self._dual_cache[symbol] = rv
         return rv
@@ -250,8 +248,8 @@ class Combo:
         self.instance = instance
         self.coeffs = {k: float(v) for k, v in coeffs.items() if v != 0.0}
         for k in self.coeffs:
-            if k != ("one",) and k[0] not in ("X", "Y", "W0", "Z0", "W", "Z",
-                                              "Xtail"):
+            tail = k[0] == "Xtail" and len(k) == 2
+            if k != ("one",) and not tail and k not in instance._atom_of:
                 raise InputError(f"unknown symbol {k!r}")
 
     # -- arithmetic ----------------------------------------------------
@@ -304,10 +302,7 @@ class Combo:
                     if b.index >= r:
                         vec[ins._atom_of[("X", b.index)]] += c * b.height
             else:
-                base = k[0]
-                atom_key = ("X", k[1]) if base in ("X", "Y") else \
-                    (("W0",) if base in ("W0", "Z0") else ("Z", *k[1:]))
-                vec[ins._atom_of[atom_key]] += c * ins._height_of[k]
+                vec[ins._atom_of[k]] += c * ins._height_of[k]
         return vec
 
     def as_rv(self) -> RandomVariable:
@@ -328,13 +323,9 @@ class Combo:
         canonical = [("Y", b.index) for b in ins.y_seq.blocks] + [("Z0",)] + \
             [("Z", *k) for k in ins.third_keys]
         for sym in canonical:
-            base = sym[0]
-            atom_key = ("X", sym[1]) if base == "Y" else \
-                (("W0",) if base == "Z0" else sym)
-            h = ins._height_of[sym]
-            delta = vec[ins._atom_of[atom_key]] - c1
+            delta = vec[ins._atom_of[sym]] - c1
             if delta != 0.0:
-                out[sym] = delta / h
+                out[sym] = delta / ins._height_of[sym]
         return Combo(ins, out)
 
 
@@ -642,9 +633,11 @@ def verify_certificate(instance: CounterexampleInstance, image: TImage,
                             if jj == j)
             if vd.get((j,), 0.0) < rhs - tol * scale:
                 return False
-        for n in range(1, ins.N + 1):
+        # n = N + 1 is the tail row, vacuous when u_tail is +inf
+        for n in range(1, ins.N + 2):
             rhs = lam * sum(val for (i, j), val in y.items() if j >= n)
-            if image.u[n - 1] < rhs - tol * scale:
+            u_n = image.u[n - 1] if n <= ins.N else image.u_tail
+            if u_n < rhs - tol * scale:
                 return False
     return True
 

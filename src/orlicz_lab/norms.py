@@ -8,16 +8,7 @@ import numpy as np
 
 from .errors import CrossCheckFailure, NumericFailure
 from .finite_model import RandomVariable, pairing
-from .orlicz_functions import (
-    EntropyConjugateFunction,
-    EntropyFunction,
-    ExpConjugateFunction,
-    ExpFunction,
-    OrliczFunction,
-    PiecewiseLinearFunction,
-    PowerFunction,
-    conjugate,
-)
+from .orlicz_functions import OrliczFunction, conjugate
 
 __all__ = [
     "modular",
@@ -121,79 +112,7 @@ def phi_inverse(phi: OrliczFunction, v: float) -> float:
         raise NumericFailure("phi_inverse requires v >= 0")
     if v == 0.0:
         return 0.0
-    if isinstance(phi, PiecewiseLinearFunction):
-        knots = phi._knots
-        edges = phi._edges
-        k = int(np.searchsorted(knots, v, side="right")) - 1
-        k = min(k, len(edges) - 1)
-        if phi.slopes[k] == 0.0:
-            # flat zero head: inverse is the right edge of the flat part
-            return float(edges[k + 1]) if k + 1 < len(edges) else math.inf
-        t = float(edges[k] + (v - knots[k]) / phi.slopes[k])
-        if phi.domain_cap is not None and t > phi.domain_cap * (1 + 1e-12):
-            raise NumericFailure("phi_inverse: value beyond domain cap")
-        return t
-    lo, hi = 0.0, 1.0
-    for _ in range(1100):
-        try:
-            if float(phi(hi)) >= v:
-                break
-        except NumericFailure:
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise NumericFailure("phi_inverse: bracket not found")
-    while hi - lo > 1e-12 + 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        try:
-            fm = float(phi(mid))
-        except NumericFailure:
-            fm = math.inf
-        if fm >= v:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _g_vec(phi: OrliczFunction, s: np.ndarray) -> np.ndarray:
-    """Vectorized left inverse of the right-derivative.
-
-    Raises NumericFailure when some slope exceeds the representable
-    range (for piecewise-linear functions without a cap the caller
-    interprets this as a budget-limited top segment).
-    """
-    s = np.asarray(s, dtype=float)
-    if isinstance(phi, PowerFunction):
-        if phi.p == 1.0:
-            if np.any(s > phi.coef):
-                raise NumericFailure("linear function: slope range exhausted")
-            return np.zeros_like(s)
-        return (np.maximum(s, 0.0) / (phi.coef * phi.p)) ** (1.0 / (phi.p - 1.0))
-    if isinstance(phi, ExpFunction):
-        return np.log(np.maximum(s, 1.0))
-    if isinstance(phi, ExpConjugateFunction):
-        with np.errstate(over="ignore"):
-            out = np.where(s > 0, np.exp(s), 0.0)
-        if np.any(~np.isfinite(out)):
-            raise NumericFailure("slope beyond representable range")
-        return out
-    if isinstance(phi, EntropyFunction):
-        with np.errstate(over="ignore"):
-            out = np.where(s > 0, np.expm1(np.maximum(s, 0.0)), 0.0)
-        if np.any(~np.isfinite(out)):
-            raise NumericFailure("slope beyond representable range")
-        return out
-    if isinstance(phi, EntropyConjugateFunction):
-        return np.log1p(np.maximum(s, 0.0))
-    if isinstance(phi, PiecewiseLinearFunction):
-        if phi.domain_cap is None and np.any(s > phi.slopes[-1]):
-            raise NumericFailure("slope beyond maximal slope")
-        k = np.searchsorted(phi.slopes, s, side="left")
-        edges = phi._slope_edges
-        k = np.clip(k, 0, len(edges) - 1)
-        return edges[k]
-    return np.array([phi.rderiv_inverse_left(float(x)) for x in s])
+    return phi.inverse(v)
 
 
 def orlicz_norm(Y: RandomVariable, phi: OrliczFunction,
@@ -234,7 +153,7 @@ def _orlicz_definitional(y_abs: np.ndarray, p: np.ndarray,
 
     def h(mu: float) -> float:
         try:
-            x = _g_vec(phi, mu * y_abs)
+            x = phi.rderiv_inverse_left(mu * y_abs)
         except NumericFailure:
             return math.inf
         vals = np.asarray(phi(x), dtype=float)
@@ -259,13 +178,13 @@ def _orlicz_definitional(y_abs: np.ndarray, p: np.ndarray,
         else:
             hi = mid
     mu = lo if lo > 0 else hi * 0.5
-    x = _g_vec(phi, mu * y_abs)
+    x = phi.rderiv_inverse_left(mu * y_abs)
     budget = 1.0 - float(np.sum(p * np.asarray(phi(x), dtype=float)))
     # distribute residual budget along flat segments (atoms whose
     # stationarity inverse jumps across the bracket)
     if budget > 1e-15:
         try:
-            x_hi = _g_vec(phi, hi * y_abs)
+            x_hi = phi.rderiv_inverse_left(hi * y_abs)
         except NumericFailure:
             x_hi = np.where(active, math.inf, 0.0)
         jump = active & (x_hi > x * (1 + 1e-9) + 1e-300)

@@ -52,7 +52,6 @@ class OrliczFunction:
     see :func:`delta2_witnesses`.
     """
 
-    kind = "catalog-analytic"
     name = "orlicz"
     delta2: bool | None = None
     conjugate_delta2: bool | None = None
@@ -94,29 +93,63 @@ class OrliczFunction:
         form, or None when there is none."""
         return None
 
-    def rderiv_inverse_left(self, s: float) -> float:
-        """Left endpoint of ``{t : rderiv(t) = s}`` (0 when rderiv(0) >= s).
+    def rderiv_inverse_left(self, s):
+        """Left endpoint of ``{t : rderiv(t) = s}`` (0 when rderiv(0) >= s),
+        entrywise; a scalar ``s`` gives a float.  Raises NumericFailure
+        when some slope is beyond the representable range."""
+        out = self._rderiv_inverse_left(np.asarray(s, dtype=float))
+        if out.ndim == 0:
+            return float(out)
+        return out
 
-        Default implementation is monotone bisection with bracket doubling.
-        """
-        if s <= self.rderiv(0.0):
-            return 0.0
+    def _rderiv_inverse_left(self, s):
+        # monotone bisection with bracket doubling, entry by entry
+        def left_end(s: float) -> float:
+            if s <= self.rderiv(0.0):
+                return 0.0
+            lo, hi = 0.0, 1.0
+            n = 0
+            while self.rderiv(hi) < s:
+                lo, hi = hi, hi * 2.0
+                n += 1
+                if hi > _BRACKET_CAP or n > 1100:
+                    raise NumericFailure(
+                        f"{self.name}: slope {s:g} beyond representable range"
+                    )
+            while hi - lo > _ABS_TOL + _REL_TOL * hi:
+                mid = 0.5 * (lo + hi)
+                if self.rderiv(mid) < s:
+                    lo = mid
+                else:
+                    hi = mid
+            return hi
+
+        return _elementwise(left_end, s)
+
+    def inverse(self, v: float) -> float:
+        """Solve ``self(t) = v`` for ``v > 0``: bracket by doubling, then
+        bisect to width 1e-12 absolute plus relative."""
         lo, hi = 0.0, 1.0
-        n = 0
-        while self.rderiv(hi) < s:
+        for _ in range(1100):
+            try:
+                if float(self(hi)) >= v:
+                    break
+            except NumericFailure:
+                break
             lo, hi = hi, hi * 2.0
-            n += 1
-            if hi > _BRACKET_CAP or n > 1100:
-                raise NumericFailure(
-                    f"{self.name}: slope {s:g} beyond representable range"
-                )
-        while hi - lo > _ABS_TOL + _REL_TOL * hi:
+        else:
+            raise NumericFailure("phi_inverse: bracket not found")
+        while hi - lo > 1e-12 + 1e-12 * hi:
             mid = 0.5 * (lo + hi)
-            if self.rderiv(mid) < s:
-                lo = mid
-            else:
+            try:
+                fm = float(self(mid))
+            except NumericFailure:
+                fm = math.inf
+            if fm >= v:
                 hi = mid
-        return hi
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
@@ -170,14 +203,12 @@ class PowerFunction(OrliczFunction):
         cq = (p - 1.0) * c * (c * p) ** (-q)
         return PowerFunction(q, cq)
 
-    def rderiv_inverse_left(self, s):
-        if s <= 0:
-            return 0.0
+    def _rderiv_inverse_left(self, s):
         if self.p == 1.0:
-            if s <= self.coef:
-                return 0.0
-            raise NumericFailure("linear function: slope range exhausted")
-        return (s / (self.coef * self.p)) ** (1.0 / (self.p - 1.0))
+            if np.any(s > self.coef):
+                raise NumericFailure("linear function: slope range exhausted")
+            return np.zeros_like(s)
+        return (np.maximum(s, 0.0) / (self.coef * self.p)) ** (1.0 / (self.p - 1.0))
 
 
 class ExpFunction(OrliczFunction):
@@ -197,8 +228,8 @@ class ExpFunction(OrliczFunction):
     def analytic_conjugate(self):
         return ExpConjugateFunction()
 
-    def rderiv_inverse_left(self, s):
-        return math.log(s) if s > 1.0 else 0.0
+    def _rderiv_inverse_left(self, s):
+        return np.log(np.maximum(s, 1.0))
 
 
 class ExpConjugateFunction(OrliczFunction):
@@ -219,8 +250,12 @@ class ExpConjugateFunction(OrliczFunction):
     def analytic_conjugate(self):
         return ExpFunction()
 
-    def rderiv_inverse_left(self, s):
-        return math.exp(s) if s > 0 else 0.0
+    def _rderiv_inverse_left(self, s):
+        with np.errstate(over="ignore"):
+            out = np.where(s > 0, np.exp(s), 0.0)
+        if np.any(~np.isfinite(out)):
+            raise NumericFailure(f"{self.name}: slope beyond representable range")
+        return out
 
 
 class EntropyFunction(OrliczFunction):
@@ -240,8 +275,12 @@ class EntropyFunction(OrliczFunction):
     def analytic_conjugate(self):
         return EntropyConjugateFunction()
 
-    def rderiv_inverse_left(self, s):
-        return math.expm1(s) if s > 0 else 0.0
+    def _rderiv_inverse_left(self, s):
+        with np.errstate(over="ignore"):
+            out = np.where(s > 0, np.expm1(np.maximum(s, 0.0)), 0.0)
+        if np.any(~np.isfinite(out)):
+            raise NumericFailure(f"{self.name}: slope beyond representable range")
+        return out
 
 
 class EntropyConjugateFunction(OrliczFunction):
@@ -261,8 +300,8 @@ class EntropyConjugateFunction(OrliczFunction):
     def analytic_conjugate(self):
         return EntropyFunction()
 
-    def rderiv_inverse_left(self, s):
-        return math.log1p(s) if s > 0 else 0.0
+    def _rderiv_inverse_left(self, s):
+        return np.log1p(np.maximum(s, 0.0))
 
 
 class PiecewiseLinearFunction(OrliczFunction):
@@ -274,8 +313,6 @@ class PiecewiseLinearFunction(OrliczFunction):
     ``domain_cap`` marks a function that is ``+inf`` beyond the cap
     (this occurs for conjugates of functions with a maximal slope).
     """
-
-    kind = "piecewise-linear"
 
     def __init__(self, breakpoints, slopes, domain_cap=None, name="piecewise-linear",
                  delta2=None, conjugate_delta2=None):
@@ -322,19 +359,23 @@ class PiecewiseLinearFunction(OrliczFunction):
             self._conjugate = _pl_conjugate(self)
         return self._conjugate
 
-    def rderiv_inverse_left(self, s):
-        if s <= self.slopes[0]:
-            return 0.0
-        if self.domain_cap is None and s > self.slopes[-1]:
+    def _rderiv_inverse_left(self, s):
+        if self.domain_cap is None and np.any(s > self.slopes[-1]):
             raise NumericFailure(
-                f"{self.name}: slope {s:g} beyond maximal slope {self.slopes[-1]:g}"
+                f"{self.name}: slope beyond maximal slope {self.slopes[-1]:g}"
             )
-        k = int(np.searchsorted(self.slopes, s, side="left"))
-        if k == 0:
-            return 0.0
-        if k > len(self.breakpoints):
-            return self.domain_cap
-        return float(self.breakpoints[k - 1])
+        return self._slope_edges[np.searchsorted(self.slopes, s, side="left")]
+
+    def inverse(self, v):
+        # exact on the segment whose knot values bracket v
+        k = int(np.searchsorted(self._knots, v, side="right")) - 1
+        if self.slopes[k] == 0.0:
+            # flat zero head: inverse is the right edge of the flat part
+            return float(self._edges[k + 1]) if k + 1 < len(self._edges) else math.inf
+        t = float(self._edges[k] + (v - self._knots[k]) / self.slopes[k])
+        if self.domain_cap is not None and t > self.domain_cap * (1 + 1e-12):
+            raise NumericFailure("phi_inverse: value beyond domain cap")
+        return t
 
 
 def _pl_conjugate(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
@@ -428,8 +469,6 @@ def build_sparse_pair(schedule: PiecewiseSlopeSchedule) -> PiecewiseLinearFuncti
 class _NumericConjugate(OrliczFunction):
     """Conjugate of phi evaluated by monotone root-finding on rderiv."""
 
-    kind = "numeric-conjugate"
-
     def __init__(self, phi: OrliczFunction):
         self.phi = phi
         self.name = phi.name + "*"
@@ -441,7 +480,7 @@ class _NumericConjugate(OrliczFunction):
 
     def _rderiv(self, s):
         # the maximizer t(s) is the right-derivative of the conjugate
-        return _elementwise(self.phi.rderiv_inverse_left, s)
+        return self.phi._rderiv_inverse_left(s)
 
 
 def _elementwise(f, s):

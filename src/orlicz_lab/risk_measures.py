@@ -182,8 +182,7 @@ def scenario_measure(Q: ScenarioSet, name: str = "scenario") -> RiskMeasure:
     return RiskMeasure(lambda X: scenario_eval(Q, X), "scenario", name, scenarios=Q)
 
 
-def acceptance_eval(member, X: RandomVariable, bracket, tol: float = 1e-8,
-                    max_doublings: int = 200) -> float:
+def acceptance_eval(member, X: RandomVariable, bracket, tol: float = 1e-8) -> float:
     """``inf{m : X + m*1 in C}`` by bisection on a monotone membership
     predicate; ``bracket = (m_lo, m_hi)`` must satisfy
     ``member(X + m_hi) and not member(X + m_lo)``."""
@@ -203,13 +202,12 @@ def acceptance_eval(member, X: RandomVariable, bracket, tol: float = 1e-8,
     return 0.5 * (m_lo + m_hi)
 
 
-def acceptance_measure(member, bracket_seed: float = 1.0,
-                       name: str = "acceptance") -> RiskMeasure:
+def acceptance_measure(member, name: str = "acceptance") -> RiskMeasure:
     """Risk measure from an acceptance set, with automatic bracket
-    widening by doubling."""
+    widening by doubling from ``(-1, 1)``."""
 
     def evaluate(X: RandomVariable) -> float:
-        lo, hi = -bracket_seed, bracket_seed
+        lo, hi = -1.0, 1.0
         for _ in range(200):
             if member(X + hi):
                 break

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -148,18 +149,32 @@ class TestCombo:
         atom = ins._atom_of[("X", 1)]
         assert C.x[atom] == 3.0 * ins._height_of[("X", 1)]
 
-    def test_abs_round_trip(self, instance):
+    def test_abs_round_trip(self, instance, instance_h):
         ins = instance
         A = Combo(ins, {("W0",): -1.0, ("Y", 2): 0.5, ("one",): -0.25})
         assert np.allclose(A.abs().x, np.abs(A.x))
+        # every symbol of an L and an H instance sits on its block's atom
+        for ins in (instance, instance_h):
+            symbols = [(base, b.index) for base in ("X", "Y")
+                       for b in ins.x_seq.blocks] + [("W0",), ("Z0",)] + \
+                [(base, *k) for base in ("W", "Z") for k in ins.third_keys]
+            for sym in symbols:
+                C = Combo(ins, {sym: 1.0})
+                assert np.array_equal(C.x, ins.symbol_rv(sym).x), sym
+                D = Combo(ins, {sym: -2.0, ("one",): 0.25})
+                assert np.allclose(D.abs().x, np.abs(D.x), rtol=1e-15,
+                                   atol=0.0), sym
 
     def test_abs_rejects_symbolic_tail(self, instance):
         with pytest.raises(InputError):
             Combo(instance, {("Xtail", 1): 1.0}).abs()
 
-    def test_unknown_symbol(self, instance):
-        with pytest.raises(InputError):
-            Combo(instance, {("Q", 1): 1.0})
+    def test_unknown_symbol(self, instance, instance_h):
+        for ins, sym in ((instance, ("Q", 1)), (instance, ("X", 99)),
+                         (instance, ("W", 9, 9)), (instance_h, ("Z", 1, 1)),
+                         (instance, ("Xtail",))):
+            with pytest.raises(InputError):
+                Combo(ins, {sym: 1.0})
 
 
 class TestTOperator:
@@ -365,6 +380,19 @@ class TestVerifyCertificate:
         img = t_operator(instance, Combo(instance, {}))
         bad = MembershipCertificate(0.0, (((1, 1), -0.5),), "L")
         assert not verify_certificate(instance, img, bad)
+
+    def test_h_checks_the_tail_row(self, phi):
+        # every row but u(tail) >= lambda * sum_{j > N} y holds
+        ins = build_instance(phi, 2, 3, 1, variant="H")
+        X = Combo(ins, {("X", 1): 1.0, ("W", 3): 4.0, ("W0",): -1.0})
+        img = t_operator(ins, X)
+        assert img.u_tail == 0.0
+        cert = MembershipCertificate(1.0, (((1, 3), 0.5),), "H")
+        assert not verify_certificate(ins, img, cert)
+        with pytest.raises(NotAMember):
+            membership(ins, img)
+        assert verify_certificate(ins, dataclasses.replace(img, u_tail=math.inf),
+                                  cert)
 
 
 class TestRhoC:

@@ -9,6 +9,7 @@ from orlicz_lab.errors import (InputError, InvalidSchedule, NumericFailure,
 from orlicz_lab.orlicz_functions import (
     CATALOG,
     EntropyFunction,
+    ExpConjugateFunction,
     ExpFunction,
     PiecewiseLinearFunction,
     PiecewiseSlopeSchedule,
@@ -153,6 +154,46 @@ class TestConjugation:
                 back = conjugate_value(psi_numeric, t)
                 direct = float(phi(t))
                 assert abs(back - direct) <= 1e-6 * (1.0 + abs(direct))
+
+
+def inverse_slope_functions():
+    """Every catalog function and its conjugate, a capped piecewise-linear
+    function and two numeric conjugates (the base-class bisection)."""
+    fns = [f for phi in CATALOG.values() for f in (phi, conjugate(phi))]
+    return fns + [
+        PiecewiseLinearFunction([1.0, 3.0], [0.5, 2.0, 5.0], domain_cap=10.0,
+                                name="capped"),
+        conjugate(PowerFunction(1.0)),
+        _NumericConjugate(PowerFunction(2.0)),
+    ]
+
+
+class TestRderivInverseLeft:
+    @pytest.mark.parametrize("phi", inverse_slope_functions(),
+                             ids=lambda f: f.name)
+    def test_array_matches_scalar_calls(self, phi):
+        s = np.concatenate(([-1.0, 0.0], np.geomspace(1e-3, 50.0, 31)))
+        scalar = []
+        for x in s:
+            try:
+                scalar.append(phi.rderiv_inverse_left(float(x)))
+            except NumericFailure:
+                scalar.append(None)
+        assert all(type(v) is float for v in scalar if v is not None)
+        if None in scalar:  # one entry out of range fails the whole array
+            with pytest.raises(NumericFailure):
+                phi.rderiv_inverse_left(s)
+            return
+        out = phi.rderiv_inverse_left(s)
+        assert isinstance(out, np.ndarray) and out.shape == s.shape
+        assert [v.hex() for v in out.tolist()] == [v.hex() for v in scalar]
+
+    @pytest.mark.parametrize("phi", [ExpConjugateFunction(), EntropyFunction()],
+                             ids=lambda f: f.name)
+    def test_slope_past_overflow_raises_numeric_failure(self, phi):
+        for s in (800.0, np.array([1.0, 800.0])):
+            with pytest.raises(NumericFailure):
+                phi.rderiv_inverse_left(s)
 
 
 class TestDelta2Witnesses:
