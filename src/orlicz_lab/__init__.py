@@ -112,5 +112,12 @@ from .closure_lab import (
     order_dominator,
     split_with_budget,
 )
+from . import closure_lab, counterexample
+
+# The benchmark's tracer (perfbench/tracing.py) wraps
+# ``counterexample.linprog`` as a layer.  No counterexample path solves an
+# LP, so the name is bound here, where the tracer finds it and counts no
+# calls; drop this once the tracer no longer lists it.
+counterexample.linprog = closure_lab.linprog
 
 __version__ = "0.1.0"

@@ -14,12 +14,16 @@ auditable Farkas certificates on the infeasible side.
 Two constraint variants are supported: "L" (double-indexed third-region
 blocks, ``v(i,j) >= z(i,j)`` and prefix-sum u-constraints) and "H"
 (single-indexed third-region blocks, ``v(j) >= sum_i 4^i z(i,j)`` and
-tail-sum u-constraints via the summing basis).  After ``w = 4^i z``,
-variant L's rows are a box plus a nested chain, a laminar polymatroid
-on which the greedy maximizes ``lambda = sum 2^-i w`` exactly (Edmonds
-1970), so L needs no LP solver; H's rows weight pairs by ``4^i`` per
-group and by 1 per suffix, which is no polymatroid, and H solves LPs
-with HiGHS.
+tail-sum u-constraints via the summing basis).  Both are decided by one
+greedy and one cover on a nested chain of rows, with no LP solver.
+After ``w = 4^i z``, variant L's rows are a box per pair plus the
+chain, a laminar polymatroid on which the greedy maximizes
+``lambda = sum 2^-i w`` exactly (Edmonds 1970).  In variant H, group
+j's best lambda for a total ``s = sum_i z(i,j)`` is concave and
+piecewise linear in s, and the groups share the chain, so lambda is a
+separable concave maximization over a laminar polymatroid, where the
+greedy by decreasing slope is optimal (Groenevelt, EJOR 1991; Fujishige,
+*Submodular Functions and Optimization*, on resource allocation).
 
 The induced coherent risk measure ``rho_c(X) = inf{m : X + m*1 in C}``
 satisfies the Fatou property by the order-closedness of C, yet
@@ -34,17 +38,18 @@ certificate at ``m*`` and a Farkas certificate for every ``m < m*``;
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .block_sequences import REGIONS, Block, BlockSequence, build_disjoint_sequence, \
     blocks_from_json, blocks_to_json, series_modular
 from .errors import CertificateError, InputError, NotAMember, \
-    NumericFailure, TruncationTooSmall
+    TruncationTooSmall
 from .finite_model import FiniteSpace, RandomVariable, pairing
 from .orlicz_functions import OrliczFunction, conjugate, parse_phi_spec, \
     phi_spec_string
@@ -72,11 +77,6 @@ __all__ = [
 
 _SQRT3 = math.sqrt(3.0)
 _FEAS_TOL = 1e-9
-#: HiGHS options for the membership and rho_c LPs: at the default
-#: primal feasibility tolerance 1e-7 an optimum may violate rows by
-#: about 4e-8, so images that far below zero would pass as members and
-#: the rho_c primal check at tol = 1e-8 would reject its own optimum
-_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10}
 #: the greedy's only slack: float rounding, 4 ulp relative on a + lambda*
 _ROUNDING = 4.0 * np.finfo(float).eps
 
@@ -388,80 +388,30 @@ def summing(row, N: int | None = None):
 
 
 def _lp_rows(instance: CounterexampleInstance, image: TImage):
-    """Constraint rows over variables ``(lambda, z_k)``; returns
-    (labels, A_ub, b_ub, A_eq, pairs, col).
+    """Constraint rows over variables ``(lambda, z)``, ``z`` ordered like
+    ``pairs``; returns (labels, A_ub, b_ub, A_eq, pairs).
 
-    Variant L's rows come in the order ``_greedy`` and ``_cover`` read
-    them: the a row, one box per pair (ordered like ``pairs``), the
-    prefix rows u(1..N), then the tail row when ``u_tail`` is finite.
+    The rows are the a row ``-lambda <= a``, the own rows (L: the box
+    ``z(i,j) <= v(i,j)`` of each pair; H: ``sum_i 4^i z(i,j) <= v(j)``
+    for each group j), the chain rows u(1..N) (L: ``sum_{j <= n} 4^i
+    z``; H: ``sum_{j >= n} z``), then the tail row when ``u_tail`` is
+    finite (L: every pair; H: the pairs with j > N).
     """
     ins = instance
     if len(image.u) != ins.N or image.variant != ins.variant:
         raise InputError("image dimensions do not match the truncation")
-    pairs = diagonal_pairs(ins.I, ins.J)
-    col = {p: 1 + k for k, p in enumerate(pairs)}
-    nvar = 1 + len(pairs)
-    eq = np.zeros(nvar)
-    eq[0] = 1.0
-    for (i, j), c in col.items():
-        eq[c] = -(2.0 ** i)
-    labels, A, b = [], [], []
-
-    def add(label, coef, rhs):
-        labels.append(label)
-        A.append(coef)
-        b.append(rhs)
-
-    row = np.zeros(nvar)
-    row[0] = -1.0
-    add("a >= -lambda", row, image.a)
     vd = image.v_dict()
-    if ins.variant == "L":
-        for (i, j) in pairs:
-            row = np.zeros(nvar)
-            row[col[(i, j)]] = 1.0
-            add(f"v({i},{j}) >= z({i},{j})", row, vd[(i, j)])
-        for n in range(1, ins.N + 1):
-            row = np.zeros(nvar)
-            for (i, j) in pairs:
-                if j <= n:
-                    row[col[(i, j)]] = 4.0 ** i
-            add(f"u({n}) >= sum 4^i prefix z", row, image.u[n - 1])
-        if math.isfinite(image.u_tail):
-            row = np.zeros(nvar)
-            for (i, j) in pairs:
-                row[col[(i, j)]] = 4.0 ** i
-            add("u(tail) >= sum 4^i prefix z", row, image.u_tail)
-    else:
-        for j in range(1, ins.J + 1):
-            row = np.zeros(nvar)
-            for i in range(1, ins.I + 1):
-                row[col[(i, j)]] = 4.0 ** i
-            add(f"v({j}) >= sum_i 4^i z(i,{j})", row, vd[(j,)])
-        for n in range(1, ins.N + 1):
-            row = np.zeros(nvar)
-            for (i, j) in pairs:
-                if j >= n:
-                    row[col[(i, j)]] = 1.0
-            add(f"u({n}) >= sum tail z", row, image.u[n - 1])
-        if math.isfinite(image.u_tail):
-            row = np.zeros(nvar)
-            for (i, j) in pairs:
-                if j >= ins.N + 1:
-                    row[col[(i, j)]] = 1.0
-            add("u(tail) >= sum tail z", row, image.u_tail)
-    return labels, np.array(A), np.array(b), eq, pairs, col
+    tail = [image.u_tail] if math.isfinite(image.u_tail) else []
+    b = np.array([image.a] + [vd[k] for k in ins.third_keys] + list(image.u)
+                 + tail)
+    chain = _chain_of(ins, len(b))
+    return chain.labels, chain.A, b, chain.eq, chain.pairs
 
 
 def _certificate_from_z(instance: CounterexampleInstance, z, pairs,
                         tol: float) -> MembershipCertificate:
-    """``(lambda, y)`` from an LP's z block (ordered like ``pairs``).
-
-    HiGHS returns z entries down to about -1e-7, so z is clipped first;
-    lambda is re-derived from z (lambda = sum 2^i z), since dividing by
-    the solver's raw lambda amplifies noise when the optimum is near 0.
-    """
-    z = np.maximum(np.asarray(z, dtype=float), 0.0)
+    """``(lambda, y)`` from the greedy's z >= 0 (ordered like ``pairs``),
+    with ``lambda = sum 2^i z`` and ``y = z / lambda``."""
     lam = float(sum((2.0 ** i) * z[k] for k, (i, _) in enumerate(pairs)))
     if lam <= max(tol, 1e-7):
         return MembershipCertificate(0.0, (((1, 1), 0.5),), instance.variant)
@@ -474,68 +424,171 @@ def _certificate_from_z(instance: CounterexampleInstance, z, pairs,
     return cert
 
 
-def _greedy(b, pairs, N: int):
-    """Variant L: the ``z`` (ordered like ``pairs``) of largest
-    ``lambda`` under ``_lp_rows``' rows with capacities ``b >= 0``.
+class _Chain(NamedTuple):
+    """``_lp_rows``' rows past the first as one chain problem.
 
-    With ``w = 4^i z`` the rows past the first are the boxes
-    ``w(i,j) <= 4^i b`` and the chain ``w(j <= n) <= b`` for n <= N,
-    followed by rows holding every pair (the tail row and, in rho_c, its
-    twin); the objective is ``lambda = sum 2^-i w``.  Pairs are filled
-    in ascending i, ties in descending j, each up to its least remaining
-    slack.
+    Those rows are the own rows ``b[1:first]`` (L: the box of each pair;
+    H: the row of each group j) and then the chain rows ``b[first:]``:
+    u(1..N), the tail row when ``u_tail`` is finite and, in rho_c, its
+    twin.  Each pair (i, j), ordered like ``pairs``, is an element with
+    a weight, a length ``factor * b[own]`` and the range ``span`` of
+    chain rows holding it with coefficient 1 in its units:
+
+    * L, in units of ``w = 4^i z``: weight ``2^-i`` and length
+      ``4^i v(i,j)``, held by the prefix rows u(n >= j) and the tail.
+    * H, in units of ``s = sum_i z(i,j)``: the pieces of group j's value
+      ``F_j(s) = max{sum_i 2^i z : sum_i z <= s, sum_i 4^i z <= v(j)}``.
+      Element (I, j) is the first piece, slope ``2^I`` over length
+      ``v(j)/4^I``, all on level I; element (i, j), i < I, is the piece
+      of slope ``(2/3) 2^i`` over length ``3 v(j)/4^(i+1)`` that trades
+      level i+1 for level i.  Each weight is ``unit`` = 3 times its
+      slope, a whole number, so that the cover's multipliers are exact.
+      Group j is held by the suffix rows u(n <= j) and, when j > N, by
+      the tail.
+
+    ``order`` is the greedy's: by decreasing weight, ties in descending
+    j.  For the cover, row l of ``member`` marks the elements of at
+    least the l-th largest weight, ``gap`` is that weight's distance to
+    the next one down (to 0 after the last), row 0 of ``out`` marks
+    every element and row 1 + c those off chain row c, and ``count``
+    is the number of rows of each cover, ``out`` row by ``member`` row.
+    ``labels``, ``A`` and ``eq`` are the rows of ``_lp_rows``.
     """
-    P = len(pairs)
-    slack = list(b[1 + P:])
-    z = np.zeros(P)
-    for k in sorted(range(P), key=lambda k: (pairs[k][0], -pairs[k][1])):
-        i, j = pairs[k]
-        first = min(j, N + 1) - 1  # the chain rows holding (i, j)
-        w = min([4.0 ** i * b[1 + k]] + slack[first:])
-        for r in range(first, len(slack)):
+
+    pairs: tuple
+    i: np.ndarray
+    j: np.ndarray
+    own: np.ndarray
+    factor: np.ndarray
+    span: tuple
+    first: int
+    unit: float
+    order: tuple
+    member: np.ndarray
+    gap: np.ndarray
+    out: np.ndarray
+    count: np.ndarray
+    labels: tuple
+    A: np.ndarray
+    eq: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _chain(I: int, J: int, N: int, variant: str, n_rows: int) -> _Chain:
+    pairs = diagonal_pairs(I, J)
+    i, j = np.array(pairs).T
+    first = 1 + (len(pairs) if variant == "L" else J)
+    last = n_rows - first  # past the last chain row
+    if variant == "L":
+        weight, factor = 2.0 ** -i, 4.0 ** i
+        own, lo, hi = np.arange(1, first), np.minimum(j, N + 1) - 1, last
+        own_coef, chain_coef, unit = 1.0, 4.0 ** i, 1.0
+        labels = [f"v({p},{q}) >= z({p},{q})" for p, q in pairs]
+        sums = "sum 4^i prefix z"
+    else:
+        weight = np.where(i == I, 3.0 * 2.0 ** i, 2.0 ** (i + 1))
+        factor = np.where(i == I, 4.0 ** -i, 3.0 * 4.0 ** -(i + 1))
+        own, lo, hi = j, 0, np.where(j <= N, j, last)
+        own_coef, chain_coef, unit = 4.0 ** i, 1.0, 3.0
+        labels = [f"v({q}) >= sum_i 4^i z(i,{q})" for q in range(1, J + 1)]
+        sums = "sum tail z"
+    # the tail row and, in rho_c, its twin
+    labels = ["a >= -lambda"] + labels + \
+        [f"u({n}) >= {sums}" for n in range(1, N + 1)] + \
+        [f"u(tail) >= {sums}"] * (last - N)
+    span = [(int(p), int(q)) for p, q in np.broadcast(lo, hi)]
+    order = sorted(range(len(pairs)), key=lambda k: (-weight[k], -j[k]))
+    levels = np.unique(weight)[::-1]
+    member = weight >= levels[:, None]
+    held = np.array([[p <= c < q for p, q in span] for c in range(last)],
+                    dtype=bool).reshape(last, len(pairs))
+    out = np.vstack([np.ones(len(pairs), dtype=bool), ~held])
+    count = member.astype(int) @ out.T.astype(int) + (np.arange(last + 1) > 0)
+    A = np.zeros((n_rows, 1 + len(pairs)))
+    A[0, 0] = -1.0
+    A[own, 1 + np.arange(len(pairs))] = own_coef
+    A[first:, 1:] = held * chain_coef
+    eq = np.concatenate(([1.0], -(2.0 ** i)))
+    chain = _Chain(tuple(pairs), i, j, own, factor, tuple(span), first, unit,
+                   tuple(order), member, levels - np.append(levels[1:], 0.0),
+                   out, count, tuple(labels), A, eq)
+    for value in chain:  # every caller shares the cached chain
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return chain
+
+
+def _chain_of(instance: CounterexampleInstance, n_rows: int) -> _Chain:
+    ins = instance
+    return _chain(ins.I, ins.J, ins.N, ins.variant, n_rows)
+
+
+def _greedy(chain: _Chain, b) -> np.ndarray:
+    """The ``z`` (ordered like ``pairs``) of largest lambda under
+    ``_lp_rows``' rows with capacities ``b >= 0`` past the first.
+
+    Elements are filled in ``order``, each up to the least of its length
+    and its chain rows' slacks.  An H group's pieces share their rows
+    and fall in slope, so they fill in turn; a piece filled to the
+    fraction ``theta`` of its length puts ``z(i,j) = (theta(i,j) -
+    theta(i-1,j)) v(j)/4^i`` on level i, which is at least 0 because a
+    piece starts only once the one before is full.
+    """
+    length = chain.factor * b[chain.own]
+    slack = list(b[chain.first:])
+    fill = np.zeros(len(length))
+    for k in chain.order:
+        lo, hi = chain.span[k]
+        w = min([length[k]] + slack[lo:hi])
+        for r in range(lo, hi):
             slack[r] -= w
-        z[k] = w / 4.0 ** i
-    return z
+        fill[k] = w
+    if chain.unit == 1.0:  # L: one piece per pair
+        return fill / chain.factor
+    i, j = chain.i, chain.j
+    theta = np.zeros((i.max() + 1, j.max()))
+    theta[i, j - 1] = np.divide(fill, length, out=np.zeros_like(fill),
+                                where=length > 0.0)
+    return (theta[i, j - 1] - theta[i - 1, j - 1]) * (b[chain.own] / 4.0 ** i)
 
 
 def _lam(z, pairs) -> float:
     return math.fsum((2.0 ** i) * z[k] for k, (i, _) in enumerate(pairs))
 
 
-def _cover(b, pairs, N: int) -> np.ndarray:
-    """Variant L: row multipliers ``rho`` with ``rho_a = 1`` and
-    ``A^T rho + eq >= 0`` whose cost ``sum_{r>0} rho_r b_r`` is the
-    greedy's ``lambda*`` at capacities ``b >= 0``.
+def _cover(chain: _Chain, b) -> np.ndarray:
+    """Row multipliers ``rho`` with ``rho_a = unit`` and ``A^T rho +
+    unit eq >= 0`` whose cost ``sum_{r>0} rho_r b_r`` is ``unit``
+    times the greedy's ``lambda*`` at capacities ``b >= 0``.
 
-    For each level i, the greedy's prefix (pairs with i' <= i) is
-    covered at least cost by one chain row (or none) plus the boxes of
-    the pairs that row leaves out; that cover's cost is the greedy's
-    ``w`` on the prefix.  Each row of the level-i cover gets
-    ``2^-i - 2^-(i+1)`` (``2^-I`` at the last level) in the units of
-    ``w = 4^i z``, so a pair of level i is covered ``2^-i`` times, its
-    weight in lambda.  Among covers of equal cost the one with the
-    fewest rows is taken, then the earliest row.  Every multiplier is
-    dyadic, so the inequality holds exactly in floats.
+    For each weight level, the elements of at least that weight are
+    covered at least cost by one chain row (or none) plus the lengths
+    of the elements that row leaves out; that cover's cost is the
+    greedy's value on them.  The row gets the level's ``gap``, so each
+    element is priced ``P``, the sum over its chain rows, at most its
+    weight.  Among covers of equal cost the one with the fewest rows is
+    taken, then the earliest row; the costs are summed left to right.
+    Each own row then gets the least multiplier that covers its columns:
+    ``4^i (2^-i - P)``, at least 0, for an L box (the sum of the gaps
+    of the levels whose cover leaves the pair out) and ``max(0, max_i
+    (3 2^i - P)/4^i)`` for an H group.  Every multiplier is a dyadic
+    rational, so the inequality holds exactly in floats.
     """
-    P = len(pairs)
-    I = max(i for i, _ in pairs)
-    box = [4.0 ** i * b[1 + k] for k, (i, _) in enumerate(pairs)]
+    first = chain.first
+    part = (chain.factor * b[chain.own]) * chain.member
+    cost = np.cumsum(part[:, None, :] * chain.out, axis=2)[:, :, -1]
+    cost[:, 1:] += b[first:]
     rho = np.zeros(len(b))
-    rho[0] = 1.0
-    for level in range(1, I + 1):
-        step = 2.0 ** -(level + 1) if level < I else 2.0 ** -I
-        members = [k for k, (i, _) in enumerate(pairs) if i <= level]
-        options = [(sum(box[k] for k in members), len(members), 0, members)]
-        for r in range(1 + P, len(b)):
-            n = r - P if r - P <= N else math.inf
-            rest = [k for k in members if pairs[k][1] > n]
-            options.append((b[r] + sum(box[k] for k in rest), 1 + len(rest),
-                            r, rest))
-        _, _, r, rest = min(options, key=lambda o: o[:3])
+    rho[0] = chain.unit
+    for gap, c, n in zip(chain.gap, cost, chain.count):
+        r = min(zip(c, n, range(len(c))))[2]
         if r:
-            rho[r] += step
-        for k in rest:
-            rho[1 + k] += 4.0 ** pairs[k][0] * step
+            rho[first + r - 1] += gap
+    # the zero of the lambda column floors each own multiplier at 0
+    need = -(chain.A.T @ rho + rho[0] * chain.eq)
+    own = chain.A[1:first]
+    rho[1:first] = np.divide(need, own, out=np.zeros_like(own),
+                             where=own > 0.0).max(axis=1)
     return rho
 
 
@@ -545,52 +598,28 @@ def membership(instance: CounterexampleInstance, image: TImage,
     ``_lp_rows``' rows?
 
     A row past the first with a negative capacity rejects the image.
-    Otherwise L runs the greedy (``_greedy``): the image is a member
-    exactly when ``a + lambda* >= 0``, up to 4 ulp of float rounding; H
-    maximizes lambda by a HiGHS LP.  Returns the certificate with
-    ``y = z / lambda`` of largest lambda (or the canonical ``lambda = 0``
-    certificate ``y(1,1) = 1/2`` when that lambda is at most
-    ``max(tol, 1e-7)``).  Otherwise raises NotAMember carrying a Farkas
-    certificate: row multipliers ``mu >= 0`` summing to at most 1 with
-    ``A^T mu + nu eq >= 0`` for some ``nu`` and ``mu . b < 0``, keyed by
-    row label, with ``mu . b`` as ``"__objective__"``: a negative row or
-    L's cover (``_cover``), audited before it is raised, or H's LP.
+    Otherwise the greedy (``_greedy``) gives the largest lambda, and the
+    image is a member exactly when ``a + lambda* >= 0``, up to 4 ulp of
+    float rounding.  Returns the certificate with ``y = z / lambda`` of
+    largest lambda (or the canonical ``lambda = 0`` certificate
+    ``y(1,1) = 1/2`` when that lambda is at most ``max(tol, 1e-7)``).
+    Otherwise raises NotAMember carrying a Farkas certificate: row
+    multipliers ``mu >= 0`` summing to 1 with ``A^T mu + nu eq >= 0``
+    for some ``nu`` and ``mu . b < 0``, keyed by row label, with
+    ``mu . b`` as ``"__objective__"``.  It is the negative row or the
+    cover (``_cover``), audited before it is raised.
     """
-    labels, A, b, eq, pairs, _ = _lp_rows(instance, image)
+    labels, A, b, eq, pairs = _lp_rows(instance, image)
     if np.any(b[1:] < 0.0):
         mu, nu = np.eye(len(b))[1 + int(np.argmin(b[1:]))], 0.0
-    elif instance.variant == "L":
-        z = _greedy(b, pairs, instance.N)
+    else:
+        chain = _chain_of(instance, len(b))
+        z = _greedy(chain, b)
         lam = _lam(z, pairs)
         if b[0] + lam >= -_ROUNDING * max(abs(b[0]), lam):
             return _certificate_from_z(instance, z, pairs, tol)
-        mu, nu = _cover(b, pairs, instance.N), 1.0
-    else:  # H: maximize lambda by HiGHS, else a Farkas LP
-        nvar = A.shape[1]
-        c = np.zeros(nvar)
-        c[0] = -1.0  # maximize lambda
-        res = linprog(c, A_ub=A, b_ub=b, A_eq=eq.reshape(1, -1), b_eq=[0.0],
-                      bounds=[(0, None)] * nvar, method="highs",
-                      options=_HIGHS_OPTIONS)
-        if res.status == 0:
-            return _certificate_from_z(instance, res.x[1:], pairs, tol)
-        # Farkas alternative: mu >= 0, A^T mu + nu * eq >= 0, mu . b < 0
-        nrow = A.shape[0]
-        fc = np.concatenate([b, [0.0, 0.0]])
-        f_Aub = np.hstack([-A.T, -eq.reshape(-1, 1), eq.reshape(-1, 1)])
-        f_Aub = np.vstack([f_Aub, np.concatenate([np.ones(nrow), [0.0, 0.0]])])
-        f_bub = np.concatenate([np.zeros(nvar), [1.0]])
-        far = linprog(fc, A_ub=f_Aub, b_ub=f_bub,
-                      bounds=[(0, None)] * nrow + [(0, None), (0, None)],
-                      method="highs")
-        certificate = None
-        if far.status == 0 and far.fun < -tol:
-            mu = far.x[:nrow]
-            certificate = {labels[r]: float(mu[r]) for r in range(nrow)
-                           if mu[r] > tol}
-            certificate["__objective__"] = float(far.fun)
-        raise NotAMember("image admits no certificate (not a member of C)",
-                         certificate=certificate)
+        mu = _cover(chain, b)
+        nu = mu[0]
     if not (mu @ b < 0.0 and np.all(A.T @ mu + nu * eq >= 0.0)):
         raise CertificateError("Farkas certificate fails its audit")
     mu = mu / mu.sum()
@@ -602,8 +631,9 @@ def membership(instance: CounterexampleInstance, image: TImage,
 
 def verify_certificate(instance: CounterexampleInstance, image: TImage,
                        cert: MembershipCertificate, tol: float = 1e-7) -> bool:
-    """Re-check all certificate constraints against the image."""
-    ins = instance
+    """Re-check all certificate constraints against the image: y holds
+    only pairs, and ``z = lambda y`` meets every row of ``_lp_rows`` past
+    the first up to ``tol (1 + lambda)``, the a row up to ``tol``."""
     lam = cert.lam
     y = cert.y_dict()
     if lam < -tol or any(val < -tol for val in y.values()):
@@ -612,34 +642,11 @@ def verify_certificate(instance: CounterexampleInstance, image: TImage,
         return False
     if image.a < -lam - tol:
         return False
-    scale = 1.0 + lam
-    vd = image.v_dict()
-    if ins.variant == "L":
-        for (i, j), val in y.items():
-            if vd.get((i, j), 0.0) < lam * val - tol * scale:
-                return False
-        for n in range(1, ins.N + 1):
-            rhs = lam * sum((4.0 ** i) * val for (i, j), val in y.items()
-                            if j <= n)
-            if image.u[n - 1] < rhs - tol * scale:
-                return False
-        if math.isfinite(image.u_tail):
-            rhs = lam * sum((4.0 ** i) * val for (i, j), val in y.items())
-            if image.u_tail < rhs - tol * scale:
-                return False
-    else:
-        for j in range(1, ins.J + 1):
-            rhs = lam * sum((4.0 ** i) * val for (i, jj), val in y.items()
-                            if jj == j)
-            if vd.get((j,), 0.0) < rhs - tol * scale:
-                return False
-        # n = N + 1 is the tail row, vacuous when u_tail is +inf
-        for n in range(1, ins.N + 2):
-            rhs = lam * sum(val for (i, j), val in y.items() if j >= n)
-            u_n = image.u[n - 1] if n <= ins.N else image.u_tail
-            if u_n < rhs - tol * scale:
-                return False
-    return True
+    _, A, b, _, pairs = _lp_rows(instance, image)
+    if not set(y) <= set(pairs):
+        return False
+    z = lam * np.array([y.get(pair, 0.0) for pair in pairs])
+    return bool(np.all(A[1:, 1:] @ z <= b[1:] + tol * (1.0 + lam)))
 
 
 def weak_approx_select(instance: CounterexampleInstance, targets, eps: float):
@@ -706,19 +713,20 @@ def weak_approx_select(instance: CounterexampleInstance, targets, eps: float):
                         "certificate": cert}
 
 
-def _rho_newton(rhs, b1, pairs, N: int):
-    """Variant L: ``(m*, z, mu, nu)`` for rho_c's rows ``b(m) = rhs +
-    m b1`` (first row ``a(m)``, the rest capacities).
+def _rho_newton(chain: _Chain, rhs, b1):
+    """``(m*, z, mu, nu)`` for rho_c's rows ``b(m) = rhs + m b1`` (first
+    row ``a(m)``, the rest capacities).
 
     Every row past the first needs ``b(m) >= 0``, a threshold in m; past
     the largest threshold, ``g(m) = a(m) + lambda*(b(m))`` is concave and
     increasing, and ``m*`` is its root.  Newton's method starts at that
     threshold and moves right: the cover multipliers at m give a line
-    ``rho . b(m)`` through ``g(m)`` that lies above g, so each root of
-    such a line is at most ``m*``, and it stops when g is nonnegative (up
-    to rounding) or the line's root does not move.  The last line,
-    normalized by ``rho . b1``, is the Farkas certificate below ``m*``;
-    if the threshold itself is ``m*``, the threshold row is.
+    ``rho . b(m)`` through ``unit * g(m)`` that lies above it, so each
+    root of such a line is at most ``m*``, and it stops when g is
+    nonnegative (up to rounding) or the line's root does not move.  The
+    last line, normalized by ``rho . b1``, is the Farkas certificate
+    below ``m*``; if the threshold itself is ``m*``, the threshold row
+    is.
     """
     # the one row without T 1, the tail row, holds for all m as tail >= 0
     rows = 1 + np.flatnonzero(b1[1:] > 0.0)
@@ -730,42 +738,17 @@ def _rho_newton(rhs, b1, pairs, N: int):
         # rows past the threshold can round to just below 0; the greedy
         # and the cover ignore the first row
         b = np.maximum(rhs + m * b1, 0.0)
-        z = _greedy(b, pairs, N)
-        a, lam = rhs[0] + m * b1[0], _lam(z, pairs)
+        z = _greedy(chain, b)
+        a, lam = rhs[0] + m * b1[0], _lam(z, chain.pairs)
         if a + lam >= -_ROUNDING * max(abs(a), lam):
             return m, z, mu, nu
-        rho = _cover(b, pairs, N)
+        rho = _cover(chain, b)
         slope = float(rho @ b1)
         root = -float(rho @ rhs) / slope
-        mu, nu = rho / slope, 1.0 / slope
+        mu, nu = rho / slope, rho[0] / slope
         if root <= m:
             return m, z, mu, nu
         m = root
-
-
-def _rho_lp(A, rhs, b1, eq, labels):
-    """Variant H: ``(m*, z, mu, nu)`` from one HiGHS LP over
-    ``(lambda, z, m)``, minimizing m."""
-    nvar = A.shape[1]
-    cost = np.zeros(nvar + 1)
-    cost[-1] = 1.0
-    res = linprog(cost, A_ub=np.hstack([A, -b1.reshape(-1, 1)]), b_ub=rhs,
-                  A_eq=np.append(eq, 0.0).reshape(1, -1), b_eq=[0.0],
-                  bounds=[(0, None)] * nvar + [(None, None)], method="highs",
-                  options=_HIGHS_OPTIONS)
-    if res.status == 2:
-        # with a nonnegative tail coefficient every row holds for large
-        # m; HiGHS drops matrix entries below its small_matrix_value
-        # (1e-9), and 1/t_n falls below it for large n
-        short = [r for r in range(1, len(rhs)) if rhs[r] < 0.0]
-        r = min(short, key=lambda r: b1[r]) if short else 0
-        raise NumericFailure(
-            f"rho_c LP reports infeasible; row {labels[r]!r} has right-hand "
-            f"side {float(rhs[r])!r} and T 1 coefficient {float(b1[r])!r}")
-    if res.status != 0:
-        raise NumericFailure(f"rho_c LP failed: {res.message}")
-    return (float(res.x[-1]), res.x[1:nvar], -res.ineqlin.marginals,
-            -float(res.eqlin.marginals[0]))
 
 
 def rho_c(instance: CounterexampleInstance, X: Combo,
@@ -777,11 +760,10 @@ def rho_c(instance: CounterexampleInstance, X: Combo,
     ``A (lambda, z) - m b1 <= b0 + c1 b1`` with ``m`` free; the tail row
     ``u_tail(m) = tail + min(0, (c1 + m)/t_N)`` splits into two.  The
     value is +inf exactly when the ``Xtail`` coefficient is negative,
-    since every other row's ``T 1`` coefficient is positive.  Variant L
-    runs Newton's method on the greedy (``_rho_newton``); variant H
-    solves one HiGHS LP, and raises NumericFailure naming the row when
-    that LP reports infeasible anyway.  Both certificates are checked
-    before ``m*`` is returned, else CertificateError:
+    since every other row's ``T 1`` coefficient is positive.  Both
+    variants run Newton's method on the greedy (``_rho_newton``), and
+    both certificates are checked before ``m*`` is returned, else
+    CertificateError:
 
     * primal: ``(lambda, z)`` verifies for ``X + m*`` at ``tol``;
     * dual: ``mu >= 0``, ``mu . b1 = 1``, ``A^T mu + nu eq >= 0`` and
@@ -790,22 +772,20 @@ def rho_c(instance: CounterexampleInstance, X: Combo,
     """
     ins = instance
     c1 = X.constant_part
-    labels, A, b0, eq, pairs, _ = _lp_rows(ins, t_operator(ins, X - c1))
+    b0 = _lp_rows(ins, t_operator(ins, X - c1))[2]
     if X.tail_coefficient < 0.0:
         return math.inf
     b1 = _lp_rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[2]
     # the last row is the tail row, where T 1 contributes 0; its twin
     # carries the constant part's (c1 + m)/t_N
-    A = np.vstack([A, A[-1]])
     b0 = np.append(b0, b0[-1])
     b1 = np.append(b1, 1.0 / ins.t_last)
     rhs = b0 + c1 * b1
-    if ins.variant == "L":
-        m, z, mu, nu = _rho_newton(rhs, b1, pairs, ins.N)
-    else:
-        m, z, mu, nu = _rho_lp(A, rhs, b1, eq, labels + [labels[-1]])
+    chain = _chain_of(ins, len(rhs))
+    A, eq = chain.A, chain.eq
+    m, z, mu, nu = _rho_newton(chain, rhs, b1)
     m += 0.0  # no -0.0 in reports
-    cert = _certificate_from_z(ins, z, pairs, _FEAS_TOL)
+    cert = _certificate_from_z(ins, z, chain.pairs, _FEAS_TOL)
     if not verify_certificate(ins, t_operator(ins, X + m), cert, tol=tol):
         raise CertificateError(f"primal certificate fails at m* = {m!r}")
     scale = tol * (1.0 + float(np.sum(np.abs(mu))))

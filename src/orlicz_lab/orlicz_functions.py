@@ -8,6 +8,7 @@ superlinear growth.  The catalog spans the four Delta_2 combinations:
 * ``exp``     -- ``e**t - 1``        (Delta_2 no,  conjugate yes)
 * ``entropy`` -- ``(1+t)log(1+t)-t`` (Delta_2 yes, conjugate no)
 * ``sparse``  -- piecewise-linear pair failing Delta_2 on both sides
+                 within its schedule's range (see ``build_sparse_pair``)
 """
 
 from __future__ import annotations
@@ -459,7 +460,16 @@ def sparse_schedule(bursts: int = 12, ratio: float = 2.0) -> PiecewiseSlopeSched
 def build_sparse_pair(schedule: PiecewiseSlopeSchedule) -> PiecewiseLinearFunction:
     """Piecewise-linear phi whose conjugate is exact piecewise-linear;
     both fail Delta_2 up to the schedule's range (bursts for phi,
-    stretches for the conjugate)."""
+    stretches for the conjugate), which is where witnesses are found.
+
+    Past its last kink phi is linear, so it satisfies Delta_2 at
+    infinity: for the default schedule ``phi(2t)/phi(t) = 2`` at
+    ``t = 2^200``.  Only the conjugate fails Delta_2 at infinity,
+    through its domain cap (phi's last slope, ``2^78`` by default), so
+    each finite instance built on the pair is a truncation shadow of
+    the construction.  The ``delta2`` flags record the failures within
+    the range.
+    """
     return PiecewiseLinearFunction(
         schedule.breakpoints, schedule.slopes, name="sparse",
         delta2=False, conjugate_delta2=False,

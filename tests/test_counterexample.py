@@ -1,11 +1,14 @@
+import ast
 import dataclasses
 import json
 import math
+import pathlib
 import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+import scipy.optimize
 from scipy.optimize import linprog
 
 import orlicz_lab.counterexample as cex
@@ -30,7 +33,7 @@ from orlicz_lab.counterexample import (
     weak_approx_select,
 )
 from orlicz_lab.errors import (CertificateError, InputError, NotAMember,
-                               NumericFailure, TruncationTooSmall)
+                               TruncationTooSmall)
 from orlicz_lab.finite_model import pairing
 from orlicz_lab.orlicz_functions import (build_sparse_pair, conjugate,
                                          delta2_witnesses, sparse_schedule)
@@ -279,23 +282,6 @@ class TestMembership:
                           variant=A.variant, u_tail=0.1)
             assert is_member(ins, image_add(A, bump))
 
-    def test_slightly_negative_z_entries_are_clipped(self, instance):
-        # LP solutions carry z entries down to about -1e-7; lambda and y
-        # must both be derived from the clipped z (unclipped, lambda drops
-        # by 2.2e-6 and the row-weighted sum misses 1 by 2.8e-6)
-        ins = instance
-        pairs = cex._lp_rows(ins, t_operator(ins, Combo(ins, {})))[4]
-        z = np.zeros(len(pairs))
-        z[pairs.index((1, 1))] = 0.3
-        z[pairs.index((2, 1))] = 0.05
-        z[pairs.index((3, 2))] = -8e-8
-        z[pairs.index((4, 1))] = -1e-7
-        cert = cex._certificate_from_z(ins, z, pairs, 1e-9)
-        assert cert.lam == pytest.approx(2.0 * 0.3 + 4.0 * 0.05, abs=1e-15)
-        assert cert.y_dict() == {(1, 1): 0.3 / cert.lam,
-                                 (2, 1): 0.05 / cert.lam}
-        assert cert.row_weighted_sum == pytest.approx(1.0, abs=1e-12)
-
     def test_images_slightly_below_zero_are_not_members(self, instance):
         # at HiGHS's default feasibility tolerance 1e-7 the image at
         # m = 1.46768, whose u is -6.8e-8, passed as a member although
@@ -356,7 +342,7 @@ class TestMembership:
             membership(ins, img)
         cert = dict(exc.value.certificate)
         obj = cert.pop("__objective__")
-        labels, A, b, eq, pairs, col = _lp_rows(ins, img)
+        labels, A, b, eq, pairs = _lp_rows(ins, img)
         mu = np.array([cert.get(lbl, 0.0) for lbl in labels])
         assert np.all(mu >= 0.0)
         assert float(mu @ b) < -1e-9
@@ -380,6 +366,26 @@ class TestVerifyCertificate:
         img = t_operator(instance, Combo(instance, {}))
         bad = MembershipCertificate(0.0, (((1, 1), -0.5),), "L")
         assert not verify_certificate(instance, img, bad)
+
+    def test_l_checks_every_box(self, instance):
+        # y names no pair (4, 4), yet its box v(4,4) >= z(4,4) = 0 fails
+        # on -W_44; only the boxes of the pairs in y used to be checked
+        ins = instance
+        img = t_operator(ins, Combo(ins, {("W", 4, 4): -1.0}))
+        cert = MembershipCertificate(0.0, (((1, 1), 0.5),), "L")
+        assert not verify_certificate(ins, img, cert)
+        with pytest.raises(NotAMember):
+            membership(ins, img)
+
+    @pytest.mark.parametrize("variant", ["L", "H"])
+    def test_rejects_pairs_outside_the_grid(self, instance, instance_h,
+                                            variant):
+        ins = instance if variant == "L" else instance_h
+        img = t_operator(ins, Combo(ins, {("one",): 1.0}))
+        i = ins.I + 1
+        cert = MembershipCertificate(1.0, (((i, 1), 2.0 ** -i),), variant)
+        assert cert.row_weighted_sum == 1.0
+        assert not verify_certificate(ins, img, cert)
 
     def test_h_checks_the_tail_row(self, phi):
         # every row but u(tail) >= lambda * sum_{j > N} y holds
@@ -493,54 +499,6 @@ class TestRhoC:
             pytest.approx(2.0 * value, rel=1e-9)
 
     @staticmethod
-    def _tamper(monkeypatch, edit):
-        real = cex.linprog
-
-        def tampered(*args, **kwargs):
-            res = real(*args, **kwargs)
-            edit(res)
-            return res
-
-        monkeypatch.setattr(cex, "linprog", tampered)
-
-    def test_perturbed_dual_multipliers_raise(self, instance_h, monkeypatch):
-        X = Combo(instance_h, {("W0",): -1.0})
-
-        def scale_all(r):  # keeps the gap closed, breaks mu . b1 = 1
-            r.ineqlin.marginals *= 2.0
-            r.eqlin.marginals *= 2.0
-
-        def negative_tail(r):
-            # the last two rows are the tail row and its twin: equal rows
-            # of A and equal right-hand sides here, so moving weight from
-            # one to the other breaks only mu >= 0
-            r.ineqlin.marginals[-2] += 0.01
-            r.ineqlin.marginals[-1] -= 0.01
-
-        for edit in (lambda r: r.ineqlin.marginals.__imul__(0.5),
-                     lambda r: r.ineqlin.marginals.__isub__(0.1),
-                     lambda r: r.eqlin.marginals.__iadd__(1.0),
-                     scale_all, negative_tail):
-            with monkeypatch.context() as mp:
-                self._tamper(mp, edit)
-                with pytest.raises(CertificateError):
-                    rho_c(instance_h, X)
-
-    def test_perturbed_primal_point_raises(self, instance_h, monkeypatch):
-        X = Combo(instance_h, {("Xtail", 3): 2.0, ("W0",): -1.0,
-                               ("W", 3): 0.5})
-        # z off the optimum fails the primal check; m* moved down fails
-        # it too, and m* moved up keeps a valid primal certificate but
-        # leaves the duality gap the dual check measures
-        for edit in (lambda r: r.x.__setitem__(1, r.x[1] + 0.5),
-                     lambda r: r.x.__setitem__(-1, r.x[-1] - 0.1),
-                     lambda r: r.x.__setitem__(-1, r.x[-1] + 0.1)):
-            with monkeypatch.context() as mp:
-                self._tamper(mp, edit)
-                with pytest.raises(CertificateError):
-                    rho_c(instance_h, X)
-
-    @staticmethod
     def _tamper_greedy(monkeypatch, edit):
         real = cex._rho_newton
 
@@ -550,8 +508,11 @@ class TestRhoC:
 
         monkeypatch.setattr(cex, "_rho_newton", tampered)
 
-    def test_perturbed_greedy_multipliers_raise(self, instance, monkeypatch):
-        X = Combo(instance, {("W0",): -1.0})
+    @pytest.mark.parametrize("variant", ["L", "H"])
+    def test_perturbed_greedy_multipliers_raise(self, instance, instance_h,
+                                                variant, monkeypatch):
+        ins = instance if variant == "L" else instance_h
+        X = Combo(ins, {("W0",): -1.0})
 
         def negative_tail(m, z, mu, nu):
             # the tail row and its twin: equal rows of A and equal
@@ -563,44 +524,60 @@ class TestRhoC:
         for edit in (lambda m, z, mu, nu: (m, z, 0.5 * mu, nu),
                      lambda m, z, mu, nu: (m, z, mu - 0.1, nu),
                      lambda m, z, mu, nu: (m, z, mu, nu + 1.0),
+                     lambda m, z, mu, nu: (m, z, mu, nu - 1.0),
+                     # keeps the gap closed, breaks mu . b1 = 1
                      lambda m, z, mu, nu: (m, z, 2.0 * mu, 2.0 * nu),
                      negative_tail):
             with monkeypatch.context() as mp:
                 self._tamper_greedy(mp, edit)
                 with pytest.raises(CertificateError):
-                    rho_c(instance, X)
+                    rho_c(ins, X)
 
-    def test_perturbed_greedy_primal_point_raises(self, instance,
-                                                  monkeypatch):
-        X = Combo(instance, {("Xtail", 3): 2.0, ("W0",): -1.0,
-                             ("W", 1, 3): 0.5})
+    @pytest.mark.parametrize("variant", ["L", "H"])
+    def test_perturbed_greedy_primal_point_raises(self, instance, instance_h,
+                                                  variant, monkeypatch):
+        ins = instance if variant == "L" else instance_h
+        X = Combo(ins, {("Xtail", 3): 2.0, ("W0",): -1.0,
+                        ("W", *ins.third_keys[-1]): 0.5})
 
         def shift_z(m, z, mu, nu):
             z[0] += 0.5
             return m, z, mu, nu
 
+        # z off the optimum fails the primal check; m* moved down fails
+        # it too, and m* moved up keeps a valid primal certificate but
+        # leaves the duality gap the dual check measures
         for edit in (shift_z,
                      lambda m, z, mu, nu: (m - 0.1, z, mu, nu),
                      lambda m, z, mu, nu: (m + 0.1, z, mu, nu)):
             with monkeypatch.context() as mp:
                 self._tamper_greedy(mp, edit)
                 with pytest.raises(CertificateError):
-                    rho_c(instance, X)
+                    rho_c(ins, X)
 
-    def test_minus_x_n_is_t_n(self, instance, instance_h):
+    @pytest.mark.parametrize("variant", ["L", "H"])
+    def test_minus_x_n_is_t_n(self, instance, instance_h, variant):
         # 1/t_n falls below HiGHS's small_matrix_value (1e-9) from n = 6
-        # on; the LP then read the row u(n) as 0 <= -1 and returned +inf
-        for n, b in enumerate(instance.x_seq.blocks, start=1):
-            X = Combo(instance, {("X", n): -1.0})
-            assert rho_c(instance, X) == pytest.approx(b.height, rel=1e-12)
-        assert rho_c(instance, Combo(instance, {("X", 6): -1.0})) == 2.0 ** 36
-        for n, b in enumerate(instance_h.x_seq.blocks, start=1):
-            try:
-                value = rho_c(instance_h, Combo(instance_h, {("X", n): -1.0}))
-            except NumericFailure as exc:
-                assert f"u({n})" in str(exc)
-            else:
-                assert value == pytest.approx(b.height, rel=1e-9)
+        # on; an LP then read the row u(n) as 0 <= -1 and returned +inf
+        # or gave up
+        ins = instance if variant == "L" else instance_h
+        for n, b in enumerate(ins.x_seq.blocks, start=1):
+            X = Combo(ins, {("X", n): -1.0})
+            assert rho_c(ins, X) == pytest.approx(b.height, rel=1e-12)
+        assert rho_c(ins, Combo(ins, {("X", 6): -1.0})) == 2.0 ** 36
+
+    @pytest.mark.parametrize("variant", ["L", "H"])
+    def test_tiny_constants_keep_cash_additivity(self, instance, instance_h,
+                                                 variant):
+        # an LP at feasibility 1e-10 gave rho_c(-1e-12 * 1) = 0.0 on H,
+        # while membership rejected -1e-12 * 1; at m = 0 the two must
+        # agree: X is rejected exactly when rho_c(X) > 0
+        ins = instance if variant == "L" else instance_h
+        for c in (1e-12, 1e-6, 1.0):
+            for X in (Combo(ins, {("one",): -c}), Combo(ins, {("one",): c})):
+                value = rho_c(ins, X)
+                assert value == pytest.approx(-X.constant_part, rel=1e-12)
+                assert is_member(ins, t_operator(ins, X)) == (value <= 0.0)
 
     def test_minus_z_key_is_its_height(self, instance):
         # E[Z_key] falls to 8e-25, far below HiGHS's small_matrix_value
@@ -627,7 +604,7 @@ HIGHS = {"primal_feasibility_tolerance": 1e-10}
 def highs_max_lambda(ins, img):
     """Reference: HiGHS' largest lambda on ``_lp_rows``' rows, or None
     when the LP is infeasible."""
-    _, A, b, eq, _, _ = cex._lp_rows(ins, img)
+    _, A, b, eq, _ = cex._lp_rows(ins, img)
     cost = np.zeros(A.shape[1])
     cost[0] = -1.0
     res = linprog(cost, A_ub=A, b_ub=b, A_eq=eq.reshape(1, -1), b_eq=[0.0],
@@ -642,7 +619,7 @@ def highs_rho(ins, X):
     (its small_matrix_value), so a row whose ``T 1`` coefficient is that
     small loses m; such a row must keep a clearly positive capacity."""
     c1 = X.constant_part
-    _, A, b0, eq, _, _ = cex._lp_rows(ins, t_operator(ins, X - c1))
+    _, A, b0, eq, _ = cex._lp_rows(ins, t_operator(ins, X - c1))
     b1 = cex._lp_rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[2]
     A = np.vstack([A, A[-1]])
     rhs = np.append(b0, b0[-1]) + c1 * np.append(b1, 1.0 / ins.t_last)
@@ -663,7 +640,7 @@ def audit_farkas(ins, img, certificate):
     """The audit of ``TestMembership.test_farkas_certificate_audits``."""
     cert = dict(certificate)
     cert.pop("__objective__")
-    labels, A, b, eq, _, _ = cex._lp_rows(ins, img)
+    labels, A, b, eq, _ = cex._lp_rows(ins, img)
     mu = np.array([cert.get(lbl, 0.0) for lbl in labels])
     assert np.all(mu >= 0.0)
     assert float(mu @ b) < -1e-9 * max(1.0, float(np.abs(mu * b).max()))
@@ -677,8 +654,10 @@ TRUNCATIONS = [(4, 4, 8), (3, 4, 5), (4, 5, 3), (2, 2, 1)]
 POSITIVE = [0.125, 0.25, 0.5, 1.0, 2.0]
 
 
-@pytest.fixture(scope="module", params=TRUNCATIONS,
-                ids=["x".join(map(str, t)) for t in TRUNCATIONS])
+@pytest.fixture(scope="module",
+                params=[(*t, v) for v in "LH" for t in TRUNCATIONS],
+                ids=["x".join(map(str, t)) + v for v in "LH"
+                     for t in TRUNCATIONS])
 def truncated(request, phi):
     return build_instance(phi, *request.param)
 
@@ -722,7 +701,8 @@ class TestGreedyAgainstHighs:
             assert reference is not None
             assert verify_certificate(ins, img, cert)
             pairs = cex._lp_rows(ins, img)[4]
-            lam = cex._lam(cex._greedy(b, pairs, ins.N), pairs)
+            chain = cex._chain_of(ins, len(b))
+            lam = cex._lam(cex._greedy(chain, b), pairs)
             assert lam == pytest.approx(reference, rel=1e-9, abs=1e-12)
         value = rho_c(ins, X)
         assert math.isfinite(value) == (X.tail_coefficient >= 0.0)
@@ -731,22 +711,97 @@ class TestGreedyAgainstHighs:
             assert value == pytest.approx(reference, rel=1e-9, abs=1e-9)
 
 
-class TestNoSolverOnVariantL:
-    def test_exhibit_rho_and_membership_make_no_lp(self, instance,
+def greedy_by_pairs(b, pairs, N):
+    """Variant L's greedy as a loop over ``pairs``, the reference that
+    ``_greedy`` must equal bit for bit."""
+    P = len(pairs)
+    slack = list(b[1 + P:])
+    z = np.zeros(P)
+    for k in sorted(range(P), key=lambda k: (pairs[k][0], -pairs[k][1])):
+        i, j = pairs[k]
+        first = min(j, N + 1) - 1
+        w = min([4.0 ** i * b[1 + k]] + slack[first:])
+        for r in range(first, len(slack)):
+            slack[r] -= w
+        z[k] = w / 4.0 ** i
+    return z
+
+
+def cover_by_levels(b, pairs, N):
+    """Variant L's cover as a loop over levels that adds each level's
+    step to the box of every pair its chain row leaves out, the
+    reference that ``_cover`` must equal bit for bit."""
+    P = len(pairs)
+    I = max(i for i, _ in pairs)
+    box = [4.0 ** i * b[1 + k] for k, (i, _) in enumerate(pairs)]
+    rho = np.zeros(len(b))
+    rho[0] = 1.0
+    for level in range(1, I + 1):
+        step = 2.0 ** -(level + 1) if level < I else 2.0 ** -I
+        members = [k for k, (i, _) in enumerate(pairs) if i <= level]
+        options = [(sum(box[k] for k in members), len(members), 0, members)]
+        for r in range(1 + P, len(b)):
+            n = r - P if r - P <= N else math.inf
+            rest = [k for k in members if pairs[k][1] > n]
+            options.append((b[r] + sum(box[k] for k in rest), 1 + len(rest),
+                            r, rest))
+        _, _, r, rest = min(options, key=lambda o: o[:3])
+        if r:
+            rho[r] += step
+        for k in rest:
+            rho[1 + k] += 4.0 ** pairs[k][0] * step
+    return rho
+
+
+class TestChainAgainstTheLoops:
+    @settings(max_examples=300)
+    @given(I=st.integers(1, 4), J=st.integers(1, 5), N=st.integers(1, 6),
+           extra=st.integers(0, 2), data=st.data())
+    def test_l_greedy_and_cover_are_the_loops_bit_for_bit(self, I, J, N,
+                                                          extra, data):
+        # extra chain rows: none, the tail row, the tail row and its twin;
+        # capacities repeat, so that covers tie
+        n_rows = 1 + I * J + N + extra
+        chain = cex._chain(I, J, N, "L", n_rows)
+        caps = st.sampled_from([0.0, 1e-3, 0.25, 0.5, 1.0, 3.0, 7.5])
+        b = np.array([-1.0] + [data.draw(caps) for _ in range(n_rows - 1)])
+        assert np.array_equal(cex._greedy(chain, b),
+                              greedy_by_pairs(b, chain.pairs, N))
+        assert np.array_equal(cex._cover(chain, b),
+                              cover_by_levels(b, chain.pairs, N))
+
+
+class TestNoSolver:
+    def test_the_module_imports_no_solver(self):
+        tree = ast.parse(pathlib.Path(cex.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "scipy"
+                               for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "scipy"
+            else:
+                assert not (isinstance(node, ast.Name)
+                            and node.id == "linprog")
+
+    def test_exhibit_rho_and_membership_make_no_lp(self, instance, instance_h,
                                                    monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("variant L called linprog")
+            raise AssertionError("counterexample called linprog")
 
-        monkeypatch.setattr(cex, "linprog", refuse)
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        # a module-level binding of the solver would escape the patch above
+        monkeypatch.setattr(cex, "linprog", refuse, raising=False)
         ins = instance
         report = gap_exhibit(ins, targets(ins), 1e-2)
         assert report["infeasibility_certificate"] == {
             "a >= -lambda": 2.0 / 3.0, "u(4) >= sum 4^i prefix z": 1.0 / 3.0,
             "__objective__": -2.0 / 3.0}
-        assert rho_c(ins, Combo(ins, {("X", 2): -2.0})) == \
-            pytest.approx(2.0 * ins.x_seq.blocks[1].height, rel=1e-12)
-        with pytest.raises(NotAMember):
-            membership(ins, t_operator(ins, Combo(ins, {("W0",): -1.0})))
+        for ins in (instance, instance_h):
+            assert rho_c(ins, Combo(ins, {("X", 2): -2.0})) == \
+                pytest.approx(2.0 * ins.x_seq.blocks[1].height, rel=1e-12)
+            with pytest.raises(NotAMember):
+                membership(ins, t_operator(ins, Combo(ins, {("W0",): -1.0})))
 
 
 class TestWeakApproxSelect:
