@@ -239,6 +239,14 @@ class CounterexampleInstance:
         t = self.t_last
         return (t / float(self.phi(t))) * 2.0 ** (-self.N)
 
+    @functools.cached_property
+    def _one_rows(self) -> np.ndarray:
+        """``_lp_rows``' right-hand side for ``T 1``, built once; rho_c
+        reads it on every call."""
+        b1 = _lp_rows(self, t_operator(self, Combo(self, {("one",): 1.0})))[2]
+        b1.setflags(write=False)
+        return b1
+
 
 class Combo:
     """Finite linear combination of instance blocks, the constant, and
@@ -775,7 +783,7 @@ def rho_c(instance: CounterexampleInstance, X: Combo,
     b0 = _lp_rows(ins, t_operator(ins, X - c1))[2]
     if X.tail_coefficient < 0.0:
         return math.inf
-    b1 = _lp_rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[2]
+    b1 = ins._one_rows
     # the last row is the tail row, where T 1 contributes 0; its twin
     # carries the constant part's (c1 + m)/t_N
     b0 = np.append(b0, b0[-1])

@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import CrossCheckFailure, NumericFailure
 from .finite_model import RandomVariable, pairing
-from .orlicz_functions import OrliczFunction, conjugate
+from .orlicz_functions import (OrliczFunction, conjugate, double_until,
+                               newton_from_right)
 
 __all__ = [
     "modular",
@@ -17,9 +18,6 @@ __all__ = [
     "holder_check",
     "phi_inverse",
 ]
-
-_MAX_DOUBLINGS = 200
-
 
 def _expect(p: np.ndarray, vals: np.ndarray) -> float:
     """``sum_i p_i v_i`` as one correctly rounded sum, so the value does not
@@ -64,10 +62,11 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
 
     In closed form when phi provides one: under ``coef * t**p`` the norm
     is ``m * (coef * E[(|X|/m)**p])**(1/p)`` with ``m = max|x_i|``.
-    Otherwise by monotone bisection: the bracket is grown/shrunk by
-    doubling from ``max|x_i|``, and the returned value is the lower
-    bracket (the infimum is approached from the right), with relative
-    width 1e-10.
+    Otherwise by Newton's method from the right in ``v = m / lam`` on the
+    convex ``E[phi(v |X| / m)]``, along ``phi.rderiv``, started by
+    doubling from ``v = 1`` (``newton_from_right``).  The value returned
+    is the lower end ``lam`` of a certified bracket: the modular is above
+    1 at ``lam`` and at most 1 at ``lam * (1 + 1e-10)``.
     """
     x_abs = np.abs(X.x)
     if not np.any(x_abs > 0):
@@ -76,34 +75,22 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
     exact = phi.luxemburg_closed_form(x_abs, p)
     if exact is not None:
         return exact
-    lam = float(np.max(x_abs))
-    if _modular_raw(x_abs, p, phi, lam) <= 1.0:
-        hi = lam
-        lo = lam
-        for _ in range(_MAX_DOUBLINGS):
-            lo /= 2.0
-            if _modular_raw(x_abs, p, phi, lo) > 1.0:
-                break
-            hi = lo
-        else:
-            raise NumericFailure("luxemburg_norm: lower bracket not found")
-    else:
-        lo = lam
-        hi = lam
-        for _ in range(_MAX_DOUBLINGS):
-            hi *= 2.0
-            if _modular_raw(x_abs, p, phi, hi) <= 1.0:
-                break
-            lo = hi
-        else:
-            raise NumericFailure("luxemburg_norm: upper bracket not found")
-    while hi - lo > 1e-10 * lo:
-        mid = 0.5 * (lo + hi)
-        if _modular_raw(x_abs, p, phi, mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    m = float(np.max(x_abs))
+    x_unit = x_abs / m
+
+    def excess(v: float) -> float:
+        return _modular_raw(x_abs, p, phi, m / v) - 1.0
+
+    def slope(v: float) -> float:
+        with np.errstate(invalid="ignore"):
+            return _expect(p, x_unit * phi.rderiv(x_unit * v))
+
+    lo, hi = double_until(lambda v: excess(v) > 0.0, 1.0,
+                          "luxemburg_norm: bracket not found")
+    lo, hi = newton_from_right(excess, slope, lo, hi, 1e-10)
+    if not math.isfinite(m / lo):
+        raise NumericFailure("luxemburg_norm: norm beyond the double range")
+    return m / hi
 
 
 def phi_inverse(phi: OrliczFunction, v: float) -> float:
@@ -119,15 +106,18 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction,
                 psi: OrliczFunction | None = None) -> float:
     """Definitional Orlicz norm ``sup{|E[XY]| : ||X||_phi <= 1}``.
 
-    The supremum is computed by the stationarity method (the optimal X
-    inverts the right-derivative of phi at a common multiplier fixed by
-    the unit-modular constraint, with residual budget distributed along
-    flat segments).  An independent Amemiya value
+    The supremum is ``phi.orlicz_definitional``: the optimal X inverts
+    the right-derivative of phi at a common multiplier fixed by the
+    unit-modular constraint, which power, exp, entropy and
+    piecewise-linear phi solve for exactly (in closed form, by one
+    sorted pass, by Newton's method and by one fractional-knapsack pass)
+    and other phi by bisection.  An independent Amemiya value
     ``inf_k (1 + E[psi(k|Y|)]) / k`` is computed (``_orlicz_amemiya``: in
     closed form for a power psi, else by golden-section search) and the
     two must agree within 1e-6 relative; the definitional value is
     returned.  The atoms are first sorted by ``(|y_i|, p_i)``, so the
-    value does not depend on their order.
+    value does not depend on their order, and both solves run on
+    ``|Y| / max|y_i|``, so the value does not depend on the scale of Y.
     """
     y_abs = np.abs(Y.x)
     if not np.any(y_abs > 0):
@@ -135,70 +125,18 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction,
     if psi is None:
         psi = conjugate(phi)
     order = np.lexsort((Y.space.p, y_abs))
-    y_abs, p = y_abs[order], Y.space.p[order]
-    definitional = _orlicz_definitional(y_abs, p, phi)
+    m = float(np.max(y_abs))
+    y_abs, p = y_abs[order] / m, Y.space.p[order]
+    definitional = phi.orlicz_definitional(y_abs, p)
     amemiya = _orlicz_amemiya(y_abs, p, psi)
     scale = max(abs(definitional), abs(amemiya), 1e-300)
     if abs(definitional - amemiya) > 1e-6 * scale:
         raise CrossCheckFailure(
-            f"orlicz_norm: definitional {definitional!r} vs Amemiya {amemiya!r} "
-            f"disagree beyond 1e-6 relative (conjugate-pair inconsistency?)"
+            f"orlicz_norm: definitional {m * definitional!r} vs Amemiya "
+            f"{m * amemiya!r} disagree beyond 1e-6 relative "
+            f"(conjugate-pair inconsistency?)"
         )
-    return definitional
-
-
-def _orlicz_definitional(y_abs: np.ndarray, p: np.ndarray,
-                         phi: OrliczFunction) -> float:
-    active = y_abs > 0
-
-    def h(mu: float) -> float:
-        try:
-            x = phi.rderiv_inverse_left(mu * y_abs)
-        except NumericFailure:
-            return math.inf
-        vals = np.asarray(phi(x), dtype=float)
-        if np.any(~np.isfinite(vals)):
-            return math.inf
-        return float(np.sum(p * vals))
-
-    # bracket the multiplier: h nondecreasing, h(0) = 0
-    lo, hi = 0.0, 1.0
-    for _ in range(_MAX_DOUBLINGS * 6):
-        if h(hi) > 1.0:
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise NumericFailure("orlicz_norm: multiplier bracket not found")
-    for _ in range(120):
-        if hi - lo <= 1e-14 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if h(mid) <= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    mu = lo if lo > 0 else hi * 0.5
-    x = phi.rderiv_inverse_left(mu * y_abs)
-    budget = 1.0 - float(np.sum(p * np.asarray(phi(x), dtype=float)))
-    # distribute residual budget along flat segments (atoms whose
-    # stationarity inverse jumps across the bracket)
-    if budget > 1e-15:
-        try:
-            x_hi = phi.rderiv_inverse_left(hi * y_abs)
-        except NumericFailure:
-            x_hi = np.where(active, math.inf, 0.0)
-        jump = active & (x_hi > x * (1 + 1e-9) + 1e-300)
-        for i in np.where(jump)[0]:
-            slope = float(phi.rderiv(x[i]))
-            if slope <= 0:
-                continue
-            room = x_hi[i] - x[i]
-            d = min(room, budget / (p[i] * slope))
-            x[i] += d
-            budget -= p[i] * slope * d
-            if budget <= 1e-15:
-                break
-    return _expect(p, x * y_abs)
+    return m * definitional
 
 
 def _orlicz_amemiya(y_abs: np.ndarray, p: np.ndarray,

@@ -43,6 +43,64 @@ __all__ = [
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-10
 _BRACKET_CAP = 1e300
+#: Most doublings (or safeguarded Newton steps) one bracket search makes.
+_MAX_DOUBLINGS = 1100
+
+
+def double_until(holds, x: float, failure: str) -> tuple[float, float]:
+    """``(before, at)``: ``at`` is the first of ``x, 2x, 4x, ...`` at which
+    the monotone predicate ``holds`` is true, ``before`` the point tried
+    just before it (0.0 when ``at`` is ``x``).  Raises NumericFailure
+    with the message ``failure`` once the point passes 1e300."""
+    before = 0.0
+    for _ in range(_MAX_DOUBLINGS):
+        if holds(x):
+            return before, x
+        before, x = x, 2.0 * x
+        if x > _BRACKET_CAP:
+            break
+    raise NumericFailure(failure)
+
+
+def newton_from_right(excess, slope, lo: float, hi: float,
+                      rtol: float) -> tuple[float, float]:
+    """Root bracket ``(lo, hi)`` of a convex nondecreasing ``excess``, with
+    ``excess(lo) <= 0 < excess(hi)`` and ``hi - lo <= rtol * lo``, from a
+    first bracket of the same kind.
+
+    Newton steps along the right derivative ``slope`` from ``hi`` never
+    pass the root of a convex function, so each one moves ``hi``.  A step
+    that leaves the bracket, or starts from a value that is not finite,
+    is replaced by the midpoint.  A step shorter than a quarter of the
+    tolerance is replaced by a probe just left of ``hi``; a Newton point
+    that lands on the root in rounding is followed by a probe just right
+    of it.  A probe on the expected side closes the bracket; otherwise
+    the search goes on from the narrower bracket."""
+    f_hi = excess(hi)
+    landed = False
+    for _ in range(_MAX_DOUBLINGS):
+        if hi - lo <= rtol * lo:
+            return lo, hi
+        newton = False
+        if landed:
+            c = lo * (1.0 + 0.5 * rtol)
+        else:
+            d = slope(hi) if math.isfinite(f_hi) else math.nan
+            c = hi - f_hi / d if d > 0.0 else math.nan
+            if not lo < c < hi:
+                c = 0.5 * (lo + hi)
+            elif hi - c <= 0.25 * rtol * hi:
+                c = hi * (1.0 - 0.5 * rtol)
+            else:
+                newton = True
+        f_c = excess(c)
+        if f_c > 0.0:
+            hi, f_hi = c, f_c
+            landed = False
+        else:
+            lo = c
+            landed = newton
+    raise NumericFailure("newton_from_right: bracket did not close")
 
 
 class OrliczFunction:
@@ -94,6 +152,67 @@ class OrliczFunction:
         form, or None when there is none."""
         return None
 
+    def orlicz_definitional(self, y_abs: np.ndarray, p: np.ndarray) -> float:
+        """``sup{E[X y] : E[self(X)] <= 1, X >= 0}`` for atoms ``y_abs >= 0``
+        (not all zero, sorted ascending) with probabilities ``p``.
+
+        The optimal X inverts the right-derivative at ``mu * y_abs`` for
+        the multiplier ``mu`` at which the modular reaches 1, and the
+        residual budget goes along flat segments.  Here ``mu`` is found by
+        bisection to width 1e-14; subclasses solve for it directly."""
+        active = y_abs > 0
+
+        def h(mu: float) -> float:
+            try:
+                x = self.rderiv_inverse_left(mu * y_abs)
+            except NumericFailure:
+                return math.inf
+            vals = np.asarray(self(x), dtype=float)
+            if np.any(~np.isfinite(vals)):
+                return math.inf
+            return float(np.sum(p * vals))
+
+        # bracket the multiplier: h nondecreasing, h(0) = 0
+        lo, hi = double_until(lambda mu: h(mu) > 1.0, 1.0,
+                              "orlicz_norm: multiplier bracket not found")
+        for _ in range(120):
+            if hi - lo <= 1e-14 * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            if h(mid) <= 1.0:
+                lo = mid
+            else:
+                hi = mid
+        mu = lo if lo > 0 else hi * 0.5
+        x = self.rderiv_inverse_left(mu * y_abs)
+        budget = 1.0 - float(np.sum(p * np.asarray(self(x), dtype=float)))
+        # distribute residual budget along flat segments (atoms whose
+        # stationarity inverse jumps across the bracket); an atom past
+        # the largest slope has unbounded room
+        if budget > 1e-15:
+            def left_end(s: float) -> float:
+                try:
+                    return self.rderiv_inverse_left(s)
+                except NumericFailure:
+                    return math.inf
+
+            try:
+                x_hi = self.rderiv_inverse_left(hi * y_abs)
+            except NumericFailure:
+                x_hi = _elementwise(left_end, hi * y_abs)
+            jump = active & (x_hi > x * (1 + 1e-9) + 1e-300)
+            for i in np.where(jump)[0]:
+                slope = float(self.rderiv(x[i]))
+                if slope <= 0:
+                    continue
+                room = x_hi[i] - x[i]
+                d = min(room, budget / (p[i] * slope))
+                x[i] += d
+                budget -= p[i] * slope * d
+                if budget <= 1e-15:
+                    break
+        return math.fsum((p * (x * y_abs)).tolist())
+
     def rderiv_inverse_left(self, s):
         """Left endpoint of ``{t : rderiv(t) = s}`` (0 when rderiv(0) >= s),
         entrywise; a scalar ``s`` gives a float.  Raises NumericFailure
@@ -108,15 +227,9 @@ class OrliczFunction:
         def left_end(s: float) -> float:
             if s <= self.rderiv(0.0):
                 return 0.0
-            lo, hi = 0.0, 1.0
-            n = 0
-            while self.rderiv(hi) < s:
-                lo, hi = hi, hi * 2.0
-                n += 1
-                if hi > _BRACKET_CAP or n > 1100:
-                    raise NumericFailure(
-                        f"{self.name}: slope {s:g} beyond representable range"
-                    )
+            lo, hi = double_until(
+                lambda t: self.rderiv(t) >= s, 1.0,
+                f"{self.name}: slope {s:g} beyond representable range")
             while hi - lo > _ABS_TOL + _REL_TOL * hi:
                 mid = 0.5 * (lo + hi)
                 if self.rderiv(mid) < s:
@@ -130,16 +243,13 @@ class OrliczFunction:
     def inverse(self, v: float) -> float:
         """Solve ``self(t) = v`` for ``v > 0``: bracket by doubling, then
         bisect to width 1e-12 absolute plus relative."""
-        lo, hi = 0.0, 1.0
-        for _ in range(1100):
+        def reaches(t: float) -> bool:
             try:
-                if float(self(hi)) >= v:
-                    break
-            except NumericFailure:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            raise NumericFailure("phi_inverse: bracket not found")
+                return float(self(t)) >= v
+            except NumericFailure:  # past the domain cap
+                return True
+
+        lo, hi = double_until(reaches, 1.0, "phi_inverse: bracket not found")
         while hi - lo > 1e-12 + 1e-12 * hi:
             mid = 0.5 * (lo + hi)
             try:
@@ -195,6 +305,18 @@ class PowerFunction(OrliczFunction):
         mean = math.fsum((p * (y_abs / m) ** q).tolist())
         return m * q / (q - 1.0) * (self.coef * (q - 1.0) * mean) ** (1.0 / q)
 
+    def orlicz_definitional(self, y_abs, p):
+        # the optimal X is proportional to y**(q - 1), q = p/(p - 1), and
+        # coef E[X**p] = 1 fixes it, giving coef**(-1/p) E[y**q]**(1 - 1/p);
+        # scaled by m = max y so that no power overflows.  Under p = 1
+        # the whole budget goes to the largest atom.
+        m = float(np.max(y_abs))
+        if self.p == 1.0:
+            return m / self.coef
+        q = self.p / (self.p - 1.0)
+        mean = math.fsum((p * (y_abs / m) ** q).tolist())
+        return m * self.coef ** (-1.0 / self.p) * mean ** (1.0 - 1.0 / self.p)
+
     @property
     def analytic_conjugate(self):
         p, c = self.p, self.coef
@@ -224,6 +346,20 @@ class ExpFunction(OrliczFunction):
 
     def _rderiv(self, t):
         return np.exp(t)
+
+    def orlicz_definitional(self, y_abs, p):
+        # the modular at multiplier mu is E[(mu y - 1)+], linear between
+        # the kinks 1/y_i: with the atoms from k on active it reaches 1 at
+        # mu_k = (1 + P_k) / S_k, P and S the tail sums of p and p y.  The
+        # multiplier is mu_k for the largest k whose atom k - 1 stays
+        # inactive there.
+        tail_p = np.cumsum(p[::-1])[::-1]
+        tail_py = np.cumsum((p * y_abs)[::-1])[::-1]
+        mu = (1.0 + tail_p) / tail_py
+        below = np.concatenate(([0.0], y_abs[:-1]))
+        k = np.flatnonzero(mu * below <= 1.0)[-1]
+        x = self.rderiv_inverse_left(mu[k] * y_abs)
+        return math.fsum((p * (x * y_abs)).tolist())
 
     @property
     def analytic_conjugate(self):
@@ -271,6 +407,30 @@ class EntropyFunction(OrliczFunction):
 
     def _rderiv(self, t):
         return np.log1p(t)
+
+    def orlicz_definitional(self, y_abs, p):
+        # at s = mu y the optimal X is e**s - 1, where the modular is
+        # E[e**s (s - 1) + 1]: convex in mu, with slope E[y s e**s], and
+        # at least mu**2 E[y**2] / 2, so Newton runs from the right of
+        # mu0 = sqrt(2 / E[y**2]) down to width 1e-14
+        def excess(mu: float) -> float:
+            try:
+                x = self.rderiv_inverse_left(mu * y_abs)
+            except NumericFailure:  # e**s beyond the double range
+                return math.inf
+            return math.fsum((p * self(x)).tolist()) - 1.0
+
+        def slope(mu: float) -> float:
+            s = mu * y_abs
+            with np.errstate(over="ignore"):
+                return math.fsum((p * y_abs * s * np.exp(s)).tolist())
+
+        mu0 = math.sqrt(2.0 / math.fsum((p * y_abs ** 2).tolist()))
+        lo, hi = double_until(lambda mu: excess(mu) > 0.0, mu0,
+                              "orlicz_norm: multiplier bracket not found")
+        mu, _ = newton_from_right(excess, slope, lo, hi, 1e-14)
+        x = self.rderiv_inverse_left(mu * y_abs)
+        return math.fsum((p * (x * y_abs)).tolist())
 
     @property
     def analytic_conjugate(self):
@@ -366,6 +526,26 @@ class PiecewiseLinearFunction(OrliczFunction):
                 f"{self.name}: slope beyond maximal slope {self.slopes[-1]:g}"
             )
         return self._slope_edges[np.searchsorted(self.slopes, s, side="left")]
+
+    def orlicz_definitional(self, y_abs, p):
+        # a fractional knapsack over (atom, segment) pairs: a unit of
+        # segment k on atom i costs p_i m_k of the modular and earns
+        # p_i y_i, so the pairs fill in order of m_k / y_i (on each atom
+        # in segment order) until the modular reaches 1
+        y, q = y_abs[y_abs > 0], p[y_abs > 0]
+        top = math.inf if self.domain_cap is None else self.domain_cap
+        ends = np.append(self._edges, top)
+        n_seg = len(self.slopes)
+        cost = q[:, None] * (self.slopes * np.diff(ends))
+        order = np.argsort((self.slopes / y[:, None]).ravel(), kind="stable")
+        filled = int(np.searchsorted(np.cumsum(cost.ravel()[order]), 1.0,
+                                     side="right"))
+        x = ends[np.bincount(order[:filled] // n_seg, minlength=len(y))]
+        if filled < len(order):
+            i, k = divmod(int(order[filled]), n_seg)
+            rest = 1.0 - math.fsum((q * self(x)).tolist())
+            x[i] += max(rest, 0.0) / (q[i] * self.slopes[k])
+        return math.fsum((q * (x * y)).tolist())
 
     def inverse(self, v):
         # exact on the segment whose knot values bracket v

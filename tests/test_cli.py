@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import orlicz_lab
 from orlicz_lab.cli import run
 from orlicz_lab.finite_model import (FiniteSpace, read_positions_csv,
                                      write_positions_csv)
@@ -247,3 +252,15 @@ class TestDeterminism:
             assert run(["cex", "build", "--I", "2", "--J", "2", "--N", "3",
                         "--output", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # ``python -m orlicz_lab`` prints what ``run`` prints
+    assert run(["delta2", "--phi", "sparse", "--count", "3"]) == 0
+    expected = capsys.readouterr().out
+    src = str(pathlib.Path(orlicz_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "orlicz_lab", "delta2", "--phi", "sparse",
+         "--count", "3"], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == expected

@@ -428,6 +428,17 @@ class TestRhoC:
             2.0 * rho_c(ins, X), abs=1e-4)
 
 
+    def test_the_image_of_one_is_built_once(self, instance):
+        # rho_c reads T 1's rows from the instance, where they are the
+        # bits a fresh build gives
+        ins = instance
+        X = Combo(ins, {("X", 2): -2.0})
+        first = rho_c(ins, X)
+        assert ins._one_rows is ins._one_rows
+        fresh = cex._lp_rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[2]
+        assert np.array_equal(ins._one_rows, fresh)
+        assert rho_c(ins, X) == first
+
     def test_infinite_value_from_infeasible_lp(self, instance):
         start = time.perf_counter()
         value = rho_c(instance, Combo(instance, {("Xtail", 2): -1.0}))

@@ -10,9 +10,10 @@ from orlicz_lab.finite_model import FiniteSpace, uniform_space
 from orlicz_lab.norms import (holder_check, luxemburg_norm, modular,
                               orlicz_norm, phi_inverse)
 from orlicz_lab.orlicz_functions import (CATALOG, EntropyFunction, ExpFunction,
+                                         OrliczFunction,
                                          PiecewiseLinearFunction, PowerFunction,
-                                         build_sparse_pair, conjugate,
-                                         sparse_schedule)
+                                         _NumericConjugate, build_sparse_pair,
+                                         conjugate, sparse_schedule)
 
 
 def two_atom_space(p):
@@ -146,13 +147,18 @@ class TestSumProperties:
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     @given(atoms=atoms_st, sign=st.sampled_from([-1.0, 1.0]),
-           c=st.floats(1e-3, 1e3))
-    def test_homogeneity(self, name, atoms, sign, c):
+           c=st.floats(1e-3, 1e3), scale=st.floats(1e-100, 1e100))
+    def test_homogeneity(self, name, atoms, sign, c, scale):
         phi = CATALOG[name]
         sp, x = space_and_values(atoms)
         n1 = luxemburg_norm(sp.rv(x), phi)
         n2 = luxemburg_norm(sp.rv(sign * c * x), phi)
         assert abs(n2 - c * n1) <= 1e-9 * c * n1
+        # the Orlicz norm solves on |Y| / max|y_i|, so no scale is too
+        # far from 1 for its multiplier or its Amemiya search
+        o1 = orlicz_norm(sp.rv(x), phi)
+        o2 = orlicz_norm(sp.rv(sign * scale * x), phi)
+        assert abs(o2 - scale * o1) <= 1e-9 * scale * o1
 
 
 def amemiya_by_grid(y_abs, p, psi):
@@ -278,6 +284,196 @@ class TestOrliczNorm:
         Y = indicator_rv(0.25, 1.0)
         value = orlicz_norm(Y, phi)
         assert value > 0.0
+
+
+def definitional_by_bisection(y_abs, p, phi):
+    """Reference definitional Orlicz value: the multiplier found by
+    doubling from 1 and bisection to width 1e-14, then the residual
+    budget handed along flat segments.  It raises on a linear last piece
+    and when the modular stays below 1 at a domain cap."""
+    active = y_abs > 0
+
+    def h(mu):
+        try:
+            x = phi.rderiv_inverse_left(mu * y_abs)
+        except NumericFailure:
+            return math.inf
+        vals = np.asarray(phi(x), dtype=float)
+        if np.any(~np.isfinite(vals)):
+            return math.inf
+        return float(np.sum(p * vals))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(1200):
+        if h(hi) > 1.0:
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        raise NumericFailure("multiplier bracket not found")
+    for _ in range(120):
+        if hi - lo <= 1e-14 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if h(mid) <= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    mu = lo if lo > 0 else hi * 0.5
+    x = phi.rderiv_inverse_left(mu * y_abs)
+    budget = 1.0 - float(np.sum(p * np.asarray(phi(x), dtype=float)))
+    if budget > 1e-15:
+        try:
+            x_hi = phi.rderiv_inverse_left(hi * y_abs)
+        except NumericFailure:
+            x_hi = np.where(active, math.inf, 0.0)
+        jump = active & (x_hi > x * (1 + 1e-9) + 1e-300)
+        for i in np.where(jump)[0]:
+            slope = float(phi.rderiv(x[i]))
+            if slope <= 0:
+                continue
+            d = min(x_hi[i] - x[i], budget / (p[i] * slope))
+            x[i] += d
+            budget -= p[i] * slope * d
+            if budget <= 1e-15:
+                break
+    return math.fsum((p * x * y_abs).tolist())
+
+
+# slopes 1 then 2 up to the cap 1.5, where phi is 2: the cheapest second
+# segments fill up to the cap before the budget runs out
+CAP_BINDS = PiecewiseLinearFunction([1.0], [1.0, 2.0], domain_cap=1.5)
+DEFINITIONAL_PHI = {**CATALOG, "power1.5": PowerFunction(1.5, 0.3),
+                    "capped": CAP_BINDS}
+
+# (weight, value) atoms: ties and zeros from a small set of values, or
+# magnitudes spread from 1e-6 to 1e6
+spread_atoms_st = st.lists(
+    st.tuples(st.floats(0.01, 1.0),
+              st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                        st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))),
+    min_size=1, max_size=8)
+
+
+def sorted_atoms(atoms):
+    """``(|y|, p)`` in the order ``orlicz_norm`` hands them on."""
+    sp, y = space_and_values(atoms)
+    order = np.lexsort((sp.p, np.abs(y)))
+    return np.abs(y)[order], sp.p[order]
+
+
+class TestDefinitionalSolvers:
+    """Each class solves for its multiplier directly, and finds the value
+    the bisection it replaced finds."""
+
+    @pytest.mark.parametrize("cls", [PowerFunction, ExpFunction,
+                                     EntropyFunction, PiecewiseLinearFunction])
+    def test_no_bisection_on_the_path(self, cls):
+        assert cls.orlicz_definitional is not OrliczFunction.orlicz_definitional
+
+    @pytest.mark.parametrize("name", sorted(DEFINITIONAL_PHI))
+    @given(atoms=spread_atoms_st)
+    def test_matches_the_bisection(self, name, atoms):
+        phi = DEFINITIONAL_PHI[name]
+        y, p = sorted_atoms(atoms)
+        assume(np.any(y > 0))
+        if phi.domain_cap is not None:
+            # the bisection needs the modular to pass 1 below the cap
+            assume(math.fsum(p[y > 0]) * phi(phi.domain_cap) > 1.0)
+        ref = definitional_by_bisection(y, p, phi)
+        got = phi.orlicz_definitional(y, p)
+        assert abs(got - ref) <= 1e-12 * ref
+
+    def test_the_cap_binds(self):
+        # atom 3 fills both segments up to the cap (cost .25 + .25),
+        # atom 2 its first (cost .5): 0.25*3*1.5 + 0.5*2*1 = 2.125
+        y, p = np.array([1.0, 2.0, 3.0]), np.array([0.25, 0.5, 0.25])
+        assert CAP_BINDS.orlicz_definitional(y, p) == pytest.approx(2.125,
+                                                                     rel=1e-15)
+        ref = definitional_by_bisection(y, p, CAP_BINDS)
+        assert ref == pytest.approx(2.125, rel=1e-12)
+
+    def test_budget_left_at_the_cap(self):
+        # phi(1.5) = 2 on a quarter of the mass: every atom ends at the cap
+        y, p = np.array([0.0, 2.0]), np.array([0.75, 0.25])
+        assert CAP_BINDS.orlicz_definitional(y, p) == 0.25 * 2.0 * 1.5
+
+    # today's bisection raised CrossCheckFailure on each: where the
+    # stationarity inverse raises, it handed the residual budget to the
+    # smallest |y| first
+    @pytest.mark.parametrize("phi, expect", [
+        (PowerFunction(1.0), 3.0),
+        (PowerFunction(1.0, 2.0), 1.5),
+        (PiecewiseLinearFunction([1.0], [1.0, 2.0]), 2.125),
+        (PiecewiseLinearFunction([1.0], [0.0, 2.0]), 3.5),
+    ])
+    def test_linear_last_pieces(self, phi, expect):
+        Y = FiniteSpace((0.25, 0.25, 0.5)).rv([1.0, 3.0, 2.0])
+        assert orlicz_norm(Y, phi) == pytest.approx(expect, rel=1e-12)
+
+    def test_the_fallback_past_the_largest_slope(self):
+        # the numeric conjugate of CAPPED (slope 1 up to 0.1, then 2) keeps
+        # the bisection; only the largest atom passes slope 2 at the
+        # multiplier, so only it takes the residual budget
+        Y = FiniteSpace((0.25, 0.25, 0.5)).rv([1.0, 3.0, 2.0])
+        assert orlicz_norm(Y, conjugate(CAPPED)) == pytest.approx(1.5625,
+                                                                  rel=1e-12)
+        assert orlicz_norm(Y, _NumericConjugate(CAPPED)) == \
+            pytest.approx(1.5625, rel=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @pytest.mark.parametrize("c", [1e-300, 1e-100, 1e-30, 1e30, 1e100, 1e300])
+    def test_far_from_one(self, name, c):
+        # the Amemiya search covers log10 k in [-18, 18] only, and the
+        # bisection started at mu = 1: both failed far from |y| ~ 1
+        Y = FiniteSpace((0.25, 0.25, 0.5)).rv([1.0, 3.0, 2.0])
+        phi = CATALOG[name]
+        expect = orlicz_norm(Y, phi)
+        assert orlicz_norm(Y * c, phi) == pytest.approx(c * expect, rel=1e-9)
+
+
+LUXEMBURG_PHI = {**CATALOG,
+                 **{name + "*": conjugate(phi) for name, phi in CATALOG.items()},
+                 "capped": CAPPED,
+                 "numeric power2*": _NumericConjugate(PowerFunction(2.0))}
+
+
+class TestLuxemburgBracket:
+    """Without a closed form the norm is the lower end of a certified
+    bracket of relative width 1e-10; a closed form is the root itself."""
+
+    @pytest.mark.parametrize("name", sorted(LUXEMBURG_PHI))
+    @given(atoms=atoms_st)
+    def test_certified_bracket(self, name, atoms):
+        phi = LUXEMBURG_PHI[name]
+        sp, x = space_and_values(atoms)
+        x_abs = np.abs(x)
+        assume(np.any(x_abs > 0))
+        v = luxemburg_norm(sp.rv(x), phi)
+        if phi.luxemburg_closed_form(x_abs, sp.p) is None:
+            assert norms._modular_raw(x_abs, sp.p, phi, v) > 1.0
+        else:
+            assert norms._modular_raw(x_abs, sp.p, phi, v * (1.0 - 1e-10)) > 1.0
+        assert norms._modular_raw(x_abs, sp.p, phi, v * (1.0 + 1e-10)) <= 1.0
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @pytest.mark.parametrize("c", [1e-310, 1e-300, 1e-100, 1e100, 1e300])
+    def test_far_from_one(self, name, c):
+        # Newton runs in v = max|x_i| / lam, from v = 1, so subnormal and
+        # huge atoms bracket as atoms near 1 do
+        sp = FiniteSpace((0.25, 0.25, 0.5))
+        phi = CATALOG[name]
+        expect = luxemburg_norm(sp.rv([1.0, 3.0, 2.0]), phi)
+        x_abs = c * np.array([1.0, 3.0, 2.0])
+        v = luxemburg_norm(sp.rv(x_abs), phi)
+        assert v == pytest.approx(c * expect, rel=1e-9)
+        assert norms._modular_raw(x_abs, sp.p, phi, v * (1.0 - 1e-10)) > 1.0
+        assert norms._modular_raw(x_abs, sp.p, phi, v * (1.0 + 1e-10)) <= 1.0
+
+    def test_a_norm_past_the_double_range_raises(self):
+        # the norm is about 1.9e308: the bracket's upper end overflows
+        X = FiniteSpace((0.5, 0.5)).rv([1.7e308, 0.85e308])
+        with pytest.raises(NumericFailure, match="double range"):
+            luxemburg_norm(X, ExpFunction())
 
 
 class TestHolder:
