@@ -112,12 +112,13 @@ from .closure_lab import (
     order_dominator,
     split_with_budget,
 )
-from . import closure_lab, counterexample
+from . import closure_lab, counterexample, duality
 
-# The benchmark's tracer (perfbench/tracing.py) wraps
-# ``counterexample.linprog`` as a layer.  No counterexample path solves an
-# LP, so the name is bound here, where the tracer finds it and counts no
-# calls; drop this once the tracer no longer lists it.
-counterexample.linprog = closure_lab.linprog
+# The benchmark's tracer (perfbench/tracing.py) wraps ``linprog`` in these
+# three modules and times the import of ``scipy.optimize``.  None of them
+# solves an LP, so scipy's ``linprog`` is bound here for the tracer to find
+# (it counts no calls); drop this with ROADMAP item 1.
+from scipy.optimize import linprog as _linprog  # noqa: E402
+counterexample.linprog = closure_lab.linprog = duality.linprog = _linprog
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Executable truncation / Mazur / domination steps behind order closure.
 
-The three steps split a position at a modular-budgeted level, drive a
-convex combination of small-norm remainders toward zero, and assemble an
+The three steps split a position at a modular-budgeted level, take the
+convex combination of small-norm remainders nearest to zero, and assemble an
 order dominator ``sup_n |Z_n| + sum_n |W_n|`` whose modular and Markov
 tail bounds are certified term by term.  A fourth routine checks the
 capped-sup almost-sure extraction estimate ``E[sup_{m>=n}(|X_m - X| ^ 1)]
@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import BoundViolation, HypothesisViolation, InputError
-from .finite_model import RandomVariable, expectation
-from .norms import luxemburg_norm, modular
+from .errors import (BoundViolation, HypothesisViolation, InputError,
+                     NumericFailure)
+from .finite_model import RandomVariable, expectation, nearest_point
+from .norms import luxemburg_norm, modular, phi_inverse
 from .orlicz_functions import OrliczFunction
 
 __all__ = [
@@ -63,83 +63,36 @@ def split_with_budget(X: RandomVariable, phi: OrliczFunction, budget: float):
     return k, Z, W
 
 
-def _zero_in_hull(candidates) -> bool:
-    """LP check: does 0 lie in the convex hull of the atom-value vectors?"""
-    A = np.array([W.x for W in candidates]).T
-    k = A.shape[1]
-    A_eq = np.vstack([A, np.ones((1, k))])
-    b_eq = np.concatenate([np.zeros(A.shape[0]), [1.0]])
-    res = linprog(np.zeros(k), A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * k, method="highs")
-    return res.status == 0
+def mazur_min_norm(candidates, phi: OrliczFunction, target: float):
+    """Convex combination ``X = sum_i c_i W_i`` of least ``E[X^2]``
+    (``finite_model.nearest_point``) and ``value = ||X||_phi``.
 
-
-def mazur_min_norm(candidates, phi: OrliczFunction, target: float,
-                   seed: int = 0, iterations: int = 2000):
-    """Minimize ``||sum_i c_i W_i||_phi`` over the simplex.
-
-    A certified LP pre-check decides whether 0 lies in the convex hull
-    (in which case an exact zero combination exists and is returned via
-    the LP); otherwise projected-subgradient descent with a
-    deterministic seed searches the simplex.  Returns a report dict with
-    ``found`` (achieved value <= target), ``weights`` and ``value`` —
-    not-found is a legitimate outcome.
+    Under ``c t^2`` the norm is ``(c E[X^2])^(1/2)``, so ``value`` is the
+    exact minimum over the simplex; under other phi it bounds it above.
+    ``hull_certificate``: the margin does not separate 0 from the hull,
+    and X has norm at most rounding.  ``lower_bound``: the margin's
+    distance bound ``d`` over ``phi^-1(1/min p)``, below every
+    combination's norm, since ``p_i phi(|x_i| / ||X||_phi) <= 1`` gives
+    ``E[X^2]^(1/2) <= max|x_i| <= ||X||_phi phi^-1(1/min p)``.
+    ``found``: ``value <= target``; not-found is a legitimate outcome.
     """
     if not candidates:
         raise InputError("need at least one candidate")
     space = candidates[0].space
-    k = len(candidates)
-    A = np.array([W.x for W in candidates])
-
-    def value(w: np.ndarray) -> float:
-        return luxemburg_norm(space.rv(w @ A), phi)
-
-    if _zero_in_hull(candidates):
-        A_eq = np.vstack([A.T, np.ones((1, k))])
-        b_eq = np.concatenate([np.zeros(A.shape[1]), [1.0]])
-        res = linprog(np.zeros(k), A_eq=A_eq, b_eq=b_eq,
-                      bounds=[(0, None)] * k, method="highs")
-        w = np.asarray(res.x)
-        v = value(w)
-        return {"found": v <= target, "weights": tuple(float(c) for c in w),
-                "value": v, "hull_certificate": True}
-    rng = np.random.default_rng(seed)
-
-    def project(w: np.ndarray) -> np.ndarray:
-        # Euclidean projection onto the probability simplex
-        u = np.sort(w)[::-1]
-        css = np.cumsum(u) - 1.0
-        rho = np.nonzero(u * np.arange(1, k + 1) > css)[0][-1]
-        return np.maximum(w - css[rho] / (rho + 1.0), 0.0)
-
-    best_w = np.full(k, 1.0 / k)
-    best_v = value(best_w)
-    w = best_w.copy()
-    prev_best = best_v
-    for it in range(1, iterations + 1):
-        # numerical subgradient of the norm in the weights
-        g = np.empty(k)
-        h = 1e-7
-        base = value(w)
-        for i in range(k):
-            e = w.copy()
-            e[i] += h
-            g[i] = (value(project(e)) - base) / h
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-14:
-            break
-        w = project(w - (0.5 / math.sqrt(it)) / gn * g)
-        v = value(w)
-        if v < best_v:
-            best_v, best_w = v, w.copy()
-        if it % 200 == 0:
-            w = project(best_w + 0.05 / it * rng.standard_normal(k))
-            if abs(prev_best - best_v) < 1e-8 * (1.0 + best_v):
-                break
-            prev_best = best_v
-    return {"found": best_v <= target,
-            "weights": tuple(float(c) for c in best_w),
-            "value": best_v, "hull_certificate": False}
+    p = space.p
+    w, x, margin = nearest_point([W.x for W in candidates], p)
+    value = luxemburg_norm(space.rv(x), phi)
+    lower = 0.0
+    if margin > 0.0:
+        try:
+            reach = phi_inverse(phi, 1.0 / float(np.min(p)))
+        except NumericFailure:  # phi stays below 1/min p up to its cap
+            reach = phi.domain_cap
+        reach += 1e-12 * (1.0 + reach)  # past phi.inverse's bisection
+        lower = margin / math.sqrt(float(p @ (x * x))) / reach
+    return {"found": value <= target, "weights": tuple(float(c) for c in w),
+            "value": value, "hull_certificate": not margin > 0.0,
+            "lower_bound": lower}
 
 
 def order_dominator(Z_list, W_list, phi: OrliczFunction):

@@ -3,12 +3,12 @@
 The conjugate ``rho*(Y) = sup_X (E[XY] - rho(X))`` is computed two ways:
 exactly in *polyhedral* mode when rho is a scenario maximum (it is 0
 when -Y lies in the scenario set Q and +infinity otherwise: a bounds
-check decides this for a capped set such as AVaR's, an LP for the
-convex hull of a density list), and empirically in *box* mode by
+check decides this for a capped set such as AVaR's, the nearest point of
+the convex hull for a density list), and empirically in *box* mode by
 supergradient ascent over ``[-M, M]^atoms`` with one automatic box
 doubling to flag boundary-limited suprema.  Every +infinity carries a
-growth direction, verified without the solver before it is returned.
-Reports always state which surrogate was used.
+growth direction, verified against the support function of Q before it
+is returned.  Reports always state which surrogate was used.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CertificateError, InputError
-from .finite_model import RandomVariable, pairing
+from .finite_model import RandomVariable, nearest_point, pairing
 from .risk_measures import RiskMeasure, ScenarioSet
 
 __all__ = [
@@ -57,41 +56,17 @@ class ConjugateValue:
         return math.isfinite(self.value) and self.flag != "possibly-infinite"
 
 
-def _hull_lp(Q: ScenarioSet, target: np.ndarray):
-    """Feasibility of ``sum_k w_k Y_k = target, w >= 0, sum w = 1``.
+def _hull_direction(Q: ScenarioSet, target: np.ndarray):
+    """None when ``target`` lies in the convex hull of the densities ``Y_k``.
 
-    Returns None when feasible.  Otherwise a separating hyperplane ``X``
-    with ``E[X * target] > max_k E[X Y_k]`` is produced from the LP that
-    maximizes that margin over a normalized X, and its negation, the
-    direction along which E[XY] - rho(X) grows without bound, is
-    returned; CertificateError when that LP fails.
+    Otherwise the nearest point ``x`` of the hull of ``Y_k - target``
+    (``finite_model.nearest_point``), whose certified margin
+    ``min_k E[x (Y_k - target)] > 0`` makes it the direction along which
+    ``E[xY] - rho(x)`` grows without bound for ``Y = -target``.
     """
-    mats = np.array([Y.x for Y in Q.densities])  # k x n
-    p = Q.space.p
-    k, n = mats.shape
-    A_eq = np.vstack([mats.T, np.ones((1, k))])
-    b_eq = np.concatenate([target, [1.0]])
-    res = linprog(np.zeros(k), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * k,
-                  method="highs")
-    if res.status == 0:
-        return None
-    # separating direction: max s s.t. <p*x, target> - <p*x, Y_k> >= s,
-    # |x_i| <= 1.  LP variables (x, s).
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.zeros((k, n + 1))
-    for j in range(k):
-        A_ub[j, :n] = -(p * (target - mats[j]))
-        A_ub[j, -1] = 1.0
-    sep = linprog(c, A_ub=A_ub, b_ub=np.zeros(k),
-                  bounds=[(-1, 1)] * n + [(None, None)], method="highs")
-    if sep.status != 0:
-        raise CertificateError(
-            f"hull LP infeasible but the separating LP failed: {sep.message}"
-        )
-    # the LP separates `target`; the conjugate objective (which pairs
-    # with -target) grows without bound along the negated direction
-    return tuple(-float(v) for v in sep.x[:n])
+    _, x, margin = nearest_point([Y.x - target for Y in Q.densities],
+                                 Q.space.p)
+    return tuple(float(v) for v in x) if margin > 0.0 else None
 
 
 def _verified_growth(Q: ScenarioSet, Y: RandomVariable, direction) -> tuple:
@@ -113,10 +88,11 @@ def conjugate_rho(rho: RiskMeasure, Y: RandomVariable, mode: str = "auto",
     ``mode``: "polyhedral" (requires a scenario-maximum rho; exact),
     "box" (supergradient ascent over the box), or "auto" (polyhedral
     when available).  In polyhedral mode the value is 0 when -Y lies in
-    the scenario set Q, decided by its bounds for a capped set and by a
-    convex-hull LP for a density list, and +infinity otherwise, with a
-    growth direction that is checked against ``sigma_Q`` before it is
-    returned (CertificateError when it does not verify).
+    the scenario set Q, decided by its bounds for a capped set and by the
+    nearest point of the convex hull for a density list, and +infinity
+    otherwise, with a growth direction that is checked against
+    ``sigma_Q`` before it is returned (CertificateError when it does not
+    verify).
     """
     if mode not in ("auto", "polyhedral", "box"):
         raise InputError(f"unknown mode {mode!r}")
@@ -127,7 +103,7 @@ def conjugate_rho(rho: RiskMeasure, Y: RandomVariable, mode: str = "auto",
         if Q is None:
             raise InputError("polyhedral mode requires a finite scenario maximum")
         if Q.cap is None:
-            direction = _hull_lp(Q, -Y.x)
+            direction = _hull_direction(Q, -Y.x)
         else:
             direction = Q.violated_bound(-Y.x)
         if direction is None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,7 @@ __all__ = [
     "uniform_space",
     "expectation",
     "pairing",
+    "nearest_point",
     "order_convergence_check",
     "read_positions_csv",
     "write_positions_csv",
@@ -133,6 +135,68 @@ def pairing(X: RandomVariable, Y: RandomVariable) -> float:
     for p, x, y in zip(X.space.probabilities, X.values, Y.values):
         total += p * x * y
     return total
+
+
+def nearest_point(points, p):
+    """Nearest point to 0 of the convex hull of ``points`` (rows of atom
+    values) in the ``E[UV]`` geometry of the probabilities ``p``.
+
+    Wolfe's algorithm (Math. Prog. 11, 1976) on the points ``sqrt(p) P_k``:
+    add the point of least ``E[x P_j]`` while that is below ``E[x^2]``,
+    then move to the affine minimizer of the chosen points, dropping one at
+    the simplex's edge while a weight would turn negative.  In floats it
+    also stops when ``x`` is within rounding of 0, when ``E[x^2]`` stalls,
+    or after ``10 (k + n)`` cycles for k points on n atoms.
+
+    Returns ``(w, x, margin)``: ``x = w @ points``, and ``margin`` is
+    ``min_k E[x P_k]`` less its rounding floor ``4 (n + 2) eps |x|
+    max_k |P_k|`` (``|U| = E[U^2]^(1/2)``), so ``E[xy] >=
+    margin`` on the hull.  A positive margin certifies that ``x``
+    separates 0 from the hull, at distance at least ``margin / |x|``;
+    otherwise ``w`` combines the points to a norm at most rounding.
+    """
+    P = np.asarray(points, dtype=float)
+    p = np.asarray(p, dtype=float)
+    k, n = P.shape
+    Q = P * np.sqrt(p)
+    sq = np.sum(Q * Q, axis=1)
+    top = float(np.max(sq))
+    rounding = 4.0 * (n + 2) * np.finfo(float).eps
+    w = np.zeros(k)
+    w[np.argmin(sq)] = 1.0
+    if top > 0.0:
+        Q = Q / math.sqrt(top)
+        xx = float(sq.min() / top)
+        for _ in range(10 * (k + n)):
+            S = np.flatnonzero(w).tolist()
+            g = Q @ (w @ Q)
+            j = int(np.argmin(g))
+            if g[j] >= xx or j in S or xx <= rounding ** 2:
+                break
+            trial, S = w.copy(), S + [j]
+            while True:
+                # affine minimizer: x = Q_0 + sum_s z_s (Q_s - Q_0)
+                z = np.linalg.lstsq((Q[S[1:]] - Q[S[0]]).T, -Q[S[0]],
+                                    rcond=None)[0]
+                v = np.concatenate(([1.0 - z.sum()], z))
+                if np.all(v >= 0.0):
+                    break
+                ws = trial[S]
+                step = np.full(len(S), np.inf)
+                step[v < 0.0] = ws[v < 0.0] / (ws[v < 0.0] - v[v < 0.0])
+                i = int(np.argmin(step))
+                ws = np.maximum(ws + step[i] * (v - ws), 0.0)
+                ws[i] = 0.0
+                trial[S] = ws
+                S = [s for s, c in zip(S, ws) if c > 0.0]
+            trial[S] = v
+            y = trial @ Q
+            if not y @ y < xx:
+                break
+            w, xx = trial, float(y @ y)
+    x = w @ P
+    floor = rounding * math.sqrt(float(p @ (x * x)) * top)
+    return w, x, float(np.min(P @ (p * x))) - floor
 
 
 def order_convergence_check(sequence, X: RandomVariable, phi: OrliczFunction = None,

@@ -61,7 +61,8 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
     """``inf{lam > 0 : E[phi(|X|/lam)] <= 1}``.
 
     In closed form when phi provides one: under ``coef * t**p`` the norm
-    is ``m * (coef * E[(|X|/m)**p])**(1/p)`` with ``m = max|x_i|``.
+    is ``m * (coef * E[(|X|/m)**p])**(1/p)`` with ``m = max|x_i|``.  Under
+    a domain cap it is ``m / cap`` when the modular there is at most 1.
     Otherwise by Newton's method from the right in ``v = m / lam`` on the
     convex ``E[phi(v |X| / m)]``, along ``phi.rderiv``, started by
     doubling from ``v = 1`` (``newton_from_right``).  The value returned
@@ -76,6 +77,9 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
     if exact is not None:
         return exact
     m = float(np.max(x_abs))
+    cap = phi.domain_cap
+    if cap is not None and _modular_raw(x_abs, p, phi, m / cap) <= 1.0:
+        return m / cap  # below m / cap the largest atom leaves the domain
     x_unit = x_abs / m
 
     def excess(v: float) -> float:

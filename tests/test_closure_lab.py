@@ -36,6 +36,37 @@ def tied_draw(rng):
     return sp.rv(x)
 
 
+def simplex_qp(A, p):
+    """Least ``E[(w @ A)^2]`` over the simplex by KKT enumeration: the
+    affine minimizer of every support that is affinely independent, kept
+    when its weights are nonnegative."""
+    k = len(A)
+    G = (A * p) @ A.T
+    best = math.inf
+    for mask in range(1, 2 ** k):
+        S = [i for i in range(k) if mask >> i & 1]
+        m = len(S)
+        kkt = np.block([[2.0 * G[np.ix_(S, S)], np.ones((m, 1))],
+                        [np.ones((1, m)), np.zeros((1, 1))]])
+        try:
+            v = np.linalg.solve(kkt, np.eye(m + 1)[-1])[:m]
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(v >= 0.0):
+            best = min(best, float(v @ G[np.ix_(S, S)] @ v))
+    return best
+
+
+def separated_draw(rng):
+    """2-5 candidates on 3-8 atoms whose first atom is positive, so that 0
+    stays outside their hull."""
+    n, k = int(rng.integers(3, 9)), int(rng.integers(2, 6))
+    sp = FiniteSpace(tuple(rng.dirichlet(np.full(n, 2.0))))
+    A = rng.uniform(-1.0, 2.0, (k, n))
+    A[:, 0] = rng.uniform(0.5, 1.5, k)
+    return sp, A
+
+
 class TestSplitWithBudget:
     def test_level_is_minimal(self):
         sp = FiniteSpace((0.25, 0.25, 0.5))
@@ -147,13 +178,49 @@ class TestMazurMinNorm:
     def test_deterministic_given_seed(self):
         sp = uniform_space(3)
         cands = [sp.rv([1.0, 0.5, 2.0]), sp.rv([0.5, 1.5, 0.1])]
-        r1 = mazur_min_norm(cands, PowerFunction(2.0), 0.0, seed=7)
-        r2 = mazur_min_norm(cands, PowerFunction(2.0), 0.0, seed=7)
+        r1 = mazur_min_norm(cands, PowerFunction(2.0), 0.0)
+        r2 = mazur_min_norm(cands, PowerFunction(2.0), 0.0)
         assert r1 == r2
 
     def test_needs_candidates(self):
         with pytest.raises(InputError):
             mazur_min_norm([], PowerFunction(2.0), 0.0)
+
+    def test_power2_value_is_the_exact_minimum(self):
+        # under t^2 the norm is the L2(p) norm: Mazur is the simplex QP
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            sp, A = separated_draw(rng)
+            report = mazur_min_norm([sp.rv(a) for a in A], CATALOG["power2"],
+                                    0.0)
+            exact = math.sqrt(simplex_qp(A, sp.p))
+            assert abs(report["value"] - exact) <= 1e-12 * exact
+            assert not report["hull_certificate"]
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_lower_bound_is_below_every_combination(self, name):
+        phi = CATALOG[name]
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            sp, A = separated_draw(rng)
+            report = mazur_min_norm([sp.rv(a) for a in A], phi, 0.0)
+            assert 0.0 < report["lower_bound"] <= report["value"]
+            for w in rng.dirichlet(np.ones(len(A)), 10):
+                assert report["lower_bound"] <= luxemburg_norm(sp.rv(w @ A),
+                                                               phi)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_nested_remainders_and_their_negatives_reach_zero(self, name):
+        # the closure command's input: the split tails Z_n and -Z_n
+        phi = CATALOG[name]
+        rng = np.random.default_rng(13)
+        sp = FiniteSpace(tuple(rng.dirichlet(np.ones(40))))
+        X = sp.rv(rng.standard_normal(40))
+        Z = [split_with_budget(X, phi, 2.0 ** -n)[1] for n in range(1, 5)]
+        report = mazur_min_norm(Z + [-z for z in Z], phi, 1e-12)
+        assert report["hull_certificate"] and report["found"]
+        assert report["value"] <= 1e-12
+        assert report["lower_bound"] == 0.0
 
 
 def geometric_z_list(sp, phi, count):

@@ -12,6 +12,7 @@ import scipy.optimize
 from scipy.optimize import linprog
 
 import orlicz_lab.counterexample as cex
+from orlicz_lab import closure_lab, duality
 from orlicz_lab.counterexample import (
     Combo,
     CounterexampleInstance,
@@ -782,18 +783,28 @@ class TestChainAgainstTheLoops:
                               cover_by_levels(b, chain.pairs, N))
 
 
+def scipy_imports(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "scipy" for a in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "scipy"]
+
+
 class TestNoSolver:
     def test_the_module_imports_no_solver(self):
-        tree = ast.parse(pathlib.Path(cex.__file__).read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                assert not any(a.name.split(".")[0] == "scipy"
-                               for a in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                assert (node.module or "").split(".")[0] != "scipy"
-            else:
-                assert not (isinstance(node, ast.Name)
-                            and node.id == "linprog")
+        # scipy only inside the functions named, and ``linprog`` nowhere
+        for module, users in ((cex, ()), (closure_lab, ()),
+                              (duality, ("_box_sup",))):
+            tree = ast.parse(pathlib.Path(module.__file__).read_text())
+            allowed = [node for f in ast.walk(tree)
+                       if isinstance(f, ast.FunctionDef) and f.name in users
+                       for node in scipy_imports(f)]
+            assert len(scipy_imports(tree)) == len(allowed), module.__name__
+            assert not any(isinstance(node, ast.Name) and node.id == "linprog"
+                           or isinstance(node, ast.alias)
+                           and node.name == "linprog"
+                           for node in ast.walk(tree)), module.__name__
 
     def test_exhibit_rho_and_membership_make_no_lp(self, instance, instance_h,
                                                    monkeypatch):

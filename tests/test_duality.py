@@ -1,5 +1,4 @@
 import math
-import types
 
 import numpy as np
 import pytest
@@ -148,25 +147,11 @@ class TestBoundsDecision:
                 if S is Q:
                     monkeypatch.setattr(Q, "violated_bound", lambda t: bad)
                 else:
-                    monkeypatch.setattr(duality, "_hull_lp", lambda Q, t: bad)
+                    monkeypatch.setattr(duality, "_hull_direction",
+                                        lambda Q, t: bad)
                 with pytest.raises(CertificateError):
                     conjugate_rho(scenario_measure(S), -spike)
                 monkeypatch.undo()
-
-    def test_a_failed_separating_lp_raises(self, monkeypatch):
-        sp = uniform_space(4)
-        rho = scenario_measure(ScenarioSet(avar_scenarios(sp, 0.5).densities))
-        real = duality.linprog
-
-        def failing_separation(c, **kwargs):
-            if "A_ub" in kwargs:  # the separating LP
-                return types.SimpleNamespace(status=4, x=None,
-                                             message="numerical difficulties")
-            return real(c, **kwargs)
-
-        monkeypatch.setattr(duality, "linprog", failing_separation)
-        with pytest.raises(CertificateError):
-            conjugate_rho(rho, -sp.rv([4.0, 0.0, 0.0, 0.0]))
 
 
 class TestBoxConjugate:

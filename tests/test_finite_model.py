@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from orlicz_lab.errors import InputError, SpaceMismatch
 from orlicz_lab.finite_model import (
     FiniteSpace,
     expectation,
+    nearest_point,
     order_convergence_check,
     pairing,
     read_positions_csv,
@@ -62,6 +65,57 @@ class TestRandomVariable:
         Y = sp.rv([2.0, 1.0])
         assert expectation(X) == 1.0
         assert pairing(X, Y) == 2.0
+
+
+@st.composite
+def dyadic_hulls(draw):
+    """2-8 points with quarter-integer atom values in 1-7 dimensions, and
+    probabilities from small integer weights; 30% hold a point and its
+    negative, whose hull passes through 0."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(2, 8))
+    value = st.integers(-12, 12).map(lambda v: v / 4.0)
+    P = np.array([[draw(value) for _ in range(n)] for _ in range(k)])
+    if draw(st.integers(0, 9)) < 3:
+        P[1] = -P[0]
+    weights = np.array([draw(st.integers(1, 4)) for _ in range(n)], float)
+    return P, weights / weights.sum()
+
+
+def in_hull_by_lp(P, p):
+    """HiGHS feasibility of ``w @ P = 0, w >= 0, sum w = 1``."""
+    k, n = P.shape
+    res = linprog(np.zeros(k), A_eq=np.vstack([P.T, np.ones((1, k))]),
+                  b_eq=np.concatenate([np.zeros(n), [1.0]]),
+                  bounds=[(0, None)] * k, method="highs")
+    return res.status == 0
+
+
+class TestNearestPoint:
+    @settings(max_examples=300)
+    @given(hull=dyadic_hulls())
+    def test_decides_membership_as_the_lp(self, hull):
+        P, p = hull
+        w, x, margin = nearest_point(P, p)
+        assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+        assert np.array_equal(x, w @ P)
+        assert (margin <= 0.0) == in_hull_by_lp(P, p)
+        if margin > 0.0:
+            # x separates: a strictly positive margin on every point
+            assert np.all(P @ (p * x) > 0.0)
+        else:
+            # the member's combination has norm at most rounding
+            norm = np.sqrt(p @ (x * x))
+            top = np.sqrt(np.max((P * P) @ p))
+            assert norm <= 4.0 * (P.shape[1] + 2) * np.finfo(float).eps * top
+
+    def test_the_distance_of_a_separated_point(self):
+        # conv{(1, 1), (1, -1)} under uniform p: nearest point (1, 0)
+        w, x, margin = nearest_point([[1.0, 1.0], [1.0, -1.0]], [0.5, 0.5])
+        assert np.allclose(w, [0.5, 0.5], rtol=0.0, atol=1e-15)
+        assert np.allclose(x, [1.0, 0.0], rtol=0.0, atol=1e-15)
+        # E[x P_k] = 1/2 on both points, less the rounding floor
+        assert 0.5 - 1e-14 < margin < 0.5
 
 
 class TestOrderConvergence:

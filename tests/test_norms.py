@@ -449,7 +449,12 @@ class TestLuxemburgBracket:
         x_abs = np.abs(x)
         assume(np.any(x_abs > 0))
         v = luxemburg_norm(sp.rv(x), phi)
-        if phi.luxemburg_closed_form(x_abs, sp.p) is None:
+        if phi.domain_cap is not None and v == np.max(x_abs) / phi.domain_cap:
+            # the cap binds: the norm itself, where the modular is at most 1
+            assert norms._modular_raw(x_abs, sp.p, phi, v) <= 1.0
+            assert norms._modular_raw(x_abs, sp.p, phi,
+                                      v * (1.0 - 1e-10)) == math.inf
+        elif phi.luxemburg_closed_form(x_abs, sp.p) is None:
             assert norms._modular_raw(x_abs, sp.p, phi, v) > 1.0
         else:
             assert norms._modular_raw(x_abs, sp.p, phi, v * (1.0 - 1e-10)) > 1.0
@@ -468,6 +473,21 @@ class TestLuxemburgBracket:
         assert v == pytest.approx(c * expect, rel=1e-9)
         assert norms._modular_raw(x_abs, sp.p, phi, v * (1.0 - 1e-10)) > 1.0
         assert norms._modular_raw(x_abs, sp.p, phi, v * (1.0 + 1e-10)) <= 1.0
+
+    def test_a_binding_cap_is_the_norm_in_one_evaluation(self, monkeypatch):
+        # the modular is +inf below max|x| / cap and at most 1 there, so
+        # that is the norm; Newton's method from the right cannot step
+        # from +inf and used to bisect down to it (38 evaluations)
+        rng = np.random.default_rng([7, 0])
+        p = rng.dirichlet(np.full(600, 2.0))
+        X = FiniteSpace(tuple(p)).rv(1.5 * rng.standard_normal(600))
+        calls = []
+        real = norms._modular_raw
+        monkeypatch.setattr(norms, "_modular_raw",
+                            lambda *args: calls.append(1) or real(*args))
+        v = luxemburg_norm(X, CAPPED)
+        assert v == X.max_abs() / 2.0 == 2.241185691302481
+        assert len(calls) <= 2
 
     def test_a_norm_past_the_double_range_raises(self):
         # the norm is about 1.9e308: the bracket's upper end overflows
