@@ -111,17 +111,18 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction,
     """Definitional Orlicz norm ``sup{|E[XY]| : ||X||_phi <= 1}``.
 
     The supremum is ``phi.orlicz_definitional``: the optimal X inverts
-    the right-derivative of phi at a common multiplier fixed by the
+    the right-derivative of phi at a multiplier ``mu`` fixed by the
     unit-modular constraint, which power, exp, entropy and
     piecewise-linear phi solve for exactly (in closed form, by one
     sorted pass, by Newton's method and by one fractional-knapsack pass)
-    and other phi by bisection.  An independent Amemiya value
-    ``inf_k (1 + E[psi(k|Y|)]) / k`` is computed (``_orlicz_amemiya``: in
-    closed form for a power psi, else by golden-section search) and the
-    two must agree within 1e-6 relative; the definitional value is
-    returned.  The atoms are first sorted by ``(|y_i|, p_i)``, so the
-    value does not depend on their order, and both solves run on
-    ``|Y| / max|y_i|``, so the value does not depend on the scale of Y.
+    and other phi by bisection.  The check is the Amemiya value
+    ``(1 + E[psi(k|Y|)]) / k`` at its minimiser ``k = mu``, one
+    evaluation (the limit ``E|Y| psi'(inf)`` when ``mu = inf``): the two
+    differ there by ``(1 - E[phi(X)]) / mu`` plus Young's defect, and
+    must agree within 1e-6 relative.  The atoms are first sorted by
+    ``(|y_i|, p_i)``, so the value does not depend on their order, and
+    both run on ``|Y| / max|y_i|``, so it does not depend on the scale
+    of Y.
     """
     y_abs = np.abs(Y.x)
     if not np.any(y_abs > 0):
@@ -131,51 +132,19 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction,
     order = np.lexsort((Y.space.p, y_abs))
     m = float(np.max(y_abs))
     y_abs, p = y_abs[order] / m, Y.space.p[order]
-    definitional = phi.orlicz_definitional(y_abs, p)
-    amemiya = _orlicz_amemiya(y_abs, p, psi)
-    scale = max(abs(definitional), abs(amemiya), 1e-300)
-    if abs(definitional - amemiya) > 1e-6 * scale:
+    definitional, mu = phi.orlicz_definitional(y_abs, p)
+    mu = float(mu)
+    if mu == math.inf:
+        amemiya = _expect(p, y_abs) * psi.rderiv(math.inf)
+    else:
+        amemiya = (1.0 + _modular_raw(mu * y_abs, p, psi, 1.0)) / mu
+    if not math.isclose(definitional, amemiya, rel_tol=1e-6, abs_tol=1e-306):
         raise CrossCheckFailure(
             f"orlicz_norm: definitional {m * definitional!r} vs Amemiya "
             f"{m * amemiya!r} disagree beyond 1e-6 relative "
             f"(conjugate-pair inconsistency?)"
         )
     return m * definitional
-
-
-def _orlicz_amemiya(y_abs: np.ndarray, p: np.ndarray,
-                    psi: OrliczFunction) -> float:
-    """``inf_k (1 + E[psi(k|Y|)]) / k``, in closed form when psi provides
-    one, else by one golden-section search over ``log10 k`` in [-18, 18],
-    down to width 1e-12.  In ``u = 1/k`` the objective is
-    ``u + u E[psi(|Y|/u)]``, a line plus the perspective of a convex
-    function, so it is unimodal in ``log k``.  It is +inf only at large
-    ``k`` (past psi's domain cap, or on overflow), so a tie of two +inf
-    probes moves the right end."""
-    exact = psi.amemiya_closed_form(y_abs, p)
-    if exact is not None:
-        return exact
-
-    def objective(log_k: float) -> float:
-        k = 10.0 ** log_k
-        m = _modular_raw(k * y_abs, p, psi, 1.0)
-        return (1.0 + m) / k if math.isfinite(m) else math.inf
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = -18.0, 18.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a >= 1e-12:
-        if fc < fd or fc == math.inf:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    return min(fc, fd)
 
 
 def holder_check(X: RandomVariable, Y: RandomVariable, phi: OrliczFunction,

@@ -45,6 +45,8 @@ _REL_TOL = 1e-10
 _BRACKET_CAP = 1e300
 #: Most doublings (or safeguarded Newton steps) one bracket search makes.
 _MAX_DOUBLINGS = 1100
+#: Most halvings one bisection makes (enough to reach adjacent doubles).
+_MAX_HALVINGS = 2100
 
 
 def double_until(holds, x: float, failure: str) -> tuple[float, float]:
@@ -60,6 +62,21 @@ def double_until(holds, x: float, failure: str) -> tuple[float, float]:
         if x > _BRACKET_CAP:
             break
     raise NumericFailure(failure)
+
+
+def bisect(holds, lo: float, hi: float, narrow) -> tuple[float, float]:
+    """Bracket ``(lo, hi)`` of the monotone predicate ``holds``, false at
+    ``lo`` and true at ``hi``, halved until ``narrow(lo, hi)`` is true:
+    the midpoint replaces ``hi`` where ``holds``, else ``lo``."""
+    for _ in range(_MAX_HALVINGS):
+        if narrow(lo, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def newton_from_right(excess, slope, lo: float, hi: float,
@@ -146,15 +163,12 @@ class OrliczFunction:
         probabilities ``p`` in closed form, or None when there is none."""
         return None
 
-    def amemiya_closed_form(self, y_abs: np.ndarray, p: np.ndarray) -> float | None:
-        """Amemiya value ``inf_k (1 + E[self(k * y_abs)]) / k`` of atoms
-        ``y_abs >= 0`` (not all zero) with probabilities ``p`` in closed
-        form, or None when there is none."""
-        return None
-
-    def orlicz_definitional(self, y_abs: np.ndarray, p: np.ndarray) -> float:
-        """``sup{E[X y] : E[self(X)] <= 1, X >= 0}`` for atoms ``y_abs >= 0``
-        (not all zero, sorted ascending) with probabilities ``p``.
+    def orlicz_definitional(self, y_abs: np.ndarray,
+                            p: np.ndarray) -> tuple[float, float]:
+        """``(value, mu)``: ``value = sup{E[X y] : E[self(X)] <= 1, X >= 0}``
+        for atoms ``y_abs >= 0`` (not all zero, sorted ascending) with
+        probabilities ``p``, and ``mu`` its Lagrange multiplier (``inf``
+        when no constraint binds but the domain cap).
 
         The optimal X inverts the right-derivative at ``mu * y_abs`` for
         the multiplier ``mu`` at which the modular reaches 1, and the
@@ -162,27 +176,21 @@ class OrliczFunction:
         bisection to width 1e-14; subclasses solve for it directly."""
         active = y_abs > 0
 
-        def h(mu: float) -> float:
+        def over(mu: float) -> bool:
+            # the modular at the multiplier mu passes 1; it is
+            # nondecreasing in mu and 0 at mu = 0
             try:
                 x = self.rderiv_inverse_left(mu * y_abs)
             except NumericFailure:
-                return math.inf
+                return True
             vals = np.asarray(self(x), dtype=float)
             if np.any(~np.isfinite(vals)):
-                return math.inf
-            return float(np.sum(p * vals))
+                return True
+            return float(np.sum(p * vals)) > 1.0
 
-        # bracket the multiplier: h nondecreasing, h(0) = 0
-        lo, hi = double_until(lambda mu: h(mu) > 1.0, 1.0,
+        lo, hi = double_until(over, 1.0,
                               "orlicz_norm: multiplier bracket not found")
-        for _ in range(120):
-            if hi - lo <= 1e-14 * hi:
-                break
-            mid = 0.5 * (lo + hi)
-            if h(mid) <= 1.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = bisect(over, lo, hi, lambda lo, hi: hi - lo <= 1e-14 * hi)
         mu = lo if lo > 0 else hi * 0.5
         x = self.rderiv_inverse_left(mu * y_abs)
         budget = 1.0 - float(np.sum(p * np.asarray(self(x), dtype=float)))
@@ -211,7 +219,7 @@ class OrliczFunction:
                 budget -= p[i] * slope * d
                 if budget <= 1e-15:
                     break
-        return math.fsum((p * (x * y_abs)).tolist())
+        return math.fsum((p * (x * y_abs)).tolist()), mu
 
     def rderiv_inverse_left(self, s):
         """Left endpoint of ``{t : rderiv(t) = s}`` (0 when rderiv(0) >= s),
@@ -227,15 +235,15 @@ class OrliczFunction:
         def left_end(s: float) -> float:
             if s <= self.rderiv(0.0):
                 return 0.0
+
+            def reaches(t: float) -> bool:
+                return self.rderiv(t) >= s
+
             lo, hi = double_until(
-                lambda t: self.rderiv(t) >= s, 1.0,
+                reaches, 1.0,
                 f"{self.name}: slope {s:g} beyond representable range")
-            while hi - lo > _ABS_TOL + _REL_TOL * hi:
-                mid = 0.5 * (lo + hi)
-                if self.rderiv(mid) < s:
-                    lo = mid
-                else:
-                    hi = mid
+            _, hi = bisect(reaches, lo, hi,
+                           lambda lo, hi: hi - lo <= _ABS_TOL + _REL_TOL * hi)
             return hi
 
         return _elementwise(left_end, s)
@@ -250,16 +258,8 @@ class OrliczFunction:
                 return True
 
         lo, hi = double_until(reaches, 1.0, "phi_inverse: bracket not found")
-        while hi - lo > 1e-12 + 1e-12 * hi:
-            mid = 0.5 * (lo + hi)
-            try:
-                fm = float(self(mid))
-            except NumericFailure:
-                fm = math.inf
-            if fm >= v:
-                hi = mid
-            else:
-                lo = mid
+        lo, hi = bisect(reaches, lo, hi,
+                        lambda lo, hi: hi - lo <= 1e-12 + 1e-12 * hi)
         return 0.5 * (lo + hi)
 
     def __repr__(self):  # pragma: no cover - debugging aid
@@ -294,28 +294,20 @@ class PowerFunction(OrliczFunction):
         mean = math.fsum((p * (x_abs / m) ** self.p).tolist())
         return m * (self.coef * mean) ** (1.0 / self.p)
 
-    def amemiya_closed_form(self, y_abs, p):
-        # (1 + A k**q) / k with A = coef * E|Y|**q is least where
-        # k**q = 1 / (A (q - 1)), at q/(q - 1) * (A (q - 1))**(1/q); scaled
-        # by m = max|y| so that no power overflows
-        q = self.p
-        if q == 1.0:
-            return None  # the infimum is approached only as k -> inf
-        m = float(np.max(y_abs))
-        mean = math.fsum((p * (y_abs / m) ** q).tolist())
-        return m * q / (q - 1.0) * (self.coef * (q - 1.0) * mean) ** (1.0 / q)
-
     def orlicz_definitional(self, y_abs, p):
         # the optimal X is proportional to y**(q - 1), q = p/(p - 1), and
         # coef E[X**p] = 1 fixes it, giving coef**(-1/p) E[y**q]**(1 - 1/p);
-        # scaled by m = max y so that no power overflows.  Under p = 1
-        # the whole budget goes to the largest atom.
+        # scaled by m = max y so that no power overflows; the multiplier
+        # is c p (c E[y**q])**(-1/q).  Under p = 1 the whole budget goes
+        # to the largest atom, at the multiplier c / m.
         m = float(np.max(y_abs))
+        c = self.coef
         if self.p == 1.0:
-            return m / self.coef
+            return m / c, c / m
         q = self.p / (self.p - 1.0)
         mean = math.fsum((p * (y_abs / m) ** q).tolist())
-        return m * self.coef ** (-1.0 / self.p) * mean ** (1.0 - 1.0 / self.p)
+        return (m * c ** (-1.0 / self.p) * mean ** (1.0 - 1.0 / self.p),
+                c * self.p * (c * mean) ** (-1.0 / q) / m)
 
     @property
     def analytic_conjugate(self):
@@ -359,7 +351,7 @@ class ExpFunction(OrliczFunction):
         below = np.concatenate(([0.0], y_abs[:-1]))
         k = np.flatnonzero(mu * below <= 1.0)[-1]
         x = self.rderiv_inverse_left(mu[k] * y_abs)
-        return math.fsum((p * (x * y_abs)).tolist())
+        return math.fsum((p * (x * y_abs)).tolist()), mu[k]
 
     @property
     def analytic_conjugate(self):
@@ -430,7 +422,7 @@ class EntropyFunction(OrliczFunction):
                               "orlicz_norm: multiplier bracket not found")
         mu, _ = newton_from_right(excess, slope, lo, hi, 1e-14)
         x = self.rderiv_inverse_left(mu * y_abs)
-        return math.fsum((p * (x * y_abs)).tolist())
+        return math.fsum((p * (x * y_abs)).tolist()), mu
 
     @property
     def analytic_conjugate(self):
@@ -531,7 +523,8 @@ class PiecewiseLinearFunction(OrliczFunction):
         # a fractional knapsack over (atom, segment) pairs: a unit of
         # segment k on atom i costs p_i m_k of the modular and earns
         # p_i y_i, so the pairs fill in order of m_k / y_i (on each atom
-        # in segment order) until the modular reaches 1
+        # in segment order) until the modular reaches 1; mu is the ratio
+        # of the pair filled in part (inf when all fill up to the cap)
         y, q = y_abs[y_abs > 0], p[y_abs > 0]
         top = math.inf if self.domain_cap is None else self.domain_cap
         ends = np.append(self._edges, top)
@@ -541,11 +534,13 @@ class PiecewiseLinearFunction(OrliczFunction):
         filled = int(np.searchsorted(np.cumsum(cost.ravel()[order]), 1.0,
                                      side="right"))
         x = ends[np.bincount(order[:filled] // n_seg, minlength=len(y))]
+        mu = math.inf
         if filled < len(order):
             i, k = divmod(int(order[filled]), n_seg)
             rest = 1.0 - math.fsum((q * self(x)).tolist())
             x[i] += max(rest, 0.0) / (q[i] * self.slopes[k])
-        return math.fsum((q * (x * y)).tolist())
+            mu = self.slopes[k] / y[i]
+        return math.fsum((q * (x * y)).tolist()), mu
 
     def inverse(self, v):
         # exact on the segment whose knot values bracket v

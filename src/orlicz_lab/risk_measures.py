@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BracketInvalid, EmptyScenarioSet, InputError
 from .finite_model import FiniteSpace, RandomVariable, expectation, pairing
+from .orlicz_functions import bisect
 
 __all__ = [
     "ScenarioSet",
@@ -193,12 +194,8 @@ def acceptance_eval(member, X: RandomVariable, bracket, tol: float = 1e-8) -> fl
         raise BracketInvalid(f"X + {m_hi}*1 is not in C (upper bracket invalid)")
     if member(X + m_lo):
         raise BracketInvalid(f"X + {m_lo}*1 is in C (lower bracket invalid)")
-    while m_hi - m_lo > tol * max(1.0, abs(m_hi)):
-        mid = 0.5 * (m_lo + m_hi)
-        if member(X + mid):
-            m_hi = mid
-        else:
-            m_lo = mid
+    m_lo, m_hi = bisect(lambda m: member(X + m), m_lo, m_hi,
+                        lambda lo, hi: hi - lo <= tol * max(1.0, abs(hi)))
     return 0.5 * (m_lo + m_hi)
 
 

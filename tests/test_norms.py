@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from orlicz_lab import norms
-from orlicz_lab.errors import NumericFailure
+from orlicz_lab.errors import CrossCheckFailure, NumericFailure
 from orlicz_lab.finite_model import FiniteSpace, uniform_space
 from orlicz_lab.norms import (holder_check, luxemburg_norm, modular,
                               orlicz_norm, phi_inverse)
-from orlicz_lab.orlicz_functions import (CATALOG, EntropyFunction, ExpFunction,
+from orlicz_lab.orlicz_functions import (CATALOG, EntropyConjugateFunction,
+                                         EntropyFunction, ExpFunction,
                                          OrliczFunction,
                                          PiecewiseLinearFunction, PowerFunction,
                                          _NumericConjugate, build_sparse_pair,
@@ -155,10 +156,16 @@ class TestSumProperties:
         n2 = luxemburg_norm(sp.rv(sign * c * x), phi)
         assert abs(n2 - c * n1) <= 1e-9 * c * n1
         # the Orlicz norm solves on |Y| / max|y_i|, so no scale is too
-        # far from 1 for its multiplier or its Amemiya search
+        # far from 1 for its multiplier or its Amemiya check
         o1 = orlicz_norm(sp.rv(x), phi)
         o2 = orlicz_norm(sp.rv(sign * scale * x), phi)
         assert abs(o2 - scale * o1) <= 1e-9 * scale * o1
+
+
+def amemiya_objective(k, y_abs, p, psi):
+    """``(1 + E[psi(k|Y|)]) / k``, +inf past psi's domain."""
+    m = norms._modular_raw(k * y_abs, p, psi, 1.0)
+    return (1.0 + m) / k if math.isfinite(m) else math.inf
 
 
 def amemiya_by_grid(y_abs, p, psi):
@@ -166,8 +173,7 @@ def amemiya_by_grid(y_abs, p, psi):
     [-18, 18], then golden section between the neighbours of the best
     grid point, stopped at width 1e-12."""
     def objective(k):
-        m = norms._modular_raw(k * y_abs, p, psi, 1.0)
-        return (1.0 + m) / k if math.isfinite(m) else math.inf
+        return amemiya_objective(k, y_abs, p, psi)
 
     logs = np.linspace(-18.0, 18.0, 181)
     j = int(np.argmin([objective(10.0 ** u) for u in logs]))
@@ -190,64 +196,6 @@ def amemiya_by_grid(y_abs, p, psi):
 # psi(t) = 0.1 (t - 1)+ up to its cap 2: the Amemiya objective
 # (1 + E psi(k|Y|)) / k falls all the way to the cap, where it is minimal
 CAPPED = PiecewiseLinearFunction([1.0], [0.0, 0.1], domain_cap=2.0)
-AMEMIYA_PSI = {**{name: conjugate(phi) for name, phi in CATALOG.items()},
-               "capped": CAPPED}
-
-
-class TestAmemiyaSearch:
-    """One golden section over the whole of [-18, 18] finds the value of
-    the grid scan plus local golden section it replaced."""
-
-    @pytest.mark.parametrize("name", sorted(AMEMIYA_PSI))
-    @given(atoms=atoms_st)
-    def test_matches_the_grid_search(self, name, atoms):
-        sp, y = space_and_values(atoms)
-        y_abs = np.abs(y)
-        assume(np.any(y_abs > 0))
-        psi = AMEMIYA_PSI[name]
-        ref = amemiya_by_grid(y_abs, sp.p, psi)
-        assert math.isfinite(ref)
-        got = norms._orlicz_amemiya(y_abs, sp.p, psi)
-        assert abs(got - ref) <= 1e-12 * ref
-
-    def test_minimizer_at_the_cap(self):
-        # the objective is 0.9 / k + 0.1 up to the cap k = 2 (psi is
-        # evaluated up to 1e-12 past it), and +inf beyond
-        got = norms._orlicz_amemiya(np.array([1.0]), np.array([1.0]), CAPPED)
-        assert abs(got - 0.55) <= 5e-12 * 0.55
-
-    def test_a_tie_of_infinite_probes_moves_the_right_end(self):
-        # at |y| = 1e6 the cap sits at k = 2e-6, left of both first
-        # probes (log10 k = -4.25 and 4.25), where the objective is +inf
-        y, p = np.array([1e6]), np.array([1.0])
-        got = norms._orlicz_amemiya(y, p, CAPPED)
-        assert math.isfinite(got)
-        assert abs(got - amemiya_by_grid(y, p, CAPPED)) <= 1e-12 * got
-
-
-class TestPowerAmemiya:
-    """For psi = c s**q (q > 1) the Amemiya value is
-    ``m q/(q-1) (c (q-1) E[(|y|/m)**q])**(1/q)``, ``m = max|y|``; it is
-    homogeneous, so at atoms near 1e+-150, where the search's range of k
-    and the unscaled powers give out, it is the scaled grid value."""
-
-    @pytest.mark.parametrize("coef", [0.3, 1.0, 7.5])
-    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
-    @given(atoms=atoms_st)
-    def test_matches_the_grid_search(self, q, coef, atoms):
-        sp, y = space_and_values(atoms)
-        y_abs = np.abs(y)
-        assume(np.any(y_abs > 0))
-        psi = PowerFunction(q, coef)
-        ref = amemiya_by_grid(y_abs, sp.p, psi)
-        for scale in (1e-150, 1.0, 1e150):
-            got = psi.amemiya_closed_form(scale * y_abs, sp.p)
-            assert abs(got - scale * ref) <= 1e-12 * scale * ref
-
-    def test_none_without_a_closed_form(self):
-        y, p = np.array([1.0, 2.0]), np.array([0.5, 0.5])
-        assert PowerFunction(1.0).amemiya_closed_form(y, p) is None
-        assert conjugate(ExpFunction()).amemiya_closed_form(y, p) is None
 
 
 class TestOrliczNorm:
@@ -380,22 +328,30 @@ class TestDefinitionalSolvers:
             # the bisection needs the modular to pass 1 below the cap
             assume(math.fsum(p[y > 0]) * phi(phi.domain_cap) > 1.0)
         ref = definitional_by_bisection(y, p, phi)
-        got = phi.orlicz_definitional(y, p)
+        got, _ = phi.orlicz_definitional(y, p)
         assert abs(got - ref) <= 1e-12 * ref
 
     def test_the_cap_binds(self):
         # atom 3 fills both segments up to the cap (cost .25 + .25),
         # atom 2 its first (cost .5): 0.25*3*1.5 + 0.5*2*1 = 2.125
+        # atom 1's first segment is next, at the multiplier 1 / 1
         y, p = np.array([1.0, 2.0, 3.0]), np.array([0.25, 0.5, 0.25])
-        assert CAP_BINDS.orlicz_definitional(y, p) == pytest.approx(2.125,
-                                                                     rel=1e-15)
+        value, mu = CAP_BINDS.orlicz_definitional(y, p)
+        assert value == pytest.approx(2.125, rel=1e-15)
+        assert mu == 1.0
         ref = definitional_by_bisection(y, p, CAP_BINDS)
         assert ref == pytest.approx(2.125, rel=1e-12)
 
     def test_budget_left_at_the_cap(self):
         # phi(1.5) = 2 on a quarter of the mass: every atom ends at the cap
+        # with budget left, so no multiplier binds (mu = inf), and the
+        # Amemiya objective tends to E|Y| psi'(inf) = E|Y| cap, the value
         y, p = np.array([0.0, 2.0]), np.array([0.75, 0.25])
-        assert CAP_BINDS.orlicz_definitional(y, p) == 0.25 * 2.0 * 1.5
+        assert CAP_BINDS.orlicz_definitional(y, p) == (0.25 * 2.0 * 1.5,
+                                                       math.inf)
+        assert conjugate(CAP_BINDS).rderiv(math.inf) == CAP_BINDS.domain_cap
+        assert orlicz_norm(FiniteSpace((0.75, 0.25)).rv([0.0, 2.0]),
+                           CAP_BINDS) == math.fsum(p * y) * 1.5
 
     # today's bisection raised CrossCheckFailure on each: where the
     # stationarity inverse raises, it handed the residual budget to the
@@ -423,12 +379,101 @@ class TestDefinitionalSolvers:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     @pytest.mark.parametrize("c", [1e-300, 1e-100, 1e-30, 1e30, 1e100, 1e300])
     def test_far_from_one(self, name, c):
-        # the Amemiya search covers log10 k in [-18, 18] only, and the
+        # the Amemiya search covered log10 k in [-18, 18] only, and the
         # bisection started at mu = 1: both failed far from |y| ~ 1
         Y = FiniteSpace((0.25, 0.25, 0.5)).rv([1.0, 3.0, 2.0])
         phi = CATALOG[name]
         expect = orlicz_norm(Y, phi)
         assert orlicz_norm(Y * c, phi) == pytest.approx(c * expect, rel=1e-9)
+
+
+class TestAmemiyaAtTheMultiplier:
+    """By Lagrange duality the multiplier ``mu`` of the definitional solve
+    minimises the Amemiya objective ``(1 + E[psi(k|Y|)]) / k``, so
+    ``orlicz_norm`` checks its value by one evaluation at ``k = mu``."""
+
+    @pytest.mark.parametrize("name", sorted(DEFINITIONAL_PHI))
+    @given(atoms=spread_atoms_st)
+    def test_mu_is_the_grid_minimiser(self, name, atoms):
+        phi = DEFINITIONAL_PHI[name]
+        y, p = sorted_atoms(atoms)
+        assume(np.any(y > 0))
+        y = y / np.max(y)  # as orlicz_norm hands them on
+        psi = conjugate(phi)
+        _, mu = phi.orlicz_definitional(y, p)
+        if mu == math.inf:
+            got = math.fsum(p * y) * psi.rderiv(math.inf)
+        else:
+            got = amemiya_objective(mu, y, p, psi)
+        ref = amemiya_by_grid(y, p, psi)
+        assert abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("coef", [0.3, 1.0, 7.5])
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    @given(atoms=atoms_st)
+    def test_the_power_multiplier_at_every_scale(self, q, coef, atoms):
+        # mu = c q (c E[(y/m)**r])**(-1/r) / m, r = q/(q - 1), so mu
+        # scales as 1/m; at atoms near 1e+-150 the grid's range of k and
+        # the unscaled powers give out, and the scaled values stand in
+        sp, y = space_and_values(atoms)
+        y_abs = np.abs(y)
+        assume(np.any(y_abs > 0))
+        phi = PowerFunction(q, coef)
+        psi = conjugate(phi)
+        ref = amemiya_by_grid(y_abs, sp.p, psi)
+        for scale in (1e-150, 1.0, 1e150):
+            value, mu = phi.orlicz_definitional(scale * y_abs, sp.p)
+            assert abs(value - scale * ref) <= 1e-12 * scale * ref
+            got = amemiya_objective(mu * scale, y_abs, sp.p, psi)
+            assert abs(got - ref) <= 1e-12 * ref
+
+    def test_the_linear_multiplier(self):
+        # under 2 t the budget goes to the largest atom, at slope 2 / 3
+        y, p = np.array([1.0, 3.0]), np.array([0.5, 0.5])
+        assert PowerFunction(1.0, 2.0).orlicz_definitional(y, p) == (1.5,
+                                                                     2 / 3)
+
+    def test_the_minimiser_at_the_cap(self):
+        # the objective is 0.9 / k + 0.1 up to psi's cap k = 2, +inf beyond:
+        # the knapsack's multiplier is that cap, and the value 0.55
+        _, mu = conjugate(CAPPED).orlicz_definitional(np.array([1.0]),
+                                                      np.array([1.0]))
+        assert mu == 2.0
+        Y = FiniteSpace((1.0,)).rv([1.0])
+        assert abs(orlicz_norm(Y, conjugate(CAPPED)) - 0.55) <= 5e-12 * 0.55
+
+    def test_a_probe_far_past_the_cap(self):
+        # at |y| = 1e6 psi's cap sits at k = 2e-6, far left of k = 1
+        Y = FiniteSpace((1.0,)).rv([1e6])
+        got = orlicz_norm(Y, conjugate(CAPPED))
+        ref = amemiya_by_grid(np.array([1e6]), np.array([1.0]), CAPPED)
+        assert abs(got - ref) <= 1e-12 * got
+
+    @pytest.mark.parametrize("phi, psi", [
+        (ExpFunction(), EntropyConjugateFunction()),
+        (CATALOG["sparse"], conjugate(CATALOG["power2"])),
+        (PowerFunction(2.0), PowerFunction(2.0, 0.25 * (1.0 + 1e-4))),
+    ], ids=["exp/entropy*", "sparse/power2*", "power2/perturbed"])
+    def test_a_mismatched_psi_raises(self, phi, psi):
+        Y = FiniteSpace((0.25, 0.25, 0.5)).rv([1.0, -3.0, 2.0])
+        with pytest.raises(CrossCheckFailure,
+                           match="disagree beyond 1e-6 relative") as info:
+            orlicz_norm(Y, phi, psi)
+        assert "np.float64" not in str(info.value)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_one_evaluation_of_psi(self, name, monkeypatch):
+        rng = np.random.default_rng([7, 0])
+        p = rng.dirichlet(np.full(600, 2.0))
+        Y = FiniteSpace(tuple(p)).rv(rng.standard_normal(600))
+        phi = CATALOG[name]
+        psi = conjugate(phi)
+        calls = []
+        real = psi._eval
+        monkeypatch.setattr(psi, "_eval",
+                            lambda t: calls.append(t.shape) or real(t))
+        orlicz_norm(Y, phi, psi)
+        assert calls == [(600,)]
 
 
 LUXEMBURG_PHI = {**CATALOG,

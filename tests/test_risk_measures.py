@@ -267,6 +267,14 @@ class TestAcceptance:
         with pytest.raises(BracketInvalid):
             acceptance_eval(member, X, (3.0, 4.0))  # lower bracket accepted
 
+    def test_a_zero_tolerance_stops_at_adjacent_doubles(self):
+        # no bracket narrows to width 0; the bisection stops once its
+        # ends are adjacent doubles, where it used to loop for ever
+        sp = uniform_space(2)
+        member = lambda X: float(np.min(X.x)) >= 0.0
+        m = acceptance_eval(member, sp.rv([1.0, -2.0]), (0.0, 4.0), tol=0.0)
+        assert m == pytest.approx(2.0, rel=1e-15)
+
 
 class TestAxiomSuite:
     def _samples(self, sp):
