@@ -131,11 +131,6 @@ class MembershipCertificate:
         """``sum_i 2^i ||y_i||_1`` (equals 1 for positive lambda)."""
         return sum((2.0 ** i) * val for (i, _), val in self.y)
 
-    @property
-    def finiteness_value(self) -> float:
-        """``sum_i 4^i ||y_i||_1`` (automatic at finite truncation)."""
-        return sum((4.0 ** i) * val for (i, _), val in self.y)
-
 
 class CounterexampleInstance:
     """Immutable truncated instance; see the module docstring."""
@@ -815,7 +810,8 @@ def limit_certificate(instance: CounterexampleInstance, members, limit: Combo,
     ``(lambda_p, y_p)`` along the tail, and verifies the result against
     the limit's image.  The proof's uniform bound
     ``M >= lambda_p * sum_i 4^i ||y_pi||_1`` holds automatically at
-    finite truncation (see ``finiteness_value``), so it is not checked.
+    finite truncation, where each sum has finitely many finite terms,
+    so it is not checked.
     """
     if len(members) < 2:
         raise InputError("need at least two certified members")

@@ -143,7 +143,7 @@ def nearest_point(points, p):
 
     Wolfe's algorithm (Math. Prog. 11, 1976) on the points ``sqrt(p) P_k``:
     add the point of least ``E[x P_j]`` while that is below ``E[x^2]``,
-    then move to the affine minimizer of the chosen points, dropping one at
+    then move to the affine minimiser of the chosen points, dropping one at
     the simplex's edge while a weight would turn negative.  In floats it
     also stops when ``x`` is within rounding of 0, when ``E[x^2]`` stalls,
     or after ``10 (k + n)`` cycles for k points on n atoms.
@@ -175,7 +175,7 @@ def nearest_point(points, p):
                 break
             trial, S = w.copy(), S + [j]
             while True:
-                # affine minimizer: x = Q_0 + sum_s z_s (Q_s - Q_0)
+                # affine minimiser: x = Q_0 + sum_s z_s (Q_s - Q_0)
                 z = np.linalg.lstsq((Q[S[1:]] - Q[S[0]]).T, -Q[S[0]],
                                     rcond=None)[0]
                 v = np.concatenate(([1.0 - z.sum()], z))

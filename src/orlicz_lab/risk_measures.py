@@ -5,7 +5,9 @@ densities, or the capped polytope ``{0 <= Y <= cap, E[Y] = 1}`` of the
 average value at risk, kept by its bounds: its support function is one
 sort, and membership is a bounds check.  Its vertices are enumerated
 only when asked for (up to 12 atoms).  Scenario maxima are exact, and
-no convex solver enters the core.
+no convex solver enters the core.  A measure carries its dual
+representation, when it has one on record, for exact conjugation
+(``RiskMeasure.dual``).
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketInvalid, EmptyScenarioSet, InputError
-from .finite_model import FiniteSpace, RandomVariable, expectation, pairing
-from .orlicz_functions import bisect
+from .finite_model import (FiniteSpace, RandomVariable, expectation,
+                           nearest_point, pairing)
+from .orlicz_functions import bisect, double_until
 
 __all__ = [
     "ScenarioSet",
@@ -51,9 +54,6 @@ _MASS_TOL = 1e-10
 class ScenarioSet:
     """Finite set Q of nonnegative densities with unit expectation."""
 
-    #: the bound ``Y <= cap`` of a capped set; None for a density list
-    cap = None
-
     def __init__(self, densities):
         densities = tuple(densities)
         if not densities:
@@ -74,6 +74,16 @@ class ScenarioSet:
     def support(self, X: RandomVariable) -> float:
         """``sigma_Q(X) = max_{Y in Q} E[XY]`` over the density list."""
         return max(pairing(X, Y) for Y in self.densities)
+
+    def violated_bound(self, t: np.ndarray):
+        """None when ``t`` lies in the convex hull of the densities ``Y_k``;
+        else a growth direction ``x`` of the conjugate at ``-t``: the
+        nearest point of the hull of ``Y_k - t``
+        (``finite_model.nearest_point``), whose certified margin
+        ``min_k E[x (Y_k - t)] > 0`` gives ``E[-x t] > sigma_Q(-x)``."""
+        _, x, margin = nearest_point([Y.x - t for Y in self.densities],
+                                     self.space.p)
+        return tuple(float(v) for v in x) if margin > 0.0 else None
 
 
 class CappedScenarioSet(ScenarioSet):
@@ -158,19 +168,39 @@ class RiskMeasure:
 
     ``evaluator`` maps RandomVariable -> float (``math.inf`` allowed);
     the measure must be proper, which is checked at the zero position.
+
+    The dual representation ``rho(X) = max_{Q in D} (E[-XQ] - alpha(Q))``,
+    when the measure has one on record, is carried by one of two fields:
+    ``scenarios`` for a scenario maximum (D is that set and alpha is 0),
+    or ``penalty``, alpha as a map of the density Q, on the density
+    simplex D.
     """
 
     evaluator: object
     provenance: str  # "scenario" | "acceptance" | "catalog"
     name: str = "rho"
-    gradient: object = None  # optional: RandomVariable -> atomwise gradient
     scenarios: ScenarioSet = None
+    penalty: object = None  # density RandomVariable -> alpha, on the simplex
 
     def __call__(self, X: RandomVariable) -> float:
         return float(self.evaluator(X))
 
     def check_proper(self, space: FiniteSpace) -> bool:
         return math.isfinite(self(space.constant(0.0)))
+
+    def dual(self, space: FiniteSpace):
+        """``(D, penalty)`` on ``space``: the scenario set and None
+        (alpha = 0) for a scenario maximum, else the density simplex
+        ``{Y >= 0, E[Y] = 1}`` and ``penalty``.  The simplex is kept as a
+        capped set whose cap ``1/min p`` never binds (``Y >= 0`` and
+        ``E[Y] = 1`` give ``p_i Y_i <= 1``), so its membership is the
+        bounds check and its support the maximum.  InputError when the
+        measure carries neither."""
+        if self.scenarios is not None:
+            return self.scenarios, None
+        if self.penalty is None:
+            raise InputError(f"{self.name} has no dual representation on record")
+        return CappedScenarioSet(space, 1.0 / float(np.min(space.p))), self.penalty
 
 
 def scenario_eval(Q: ScenarioSet, X: RandomVariable) -> float:
@@ -201,23 +231,17 @@ def acceptance_eval(member, X: RandomVariable, bracket, tol: float = 1e-8) -> fl
 
 def acceptance_measure(member, name: str = "acceptance") -> RiskMeasure:
     """Risk measure from an acceptance set, with automatic bracket
-    widening by doubling from ``(-1, 1)``."""
+    widening by doubling from ``(-1, 1)``: the upper end is the first of
+    ``1, 2, 4, ...`` with ``X + m*1`` in C, the lower the first of
+    ``-1, -2, -4, ...`` with it outside.  NumericFailure when either
+    passes 1e300 (``X + m*1`` never enters C, or is always in it)."""
 
     def evaluate(X: RandomVariable) -> float:
-        lo, hi = -1.0, 1.0
-        for _ in range(200):
-            if member(X + hi):
-                break
-            hi *= 2.0
-        else:
-            raise BracketInvalid("no upper bracket: X + m*1 never enters C")
-        for _ in range(200):
-            if not member(X + lo):
-                break
-            lo *= 2.0
-        else:
-            raise BracketInvalid("no lower bracket: X + m*1 always in C")
-        return acceptance_eval(member, X, (lo, hi))
+        _, hi = double_until(lambda h: member(X + h), 1.0,
+                             "no upper bracket: X + m*1 never enters C")
+        _, lo = double_until(lambda l: not member(X - l), 1.0,
+                             "no lower bracket: X + m*1 always in C")
+        return acceptance_eval(member, X, (-lo, hi))
 
     return RiskMeasure(evaluate, "acceptance", name)
 
@@ -322,7 +346,11 @@ def worstcase_scenarios(space: FiniteSpace) -> ScenarioSet:
 
 def entropic_measure(theta: float = 1.0) -> RiskMeasure:
     """``theta * log E[exp(-X / theta)]``; convex and cash additive but
-    not positively homogeneous."""
+    not positively homogeneous.  Its penalty is theta times the relative
+    entropy, ``alpha(Q) = theta * E[Q log Q]`` on the density simplex
+    (the Donsker-Varadhan formula; Föllmer & Schied, *Stochastic
+    Finance*, ch. 4), summed with ``fsum`` over the atoms where ``Q > 0``
+    (``0 log 0 = 0``)."""
     if theta <= 0:
         raise InputError("theta must be positive")
 
@@ -331,13 +359,13 @@ def entropic_measure(theta: float = 1.0) -> RiskMeasure:
         zmax = float(np.max(z))
         return theta * (zmax + math.log(float(np.sum(X.space.p * np.exp(z - zmax)))))
 
-    def grad(X: RandomVariable) -> np.ndarray:
-        z = -X.x / theta
-        w = X.space.p * np.exp(z - np.max(z))
-        return -w / w.sum()
+    def penalty(Q: RandomVariable) -> float:
+        q = Q.x
+        on = q > 0.0
+        return theta * math.fsum((Q.space.p[on] * q[on] * np.log(q[on])).tolist())
 
     return RiskMeasure(evaluate, "catalog", f"entropic(theta={theta:g})",
-                       gradient=grad)
+                       penalty=penalty)
 
 
 def parse_measure_spec(text: str, space: FiniteSpace) -> RiskMeasure:

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -264,3 +266,16 @@ def test_python_dash_m_runs_the_cli(capsys):
         [sys.executable, "-m", "orlicz_lab", "delta2", "--phi", "sparse",
          "--count", "3"], capture_output=True, text=True, env=env, check=True)
     assert done.stdout == expected
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # perfbench/tracing.py replaces each (module, name) in TARGETS by a
+    # timing wrapper; a name that is gone makes every traced run fail
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(module, name) for module, name, _ in tracing.TARGETS
+               if not hasattr(importlib.import_module(f"orlicz_lab.{module}"),
+                              name)]
+    assert tracing.TARGETS and missing == []

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orlicz_lab.duality import conjugate_rho
-from orlicz_lab.errors import BracketInvalid, EmptyScenarioSet, InputError
+from orlicz_lab.errors import (BracketInvalid, EmptyScenarioSet, InputError,
+                               NumericFailure)
 from orlicz_lab.finite_model import FiniteSpace, pairing, uniform_space
 from orlicz_lab.risk_measures import (
     RiskMeasure,
@@ -228,18 +229,6 @@ class TestEntropic:
         assert entropic_measure(1e4)(X) == pytest.approx(0.0, abs=1e-3)
         assert entropic_measure(1e-2)(X) == pytest.approx(1.0, abs=1e-1)
 
-    def test_gradient_matches_finite_differences(self):
-        sp = uniform_space(3)
-        X = sp.rv([0.5, -1.0, 2.0])
-        rho = entropic_measure(0.7)
-        g = rho.gradient(X)
-        h = 1e-6
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            fd = (rho(sp.rv(X.x + e)) - rho(sp.rv(X.x - e))) / (2 * h)
-            assert g[i] == pytest.approx(fd, abs=1e-6)
-
     def test_theta_validation(self):
         with pytest.raises(InputError):
             entropic_measure(0.0)
@@ -255,6 +244,37 @@ class TestAcceptance:
         for vals in ([1.0, -2.0, 0.5], [3.0, 3.0, 3.0], [-1.0, -1.0, 4.0]):
             X = sp.rv(vals)
             assert rho_a(X) == pytest.approx(rho_q(X), abs=1e-6)
+
+    def test_the_brackets_double_from_one(self):
+        # upper trials 1, 2, 4, 8 until X + m*1 enters C, then lower
+        # trials -1, ... until it leaves; the bisection checks both ends
+        # of (-1, 8) and halves it
+        sp = uniform_space(2)
+        X = sp.rv([1.0, -5.0])
+        shifts = []
+
+        def member(Z):
+            shifts.append(float(Z.x[1] - X.x[1]))
+            return float(np.min(Z.x)) >= 0.0
+
+        assert acceptance_measure(member)(X) == pytest.approx(5.0, abs=1e-7)
+        assert shifts[:8] == [1.0, 2.0, 4.0, 8.0, -1.0, 8.0, -1.0, 3.5]
+
+    @pytest.mark.parametrize("accepts, which", [(False, "upper"),
+                                                (True, "lower")])
+    def test_no_bracket_past_1e300(self, accepts, which):
+        # X + m*1 never enters C (or is always in it): the doubling stops
+        # once m passes 1e300
+        sp = uniform_space(2)
+        trials = []
+
+        def member(Z):
+            trials.append(Z)
+            return accepts
+
+        with pytest.raises(NumericFailure, match=f"no {which} bracket"):
+            acceptance_measure(member)(sp.rv([1.0, -2.0]))
+        assert 1e300 / 2.0 < max(abs(Z.x[0]) for Z in trials) <= 1e300
 
     def test_bracket_validation(self):
         sp = uniform_space(2)
