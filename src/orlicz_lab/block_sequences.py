@@ -11,12 +11,13 @@ pairs; discretization to a finite space is provided for cross-checks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .finite_model import FiniteSpace, RandomVariable
+from .finite_model import FiniteSpace
 from .norms import phi_inverse
 from .orlicz_functions import OrliczFunction, delta2_witnesses
 
@@ -76,10 +77,6 @@ class BlockSequence:
     def __len__(self):
         return len(self.blocks)
 
-    @property
-    def total_probability(self) -> float:
-        return sum(b.probability for b in self.blocks)
-
 
 def _exact_unit_pair(p: float, t: float):
     """Nudge ``(p, h)`` within a few ulps so that ``(p * t) * h == 1.0``
@@ -89,20 +86,19 @@ def _exact_unit_pair(p: float, t: float):
     so perturbing it is free; exact unit pairings keep the dual-block
     identities sharp downstream.
     """
-    import math as _math
 
     def steps(v):
         out = [v]
         up = down = v
         for _ in range(3):
-            up = _math.nextafter(up, _math.inf)
-            down = _math.nextafter(down, 0.0)
+            up = math.nextafter(up, math.inf)
+            down = math.nextafter(down, 0.0)
             out.extend([up, down])
         return out
 
     for p2 in steps(p):
         q = p2 * t
-        if q <= 0.0 or not _math.isfinite(q):
+        if q <= 0.0 or not math.isfinite(q):
             continue
         for h in steps(1.0 / q):
             if q * h == 1.0:

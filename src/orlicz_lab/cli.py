@@ -15,8 +15,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .errors import InputError, NotAMember, OrliczLabError, WitnessNotFound
 from . import block_sequences as bs
 from . import closure_lab as cl

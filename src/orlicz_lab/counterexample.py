@@ -47,9 +47,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .block_sequences import REGIONS, Block, BlockSequence, build_disjoint_sequence, \
-    blocks_from_json, blocks_to_json, series_modular
+    blocks_to_json, series_modular
 from .errors import CertificateError, InputError, NotAMember, \
-    TruncationTooSmall
+    NumericFailure, TruncationTooSmall
 from .finite_model import FiniteSpace, RandomVariable, pairing
 from .orlicz_functions import OrliczFunction, conjugate, parse_phi_spec, \
     phi_spec_string
@@ -192,36 +192,25 @@ class CounterexampleInstance:
         self._height_of[("Z0",)] = 1.0 / (p2 * _SQRT3)
         for key, b in zip(self.third_keys, self.w_seq.blocks):
             self._height_of[("W", *key)] = b.height
-        self._dual_cache = {}
+        # T's rows, one per dual Y_1..Y_N, Z_0, Z_key, each with its primal
+        self._row_pairs = tuple(
+            [(("X", b.index), ("Y", b.index)) for b in self.x_seq.blocks]
+            + [(("W0",), ("Z0",))]
+            + [(("W", *k), ("Z", *k)) for k in self.third_keys])
+        self._row_atom = np.array([self._atom_of[d] for _, d in self._row_pairs])
+        self._row_p = self.space.p[self._row_atom]
+        self._row_primal = np.array([self._height_of[s] for s, _ in self._row_pairs])
+        self._row_dual = np.array([self._height_of[d] for _, d in self._row_pairs])
 
     def _check_invariants(self):
-        for sym_p, sym_d in [(("X", b.index), ("Y", b.index))
-                             for b in self.x_seq.blocks] + \
-                [(("W0",), ("Z0",))] + \
-                [(("W", *k), ("Z", *k)) for k in self.third_keys]:
-            pr = pairing(self.symbol_rv(sym_p), self.symbol_rv(sym_d))
+        units = _pair_rows(self, self._row_primal, self._row_dual)
+        for (sym_p, sym_d), pr in zip(self._row_pairs, units):
             if abs(pr - 1.0) > 1e-9:
                 raise InputError(f"pairing({sym_p},{sym_d}) = {pr!r}, not 1")
         for seq, fn in ((self.x_seq, self.phi), (self.z_seq, self.psi)):
             val, tail = series_modular(seq, fn, 1.0)
             if val + tail > 1.0 + 1e-12:
                 raise InputError("series modular exceeds 1")
-
-    def symbol_rv(self, symbol) -> RandomVariable:
-        """Indicator block (or constant 1) as a discretized position."""
-        if symbol in self._dual_cache:
-            return self._dual_cache[symbol]
-        if symbol == ("one",):
-            rv = self.space.constant(1.0)
-        else:
-            vec = np.zeros(self.space.n_atoms)
-            vec[self._atom_of[symbol]] = self._height_of[symbol]
-            rv = self.space.rv(vec)
-        self._dual_cache[symbol] = rv
-        return rv
-
-    def combo(self, coeffs=None) -> "Combo":
-        return Combo(self, coeffs or {})
 
     @property
     def t_last(self) -> float:
@@ -233,14 +222,6 @@ class CounterexampleInstance:
         ``t_n / (2^n phi(t_n))`` with ``t/phi(t)`` nonincreasing."""
         t = self.t_last
         return (t / float(self.phi(t))) * 2.0 ** (-self.N)
-
-    @functools.cached_property
-    def _one_rows(self) -> np.ndarray:
-        """``_lp_rows``' right-hand side for ``T 1``, built once; rho_c
-        reads it on every call."""
-        b1 = _lp_rows(self, t_operator(self, Combo(self, {("one",): 1.0})))[2]
-        b1.setflags(write=False)
-        return b1
 
 
 class Combo:
@@ -254,6 +235,11 @@ class Combo:
             tail = k[0] == "Xtail" and len(k) == 2
             if k != ("one",) and not tail and k not in instance._atom_of:
                 raise InputError(f"unknown symbol {k!r}")
+            # a tail from r > N + 1 leaves u(n) = 0 for N < n < r, so
+            # u_tail = tail would overstate inf_{n > N} u(n)
+            if tail and k[1] not in range(1, instance.N + 2):
+                raise InputError(f"tail symbol {k!r} must start in "
+                                 f"1..{instance.N + 1}")
 
     # -- arithmetic ----------------------------------------------------
     def _merge(self, other, sign: float) -> "Combo":
@@ -332,6 +318,14 @@ class Combo:
         return Combo(ins, out)
 
 
+def _pair_rows(instance: CounterexampleInstance, left, right) -> list:
+    """``(p * left) * right`` on each of T's row atoms: ``pairing``'s one
+    nonzero term in its order, ``+ 0.0`` making -0.0 the 0.0 its sum
+    returns; like that sum, it overflows to inf without a warning."""
+    with np.errstate(over="ignore"):
+        return ((instance._row_p * left) * right + 0.0).tolist()
+
+
 def _pairing_interval(P: Combo, D: Combo):
     """Exact pairing when no symbolic tail is present; otherwise a
     certified enclosure (the tail meets only D's constant part)."""
@@ -353,30 +347,36 @@ def build_instance(phi: OrliczFunction, I: int, J: int, N: int,
 
 
 def t_operator(instance: CounterexampleInstance, X) -> TImage:
-    """``T X = (E[X Y_n])_n (+) E[X Z_0] (+) (E[X Z_key])_key``."""
+    """``T X = (E[X Y_n])_n (+) E[X Z_0] (+) (E[X Z_key])_key``, each
+    entry one atom's term; NumericFailure where it or X is not finite."""
     ins = instance
     if isinstance(X, Combo):
         if X.instance is not ins:
             raise InputError("combo belongs to a different instance")
-        rv = X.as_rv()
         c1 = X.constant_part
         tail = X.tail_coefficient
+        if not math.isfinite(tail):
+            raise NumericFailure(f"Xtail coefficient {tail!r} is not finite")
         # inf over n > N of (tail + c1 / t_n): the block part is exact,
         # the constant part vanishes from above and is bounded below
         u_tail = tail + (c1 / ins.t_last if c1 < 0 else 0.0)
     elif isinstance(X, RandomVariable):
         if X.space != ins.space:
             raise InputError("position lives on a different discretization")
-        rv = X
         u_tail = math.inf
     else:
         raise InputError(f"unsupported input {type(X).__name__}")
-    u = tuple(pairing(rv, ins.symbol_rv(("Y", b.index)))
-              for b in ins.x_seq.blocks)
-    a = pairing(rv, ins.symbol_rv(("Z0",)))
-    v = tuple(sorted((key, pairing(rv, ins.symbol_rv(("Z", *key))))
-                     for key in ins.third_keys))
-    return TImage(u=u, a=a, v=v, variant=ins.variant, u_tail=u_tail)
+    x = X.x
+    rows = _pair_rows(ins, x[ins._row_atom], ins._row_dual)
+    bad = ~np.isfinite(x)
+    bad[ins._row_atom] |= ~np.isfinite(rows)
+    if bad.any():
+        label = ins.space.labels[int(np.argmax(bad))]
+        raise NumericFailure(f"X or T X is not finite on atom {label}")
+    n = ins.N
+    return TImage(u=tuple(rows[:n]), a=rows[n],
+                  v=tuple(sorted(zip(ins.third_keys, rows[n + 1:]))),
+                  variant=ins.variant, u_tail=u_tail)
 
 
 def summing(row, N: int | None = None):
@@ -674,9 +674,10 @@ def weak_approx_select(instance: CounterexampleInstance, targets, eps: float):
     for t in targets:
         V = V + t.abs()
     V = V * (1.0 / eps)
-    w_pairings = {key: pairing(ins.symbol_rv(("W", *key)), V.as_rv())
-                  for key in ins.third_keys}
-    w_max = max(w_pairings.values())
+    # E[X_n V], E[W_0 V] and E[W_key V], in the order of pairing(block, V)
+    rows = _pair_rows(ins, ins._row_primal, V.x[ins._row_atom])
+    block_pair = rows[:ins.N]
+    w_max = max(rows[ins.N + 1:])
     s = None
     for cand in range(1, ins.I + 1):
         if w_max < 2.0 ** (cand - 1):
@@ -686,10 +687,7 @@ def weak_approx_select(instance: CounterexampleInstance, targets, eps: float):
         raise TruncationTooSmall(
             f"no s <= {ins.I} with max E[W_ij V] = {w_max!r} < 2^(s-1)"
         )
-    c1 = V.constant_part
-    block_pair = [pairing(ins.symbol_rv(("X", b.index)), V.as_rv())
-                  for b in ins.x_seq.blocks]
-    tail_bound = c1 * ins.constant_tail_bound
+    tail_bound = V.constant_part * ins.constant_tail_bound
     r = None
     for cand in range(1, min(ins.J, ins.N) + 1):
         tail = sum(block_pair[cand - 1:]) + tail_bound
@@ -778,7 +776,7 @@ def rho_c(instance: CounterexampleInstance, X: Combo,
     b0 = _lp_rows(ins, t_operator(ins, X - c1))[2]
     if X.tail_coefficient < 0.0:
         return math.inf
-    b1 = ins._one_rows
+    b1 = _lp_rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[2]
     # the last row is the tail row, where T 1 contributes 0; its twin
     # carries the constant part's (c1 + m)/t_N
     b0 = np.append(b0, b0[-1])

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -192,6 +193,24 @@ class TestCex:
         assert code == 0
         assert report["rho_c"] == "inf"
 
+    def test_an_overflowing_position_exits_4_at_once(self, instance_json,
+                                                     tmp_path):
+        # x = 1e308 t_4 is inf on atom A4; rho_c once looped on it for
+        # good, so each command runs in a child that a timeout stops
+        combo = tmp_path / "combo.json"
+        combo.write_text(json.dumps({"X:4": 1e308}))
+        src = str(pathlib.Path(orlicz_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for action in ("rho", "member"):
+            done = subprocess.run(
+                [sys.executable, "-m", "orlicz_lab", "cex", action,
+                 "--instance", instance_json, "--combo", str(combo)],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert done.returncode == 4, action
+            err = json.loads(done.stderr)
+            assert err["error"] == "numeric-failure"
+            assert "on atom A4" in err["detail"]
+
     def test_approx(self, capsys, tmp_path):
         instance = tmp_path / "big.json"
         assert run(["cex", "build", "--output", str(instance)]) == 0
@@ -279,3 +298,27 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
                if not hasattr(importlib.import_module(f"orlicz_lab.{module}"),
                               name)]
     assert tracing.TARGETS and missing == []
+
+
+def test_no_library_module_has_an_unused_import():
+    # every module but the package's __init__, which re-exports, uses
+    # each name it imports
+    package = pathlib.Path(orlicz_lab.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [(path.name, node.lineno, name)
+                   for name, node in imported.items() if name not in used]
+    assert unused == []

@@ -34,7 +34,7 @@ from orlicz_lab.counterexample import (
     weak_approx_select,
 )
 from orlicz_lab.errors import (CertificateError, InputError, NotAMember,
-                               TruncationTooSmall)
+                               NumericFailure, TruncationTooSmall)
 from orlicz_lab.finite_model import pairing
 from orlicz_lab.orlicz_functions import (build_sparse_pair, conjugate,
                                          delta2_witnesses, sparse_schedule)
@@ -112,23 +112,28 @@ class TestSumming:
         assert summing([1.0, 2.0, 3.0], N=2) == (1.0, 3.0)
 
 
+def block_rv(ins, symbol):
+    """One block (or the constant 1) as a discretized position."""
+    return Combo(ins, {symbol: 1.0}).as_rv()
+
+
 class TestInstanceInvariants:
     def test_pairings_are_unit(self, instance):
         ins = instance
         for b in ins.x_seq.blocks:
-            pr = pairing(ins.symbol_rv(("X", b.index)),
-                         ins.symbol_rv(("Y", b.index)))
+            pr = pairing(block_rv(ins, ("X", b.index)),
+                         block_rv(ins, ("Y", b.index)))
             assert pr == pytest.approx(1.0, abs=1e-12)
-        assert pairing(ins.symbol_rv(("W0",)), ins.symbol_rv(("Z0",))) == 1.0
+        assert pairing(block_rv(ins, ("W0",)), block_rv(ins, ("Z0",))) == 1.0
         for key in ins.third_keys:
-            pr = pairing(ins.symbol_rv(("W", *key)), ins.symbol_rv(("Z", *key)))
+            pr = pairing(block_rv(ins, ("W", *key)), block_rv(ins, ("Z", *key)))
             assert pr == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_supports(self, instance):
         ins = instance
-        X1 = ins.symbol_rv(("X", ins.x_seq.blocks[0].index))
-        W0 = ins.symbol_rv(("W0",))
-        Z = ins.symbol_rv(("Z", *ins.third_keys[0]))
+        X1 = block_rv(ins, ("X", ins.x_seq.blocks[0].index))
+        W0 = block_rv(ins, ("W0",))
+        Z = block_rv(ins, ("Z", *ins.third_keys[0]))
         assert pairing(X1, W0) == 0.0
         assert pairing(X1, Z) == 0.0
         assert pairing(W0, Z) == 0.0
@@ -164,10 +169,25 @@ class TestCombo:
                 [(base, *k) for base in ("W", "Z") for k in ins.third_keys]
             for sym in symbols:
                 C = Combo(ins, {sym: 1.0})
-                assert np.array_equal(C.x, ins.symbol_rv(sym).x), sym
+                block = np.zeros(ins.space.n_atoms)
+                block[ins._atom_of[sym]] = ins._height_of[sym]
+                assert np.array_equal(C.as_rv().x, block), sym
                 D = Combo(ins, {sym: -2.0, ("one",): 0.25})
                 assert np.allclose(D.abs().x, np.abs(D.x), rtol=1e-15,
                                    atol=0.0), sym
+
+    def test_tail_starts_within_the_truncation(self, phi):
+        # Xtail(30) on N = 3 would report u_tail = 100 although u(5) = 0,
+        # and with it a lambda = 8 certificate for a non-member
+        ins = build_instance(phi, I=2, J=6, N=3)
+        with pytest.raises(InputError, match="Xtail"):
+            Combo(ins, {("Xtail", 30): 100.0, ("W0",): -1.0,
+                        ("W", 1, 5): 1.0, ("W", 2, 5): 1.0, ("W", 1, 6): 1.0})
+        for r in (0, ins.N + 2):
+            with pytest.raises(InputError):
+                Combo(ins, {("Xtail", r): 1.0})
+        last = Combo(ins, {("Xtail", ins.N + 1): 2.0})
+        assert t_operator(ins, last).u_tail == 2.0
 
     def test_abs_rejects_symbolic_tail(self, instance):
         with pytest.raises(InputError):
@@ -219,6 +239,49 @@ class TestTOperator:
         from orlicz_lab.finite_model import uniform_space
         with pytest.raises(InputError):
             t_operator(instance, uniform_space(3).constant(0.0))
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_each_entry_is_the_pairing_with_its_dual_bit_for_bit(
+            self, instance, instance_h, data):
+        # every entry, the sign of a zero included, is what summing over
+        # the atoms gives
+        for ins in (instance, instance_h):
+            X = data.draw(st.one_of(wide_combos(ins), wide_rvs(ins)))
+            rv = X.as_rv() if isinstance(X, Combo) else X
+            duals = [("Y", b.index) for b in ins.x_seq.blocks] + [("Z0",)] + \
+                [("Z", *k) for k in ins.third_keys]
+            img = t_operator(ins, X)
+            v = img.v_dict()
+            got = list(img.u) + [img.a] + [v[k] for k in ins.third_keys]
+            assert [g.hex() for g in got] == \
+                [pairing(rv, block_rv(ins, d)).hex() for d in duals]
+
+    def test_a_position_that_is_not_finite_is_rejected(self, instance):
+        # x = 1e308 t_8 overflows; rho_c used to loop on its NaN rows
+        ins = instance
+        X = Combo(ins, {("X", 8): 1e308})
+        for position in (X, X.as_rv()):
+            with pytest.raises(NumericFailure, match="on atom A8"):
+                t_operator(ins, position)
+        with pytest.raises(NumericFailure, match="on atom A8"):
+            rho_c(ins, X)
+        nan_rest = ins.space.rv([0.0] * (ins.space.n_atoms - 1) + [math.nan])
+        with pytest.raises(NumericFailure, match="on atom rest"):
+            t_operator(ins, nan_rest)
+        past_n = Combo(ins, {("Xtail", ins.N + 1): math.inf})
+        with pytest.raises(NumericFailure, match="Xtail"):
+            t_operator(ins, past_n)
+
+    def test_an_entry_that_overflows_is_rejected(self, phi):
+        # the default blocks keep p h_D <= 1/sqrt(3); a dual height scaled
+        # up lets a finite position overflow on that dual's atom
+        ins = build_instance(phi, 2, 2, 3)
+        ins._row_dual = ins._row_dual * np.where(np.arange(len(ins._row_dual))
+                                                 == ins.N, 1e10, 1.0)
+        X = Combo(ins, {("W0",): 1e300})
+        with pytest.raises(NumericFailure, match="on atom B0"):
+            t_operator(ins, X)
 
 
 class TestMembership:
@@ -428,17 +491,6 @@ class TestRhoC:
         assert rho_c(ins, X * 2.0) == pytest.approx(
             2.0 * rho_c(ins, X), abs=1e-4)
 
-
-    def test_the_image_of_one_is_built_once(self, instance):
-        # rho_c reads T 1's rows from the instance, where they are the
-        # bits a fresh build gives
-        ins = instance
-        X = Combo(ins, {("X", 2): -2.0})
-        first = rho_c(ins, X)
-        assert ins._one_rows is ins._one_rows
-        fresh = cex._lp_rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[2]
-        assert np.array_equal(ins._one_rows, fresh)
-        assert rho_c(ins, X) == first
 
     def test_infinite_value_from_infeasible_lp(self, instance):
         start = time.perf_counter()
@@ -672,6 +724,28 @@ POSITIVE = [0.125, 0.25, 0.5, 1.0, 2.0]
                      for t in TRUNCATIONS])
 def truncated(request, phi):
     return build_instance(phi, *request.param)
+
+
+@st.composite
+def wide_combos(draw, ins):
+    """Any symbols of ``ins`` with coefficients of every sign and scale,
+    tiny negative ones among them, whose products underflow to -0.0."""
+    symbols = list(ins._atom_of) + [("one",)] + \
+        [("Xtail", r) for r in range(1, ins.N + 2)]
+    coefficient = st.one_of(
+        st.sampled_from([-5e-324, -1e-310, -1e-300, -1.0, 0.5, 3.0]),
+        st.floats(-1e6, 1e6))
+    keys = draw(st.lists(st.sampled_from(symbols), max_size=6, unique=True))
+    return Combo(ins, {k: draw(coefficient) for k in keys})
+
+
+def wide_rvs(ins):
+    """Discretized positions with any finite values, zeros of both signs
+    and the largest floats among them."""
+    value = st.one_of(st.sampled_from([0.0, -0.0, -5e-324, 1e308, -1e308]),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    return st.lists(value, min_size=ins.space.n_atoms,
+                    max_size=ins.space.n_atoms).map(ins.space.rv)
 
 
 @st.composite
