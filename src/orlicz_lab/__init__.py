@@ -101,7 +101,6 @@ from .counterexample import (
     limit_certificate,
     membership,
     rho_c,
-    summing,
     t_operator,
     verify_certificate,
     weak_approx_select,

@@ -55,7 +55,6 @@ class Block:
 class BlockSequence:
     region: str
     blocks: tuple
-    generator: str = ""  # metadata: witness provenance
 
     def __post_init__(self):
         lo, hi = REGIONS[self.region]
@@ -133,11 +132,8 @@ def build_disjoint_sequence(phi: OrliczFunction, count: int, region: str = "omeg
         x_blocks.append(Block(n, t_n, p_n, cursor, slot_hi))
         y_blocks.append(Block(n, h_n, p_n, cursor, slot_hi))
         cursor = slot_hi
-    gen = f"delta2:{phi.name}"
-    return (
-        BlockSequence(region, tuple(x_blocks), generator=gen),
-        BlockSequence(region, tuple(y_blocks), generator=gen + "*"),
-    )
+    return (BlockSequence(region, tuple(x_blocks)),
+            BlockSequence(region, tuple(y_blocks)))
 
 
 def series_modular(blocks: BlockSequence, phi: OrliczFunction, lam: float,

@@ -62,7 +62,6 @@ __all__ = [
     "build_instance",
     "diagonal_pairs",
     "t_operator",
-    "summing",
     "membership",
     "verify_certificate",
     "weak_approx_select",
@@ -149,8 +148,7 @@ class CounterexampleInstance:
                                                          t_cap=t_cap)
         lo2, hi2 = REGIONS["omega2"]
         w0 = Block(1, _SQRT3, hi2 - lo2, lo2, hi2)
-        self.w0_seq = BlockSequence("omega2", (w0,), generator="constant")
-        self.z0_seq = self.w0_seq  # Z_0 equals W_0 by construction
+        self.w0_seq = BlockSequence("omega2", (w0,))
         n_third = I * J if variant == "L" else J
         self.z_seq, self.w_seq = build_disjoint_sequence(self.psi, n_third,
                                                          "omega3", t_cap=t_cap)
@@ -162,45 +160,42 @@ class CounterexampleInstance:
         self._check_invariants()
 
     def _build_space(self):
-        probs, labels = [], []
-        # every symbol is a key; each block shares its atom with its dual
-        self._atom_of = {}
-        self._height_of = {}
-        for b in self.x_seq.blocks:
-            self._atom_of[("X", b.index)] = self._atom_of[("Y", b.index)] = len(probs)
-            self._height_of[("X", b.index)] = b.height
-            probs.append(b.probability)
-            labels.append(f"A{b.index}")
-        self._atom_of[("W0",)] = self._atom_of[("Z0",)] = len(probs)
-        self._height_of[("W0",)] = _SQRT3
+        """T's rows in atom order, each ``(primal, dual, primal height,
+        dual height, p, label)`` for a block and its dual on one atom; the
+        space, the row arrays and the symbol tables are read off them."""
         p2 = self.w0_seq.blocks[0].probability
-        probs.append(p2)
-        labels.append("B0")
-        for key, b in zip(self.third_keys, self.z_seq.blocks):
-            self._atom_of[("Z", *key)] = self._atom_of[("W", *key)] = len(probs)
-            self._height_of[("Z", *key)] = b.height
-            probs.append(b.probability)
-            labels.append("C" + "_".join(map(str, key)))
-        rest = 1.0 - sum(probs)
-        probs.append(rest)
-        labels.append("rest")
-        self.space = FiniteSpace(tuple(probs), tuple(labels))
-        # dual heights on the same atoms
-        for b in self.y_seq.blocks:
-            self._height_of[("Y", b.index)] = b.height
+        rows = [(("X", x.index), ("Y", y.index), x.height, y.height,
+                 x.probability, f"A{x.index}")
+                for x, y in zip(self.x_seq.blocks, self.y_seq.blocks)]
         # reciprocal height makes the pairing with W_0 exactly 1 in floats
-        self._height_of[("Z0",)] = 1.0 / (p2 * _SQRT3)
-        for key, b in zip(self.third_keys, self.w_seq.blocks):
-            self._height_of[("W", *key)] = b.height
-        # T's rows, one per dual Y_1..Y_N, Z_0, Z_key, each with its primal
-        self._row_pairs = tuple(
-            [(("X", b.index), ("Y", b.index)) for b in self.x_seq.blocks]
-            + [(("W0",), ("Z0",))]
-            + [(("W", *k), ("Z", *k)) for k in self.third_keys])
-        self._row_atom = np.array([self._atom_of[d] for _, d in self._row_pairs])
-        self._row_p = self.space.p[self._row_atom]
-        self._row_primal = np.array([self._height_of[s] for s, _ in self._row_pairs])
-        self._row_dual = np.array([self._height_of[d] for _, d in self._row_pairs])
+        rows.append((("W0",), ("Z0",), _SQRT3, 1.0 / (p2 * _SQRT3), p2, "B0"))
+        rows += [(("W", *key), ("Z", *key), w.height, z.height, z.probability,
+                  "C" + "_".join(map(str, key)))
+                 for key, z, w in zip(self.third_keys, self.z_seq.blocks,
+                                      self.w_seq.blocks)]
+        primal, dual, h_primal, h_dual, probs, labels = zip(*rows)
+        self.space = FiniteSpace(probs + (1.0 - sum(probs),), labels + ("rest",))
+        self._row_pairs = tuple(zip(primal, dual))
+        self._row_p = self.space.p[:len(rows)]
+        self._row_primal, self._row_dual = np.array(h_primal), np.array(h_dual)
+        self._atom_of = {sym: atom for atom, pair in enumerate(self._row_pairs)
+                         for sym in pair}
+        self._height_of = dict(zip(primal + dual, h_primal + h_dual))
+
+    def _resolve(self, symbol):
+        """``(atoms, heights)`` of a block symbol, ``("Xtail", r)`` being
+        the X rows r..N; InputError for any other symbol."""
+        if symbol[0] == "Xtail" and len(symbol) == 2:
+            # a tail from r > N + 1 leaves u(n) = 0 for N < n < r, so
+            # u_tail = tail would overstate inf_{n > N} u(n)
+            if symbol[1] not in range(1, self.N + 2):
+                raise InputError(f"tail symbol {symbol!r} must start in "
+                                 f"1..{self.N + 1}")
+            rows = slice(int(symbol[1]) - 1, self.N)
+            return rows, self._row_primal[rows]
+        if symbol not in self._atom_of:
+            raise InputError(f"unknown symbol {symbol!r}")
+        return self._atom_of[symbol], self._height_of[symbol]
 
     def _check_invariants(self):
         units = _pair_rows(self, self._row_primal, self._row_dual)
@@ -232,14 +227,8 @@ class Combo:
         self.instance = instance
         self.coeffs = {k: float(v) for k, v in coeffs.items() if v != 0.0}
         for k in self.coeffs:
-            tail = k[0] == "Xtail" and len(k) == 2
-            if k != ("one",) and not tail and k not in instance._atom_of:
-                raise InputError(f"unknown symbol {k!r}")
-            # a tail from r > N + 1 leaves u(n) = 0 for N < n < r, so
-            # u_tail = tail would overstate inf_{n > N} u(n)
-            if tail and k[1] not in range(1, instance.N + 2):
-                raise InputError(f"tail symbol {k!r} must start in "
-                                 f"1..{instance.N + 1}")
+            if k != ("one",):
+                instance._resolve(k)
 
     # -- arithmetic ----------------------------------------------------
     def _merge(self, other, sign: float) -> "Combo":
@@ -282,16 +271,12 @@ class Combo:
     def x(self) -> np.ndarray:
         ins = self.instance
         vec = np.full(ins.space.n_atoms, self.constant_part)
-        for k, c in self.coeffs.items():
-            if k == ("one",):
-                continue
-            if k[0] == "Xtail":
-                r = k[1]
-                for b in ins.x_seq.blocks:
-                    if b.index >= r:
-                        vec[ins._atom_of[("X", b.index)]] += c * b.height
-            else:
-                vec[ins._atom_of[k]] += c * ins._height_of[k]
+        # like a sum of floats, a term overflows to inf without a warning
+        with np.errstate(over="ignore"):
+            for k, c in self.coeffs.items():
+                if k != ("one",):
+                    atoms, heights = ins._resolve(k)
+                    vec[atoms] += c * heights
         return vec
 
     def as_rv(self) -> RandomVariable:
@@ -300,21 +285,18 @@ class Combo:
     def abs(self) -> "Combo":
         """Atomwise absolute value, expressed back over block symbols.
 
-        Exact because distinct blocks have disjoint supports; each atom
-        is re-expressed through its canonical dual symbol.
+        Exact because distinct blocks have disjoint supports; each of T's
+        row atoms is re-expressed through that row's dual symbol.
         """
         if self.tail_coefficient:
             raise InputError("abs of a symbolic-tail combo is not supported")
         ins = self.instance
-        vec = np.abs(self.x)
         c1 = abs(self.constant_part)
         out = {("one",): c1}
-        canonical = [("Y", b.index) for b in ins.y_seq.blocks] + [("Z0",)] + \
-            [("Z", *k) for k in ins.third_keys]
-        for sym in canonical:
-            delta = vec[ins._atom_of[sym]] - c1
+        deltas = np.abs(self.x[:len(ins._row_pairs)]) - c1
+        for (_, sym), delta, h in zip(ins._row_pairs, deltas, ins._row_dual):
             if delta != 0.0:
-                out[sym] = delta / ins._height_of[sym]
+                out[sym] = delta / h
         return Combo(ins, out)
 
 
@@ -367,9 +349,10 @@ def t_operator(instance: CounterexampleInstance, X) -> TImage:
     else:
         raise InputError(f"unsupported input {type(X).__name__}")
     x = X.x
-    rows = _pair_rows(ins, x[ins._row_atom], ins._row_dual)
+    R = len(ins._row_pairs)
+    rows = _pair_rows(ins, x[:R], ins._row_dual)
     bad = ~np.isfinite(x)
-    bad[ins._row_atom] |= ~np.isfinite(rows)
+    bad[:R] |= ~np.isfinite(rows)
     if bad.any():
         label = ins.space.labels[int(np.argmax(bad))]
         raise NumericFailure(f"X or T X is not finite on atom {label}")
@@ -377,17 +360,6 @@ def t_operator(instance: CounterexampleInstance, X) -> TImage:
     return TImage(u=tuple(rows[:n]), a=rows[n],
                   v=tuple(sorted(zip(ins.third_keys, rows[n + 1:]))),
                   variant=ins.variant, u_tail=u_tail)
-
-
-def summing(row, N: int | None = None):
-    """Prefix sums, optionally truncated/extended to length N."""
-    out, acc = [], 0.0
-    for x in row:
-        acc += float(x)
-        out.append(acc)
-    if N is not None:
-        out = (out + [acc] * (N - len(out)))[:N]
-    return tuple(out)
 
 
 def _lp_rows(instance: CounterexampleInstance, image: TImage):
@@ -604,8 +576,8 @@ def membership(instance: CounterexampleInstance, image: TImage,
     Otherwise the greedy (``_greedy``) gives the largest lambda, and the
     image is a member exactly when ``a + lambda* >= 0``, up to 4 ulp of
     float rounding.  Returns the certificate with ``y = z / lambda`` of
-    largest lambda (or the canonical ``lambda = 0`` certificate
-    ``y(1,1) = 1/2`` when that lambda is at most ``max(tol, 1e-7)``).
+    largest lambda (or the ``lambda = 0`` certificate ``y(1,1) = 1/2``
+    when that lambda is at most ``max(tol, 1e-7)``).
     Otherwise raises NotAMember carrying a Farkas certificate: row
     multipliers ``mu >= 0`` summing to 1 with ``A^T mu + nu eq >= 0``
     for some ``nu`` and ``mu . b < 0``, keyed by row label, with
@@ -675,7 +647,7 @@ def weak_approx_select(instance: CounterexampleInstance, targets, eps: float):
         V = V + t.abs()
     V = V * (1.0 / eps)
     # E[X_n V], E[W_0 V] and E[W_key V], in the order of pairing(block, V)
-    rows = _pair_rows(ins, ins._row_primal, V.x[ins._row_atom])
+    rows = _pair_rows(ins, ins._row_primal, V.x[:len(ins._row_pairs)])
     block_pair = rows[:ins.N]
     w_max = max(rows[ins.N + 1:])
     s = None
@@ -731,7 +703,9 @@ def _rho_newton(chain: _Chain, rhs, b1):
     """
     # the one row without T 1, the tail row, holds for all m as tail >= 0
     rows = 1 + np.flatnonzero(b1[1:] > 0.0)
-    cut = -rhs[rows] / b1[rows]
+    # a cut that overflows is -inf: that row holds for every m
+    with np.errstate(over="ignore"):
+        cut = -rhs[rows] / b1[rows]
     r = rows[int(np.argmax(cut))]
     m = float(cut.max())
     mu, nu = np.eye(len(rhs))[r] / b1[r], 0.0

@@ -61,11 +61,6 @@ class FiniteSpace:
     def constant(self, c: float) -> "RandomVariable":
         return self.rv(np.full(self.n_atoms, float(c)))
 
-    def indicator(self, atoms) -> "RandomVariable":
-        v = np.zeros(self.n_atoms)
-        v[list(atoms)] = 1.0
-        return self.rv(v)
-
 
 def uniform_space(n: int) -> FiniteSpace:
     return FiniteSpace(tuple([1.0 / n] * n))

@@ -167,7 +167,7 @@ class RiskMeasure:
     """Extended-real functional with a provenance tag.
 
     ``evaluator`` maps RandomVariable -> float (``math.inf`` allowed);
-    the measure must be proper, which is checked at the zero position.
+    the measure is taken to be proper (finite at 0), which is not checked.
 
     The dual representation ``rho(X) = max_{Q in D} (E[-XQ] - alpha(Q))``,
     when the measure has one on record, is carried by one of two fields:
@@ -184,9 +184,6 @@ class RiskMeasure:
 
     def __call__(self, X: RandomVariable) -> float:
         return float(self.evaluator(X))
-
-    def check_proper(self, space: FiniteSpace) -> bool:
-        return math.isfinite(self(space.constant(0.0)))
 
     def dual(self, space: FiniteSpace):
         """``(D, penalty)`` on ``space``: the scenario set and None

@@ -28,7 +28,6 @@ from orlicz_lab.counterexample import (
     limit_certificate,
     membership,
     rho_c,
-    summing,
     t_operator,
     verify_certificate,
     weak_approx_select,
@@ -105,13 +104,6 @@ class TestDiagonalPairs:
         assert set(pairs) == {(i, j) for i in range(1, 4) for j in range(1, 6)}
 
 
-class TestSumming:
-    def test_prefix_sums(self):
-        assert summing([1.0, 2.0, 3.0]) == (1.0, 3.0, 6.0)
-        assert summing([1.0, 2.0], N=4) == (1.0, 3.0, 3.0, 3.0)
-        assert summing([1.0, 2.0, 3.0], N=2) == (1.0, 3.0)
-
-
 def block_rv(ins, symbol):
     """One block (or the constant 1) as a discretized position."""
     return Combo(ins, {symbol: 1.0}).as_rv()
@@ -140,6 +132,17 @@ class TestInstanceInvariants:
 
     def test_w0_height(self, instance):
         assert instance._height_of[("W0",)] == SQRT3
+
+    def test_t_rows_are_the_first_atoms(self, instance, instance_h):
+        # T reads row k off atom k: A1..AN, B0, then C<key> in key order
+        for ins in (instance, instance_h):
+            R = len(ins._row_pairs)
+            assert ins.space.labels[:R] == tuple(
+                [f"A{n}" for n in range(1, ins.N + 1)] + ["B0"]
+                + ["C" + "_".join(map(str, k)) for k in ins.third_keys])
+            assert ins.space.labels[R:] == ("rest",)
+            for atom, (primal, dual) in enumerate(ins._row_pairs):
+                assert ins._atom_of[primal] == ins._atom_of[dual] == atom
 
     def test_truncation_validation(self, phi):
         with pytest.raises(InputError):
@@ -192,6 +195,19 @@ class TestCombo:
     def test_abs_rejects_symbolic_tail(self, instance):
         with pytest.raises(InputError):
             Combo(instance, {("Xtail", 1): 1.0}).abs()
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_x_and_abs_are_the_per_symbol_loop_bit_for_bit(
+            self, instance, instance_h, data):
+        for ins in (instance, instance_h):
+            C = data.draw(st.one_of(wide_combos(ins), overlapping_combos(ins)))
+            assert C.x.tobytes() == combo_x_by_symbols(C).tobytes()
+            if C.tail_coefficient:
+                continue
+            got = [(k, v.hex()) for k, v in C.abs().coeffs.items()]
+            assert got == [(k, v.hex()) for k, v in
+                           combo_abs_by_symbols(C).coeffs.items()]
 
     def test_unknown_symbol(self, instance, instance_h):
         for ins, sym in ((instance, ("Q", 1)), (instance, ("X", 99)),
@@ -470,6 +486,15 @@ class TestRhoC:
         value = rho_c(instance, Combo(instance, {("W0",): -1.0}))
         assert value == pytest.approx(SQRT3, abs=1e-4)
 
+    def test_a_tail_capacity_that_overflows_its_cut_holds_for_every_m(
+            self, instance):
+        # the tail twin's cut -1e308 t_N overflows to -inf, which used to
+        # warn (and so raise in this suite); that row binds no m
+        ins = instance
+        X = Combo(ins, {("Xtail", ins.N + 1): 1e308, ("W0",): -1.0})
+        assert rho_c(ins, X) == rho_c(ins, Combo(ins, {("W0",): -1.0})) \
+            == 1.7320508075688774
+
     def test_rho_of_zero(self, instance):
         assert abs(rho_c(instance, Combo(instance, {}))) < 1e-5
 
@@ -737,6 +762,52 @@ def wide_combos(draw, ins):
         st.floats(-1e6, 1e6))
     keys = draw(st.lists(st.sampled_from(symbols), max_size=6, unique=True))
     return Combo(ins, {k: draw(coefficient) for k in keys})
+
+
+@st.composite
+def overlapping_combos(draw, ins):
+    """A wide combo with ``Xtail(r)`` over a block ``X_n``, n >= r, the
+    empty tail ``Xtail(N+1)`` and the constant added, their coefficients
+    zeros of both signs among them."""
+    r = draw(st.integers(1, ins.N))
+    extra = [("Xtail", r), ("X", draw(st.integers(r, ins.N))),
+             ("Xtail", ins.N + 1), ("one",)]
+    coefficient = st.one_of(
+        st.sampled_from([0.0, -0.0, -5e-324, -1.0, 0.5]), st.floats(-1e6, 1e6))
+    coeffs = dict(draw(wide_combos(ins)).coeffs)
+    coeffs.update({k: draw(coefficient) for k in extra})
+    return Combo(ins, coeffs)
+
+
+def combo_x_by_symbols(C):
+    """``Combo.x`` as one loop over the symbols, each tail block by block."""
+    ins = C.instance
+    vec = np.full(ins.space.n_atoms, C.constant_part)
+    for k, c in C.coeffs.items():
+        if k == ("one",):
+            continue
+        if k[0] == "Xtail":
+            for b in ins.x_seq.blocks:
+                if b.index >= k[1]:
+                    vec[ins._atom_of[("X", b.index)]] += c * b.height
+        else:
+            vec[ins._atom_of[k]] += c * ins._height_of[k]
+    return vec
+
+
+def combo_abs_by_symbols(C):
+    """``Combo.abs`` over the dual symbols Y_1..Y_N, Z_0, Z_key."""
+    ins = C.instance
+    vec = np.abs(combo_x_by_symbols(C))
+    c1 = abs(C.constant_part)
+    out = {("one",): c1}
+    duals = [("Y", b.index) for b in ins.y_seq.blocks] + [("Z0",)] + \
+        [("Z", *k) for k in ins.third_keys]
+    for sym in duals:
+        delta = vec[ins._atom_of[sym]] - c1
+        if delta != 0.0:
+            out[sym] = delta / ins._height_of[sym]
+    return Combo(ins, out)
 
 
 def wide_rvs(ins):

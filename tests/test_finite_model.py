@@ -31,10 +31,8 @@ class TestFiniteSpace:
         assert sp.n_atoms == 4
         assert all(abs(p - 0.25) < 1e-15 for p in sp.probabilities)
 
-    def test_indicator_and_constant(self):
+    def test_constant(self):
         sp = uniform_space(3)
-        ind = sp.indicator([0, 2])
-        assert list(ind.values) == [1.0, 0.0, 1.0]
         assert list(sp.constant(2.5).values) == [2.5] * 3
 
 
