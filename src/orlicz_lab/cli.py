@@ -273,8 +273,9 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         for name in ("eps", "t_cap"):
-            if getattr(args, name, 1.0) <= 0:
-                raise InputError(f"--{name.replace('_', '-')} must be positive")
+            if not 0 < getattr(args, name, 1.0) < math.inf:
+                raise InputError(
+                    f"--{name.replace('_', '-')} must be positive and finite")
         return args.func(args)
     except NotAMember as exc:
         return _fail("not-a-member", exc, 2, certificate=exc.certificate)

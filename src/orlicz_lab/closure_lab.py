@@ -10,6 +10,7 @@ capped-sup almost-sure extraction estimate ``E[sup_{m>=n}(|X_m - X| ^ 1)]
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -47,16 +48,12 @@ def split_with_budget(X: RandomVariable, phi: OrliczFunction, budget: float):
     x_abs = np.abs(X.x)
     terms = X.space.p * np.asarray(phi(x_abs), dtype=float)
     levels = np.unique(np.concatenate(([0.0], x_abs)))
-    # invariant: the tail at levels[hi] fits the budget (the largest level
-    # has tail 0), the tail at levels[lo] does not (or lo = -1)
-    lo, hi = -1, len(levels) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if math.fsum(terms[x_abs > levels[mid]].tolist()) <= budget:
-            hi = mid
-        else:
-            lo = mid
-    k = float(levels[hi])
+    # the largest level has tail 0, which fits the budget, so the search
+    # leaves it out and ends there when no other level fits
+    fits = bisect.bisect_left(
+        range(len(levels) - 1), True,
+        key=lambda i: math.fsum(terms[x_abs > levels[i]].tolist()) <= budget)
+    k = float(levels[fits])
     above = x_abs > k
     Z = X.space.rv(np.where(above, X.x, 0.0))
     W = X.space.rv(np.where(above, 0.0, X.x))

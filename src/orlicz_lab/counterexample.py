@@ -636,8 +636,8 @@ def weak_approx_select(instance: CounterexampleInstance, targets, eps: float):
     inner products and the membership certificate.
     """
     ins = instance
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InputError("eps must be positive and finite")
     if ins.variant != "L":
         raise InputError("the selector is defined for variant L")
     if not targets:

@@ -13,6 +13,8 @@ superlinear growth.  The catalog spans the four Delta_2 combinations:
 
 from __future__ import annotations
 
+import bisect as _bisect
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -121,16 +123,14 @@ def newton_from_right(excess, slope, lo: float, hi: float,
 
 
 class OrliczFunction:
-    """Base class.  Subclasses provide ``_eval`` and ``_rderiv``.
-
-    ``delta2`` / ``conjugate_delta2`` are analytic flags (``None`` when
-    unknown); Delta_2 classification by scanning is only a semi-decision,
-    see :func:`delta2_witnesses`.
-    """
+    """Base class.  Subclasses provide ``_eval`` and ``_rderiv``."""
 
     name = "orlicz"
-    delta2: bool | None = None
-    conjugate_delta2: bool | None = None
+    #: the ``parse_phi_spec`` text that rebuilds this function; ``None``
+    #: when there is none
+    spec: str | None = None
+    #: kinks, where the Delta_2 scan looks besides its geometric grid
+    breakpoints = ()
     #: upper end of the domain; ``None`` means all of [0, inf)
     domain_cap: float | None = None
 
@@ -269,17 +269,17 @@ class OrliczFunction:
 class PowerFunction(OrliczFunction):
     """``coef * t**p`` with ``p >= 1``; superlinear only for ``p > 1``."""
 
-    delta2 = True
-    conjugate_delta2 = True
-
     def __init__(self, p: float, coef: float = 1.0):
-        if p < 1:
-            raise InputError(f"power exponent must be >= 1, got {p}")
-        if coef <= 0:
-            raise InputError("power coefficient must be positive")
+        if not 1 <= p < math.inf:
+            raise InputError(f"power exponent must be finite and >= 1, got {p}")
+        if not 0 < coef < math.inf:
+            raise InputError("power coefficient must be positive and finite")
         self.p = float(p)
         self.coef = float(coef)
         self.name = f"power(p={p:g})" if coef == 1.0 else f"power(p={p:g},c={coef:g})"
+        if coef == 1.0:  # %g where it round-trips p, else the lossless repr
+            short = f"{self.p:g}"
+            self.spec = f"power:p={short if float(short) == self.p else repr(self.p)}"
 
     def _eval(self, t):
         return self.coef * t ** self.p
@@ -313,7 +313,9 @@ class PowerFunction(OrliczFunction):
     def analytic_conjugate(self):
         p, c = self.p, self.coef
         if p == 1.0:
-            return None  # conjugate jumps to +inf; handled numerically
+            # 0 up to the slope c, +inf beyond
+            return PiecewiseLinearFunction([], [0.0], domain_cap=c,
+                                           name=self.name + "*")
         q = p / (p - 1.0)
         cq = (p - 1.0) * c * (c * p) ** (-q)
         return PowerFunction(q, cq)
@@ -329,9 +331,7 @@ class PowerFunction(OrliczFunction):
 class ExpFunction(OrliczFunction):
     """``e**t - 1``; fails Delta_2, conjugate satisfies it."""
 
-    name = "exp"
-    delta2 = False
-    conjugate_delta2 = True
+    name = spec = "exp"
 
     def _eval(self, t):
         return np.expm1(t)
@@ -365,8 +365,6 @@ class ExpConjugateFunction(OrliczFunction):
     """``s log s - s + 1`` for ``s >= 1``, zero below; conjugate of exp."""
 
     name = "exp*"
-    delta2 = True
-    conjugate_delta2 = False
 
     def _eval(self, s):
         s = np.maximum(s, 1.0)
@@ -390,9 +388,7 @@ class ExpConjugateFunction(OrliczFunction):
 class EntropyFunction(OrliczFunction):
     """``(1+t)log(1+t) - t``; satisfies Delta_2, conjugate fails it."""
 
-    name = "entropy"
-    delta2 = True
-    conjugate_delta2 = False
+    name = spec = "entropy"
 
     def _eval(self, t):
         return (1.0 + t) * np.log1p(t) - t
@@ -440,8 +436,6 @@ class EntropyConjugateFunction(OrliczFunction):
     """``e**s - s - 1``; conjugate of the entropy function."""
 
     name = "entropy*"
-    delta2 = False
-    conjugate_delta2 = True
 
     def _eval(self, s):
         return np.expm1(s) - s
@@ -467,8 +461,8 @@ class PiecewiseLinearFunction(OrliczFunction):
     (this occurs for conjugates of functions with a maximal slope).
     """
 
-    def __init__(self, breakpoints, slopes, domain_cap=None, name="piecewise-linear",
-                 delta2=None, conjugate_delta2=None):
+    def __init__(self, breakpoints, slopes, domain_cap=None,
+                 name="piecewise-linear"):
         b = np.asarray(breakpoints, dtype=float)
         m = np.asarray(slopes, dtype=float)
         if b.ndim != 1 or m.ndim != 1 or len(m) != len(b) + 1:
@@ -481,18 +475,14 @@ class PiecewiseLinearFunction(OrliczFunction):
         self.slopes = m
         self.domain_cap = None if domain_cap is None else float(domain_cap)
         self.name = name
-        self.delta2 = delta2
-        self.conjugate_delta2 = conjugate_delta2
         # segment left ends b_0 = 0, b_1, ..., b_K and the knot values
         # phi(b_k), accumulated left to right
         self._edges = np.concatenate(([0.0], b))
         widths = np.diff(self._edges)
         self._knots = np.concatenate(([0.0], np.cumsum(m[:-1] * widths)))
-        # left end of the segment where the slope first reaches s, indexed
-        # by searchsorted(slopes, s, "left"); past the last slope it is
-        # the cap (or the last kink)
-        top = self.domain_cap if self.domain_cap is not None else self._edges[-1]
-        self._slope_edges = np.concatenate((self._edges, [top]))
+        # the segment ends, closed by the cap (+inf without one)
+        self._ends = np.append(
+            self._edges, math.inf if domain_cap is None else self.domain_cap)
         self._conjugate = None
 
     def _segment(self, t):
@@ -517,7 +507,7 @@ class PiecewiseLinearFunction(OrliczFunction):
             raise NumericFailure(
                 f"{self.name}: slope beyond maximal slope {self.slopes[-1]:g}"
             )
-        return self._slope_edges[np.searchsorted(self.slopes, s, side="left")]
+        return self._ends[np.searchsorted(self.slopes, s, side="left")]
 
     def orlicz_definitional(self, y_abs, p):
         # a fractional knapsack over (atom, segment) pairs: a unit of
@@ -526,14 +516,12 @@ class PiecewiseLinearFunction(OrliczFunction):
         # in segment order) until the modular reaches 1; mu is the ratio
         # of the pair filled in part (inf when all fill up to the cap)
         y, q = y_abs[y_abs > 0], p[y_abs > 0]
-        top = math.inf if self.domain_cap is None else self.domain_cap
-        ends = np.append(self._edges, top)
         n_seg = len(self.slopes)
-        cost = q[:, None] * (self.slopes * np.diff(ends))
+        cost = q[:, None] * (self.slopes * np.diff(self._ends))
         order = np.argsort((self.slopes / y[:, None]).ravel(), kind="stable")
         filled = int(np.searchsorted(np.cumsum(cost.ravel()[order]), 1.0,
                                      side="right"))
-        x = ends[np.bincount(order[:filled] // n_seg, minlength=len(y))]
+        x = self._ends[np.bincount(order[:filled] // n_seg, minlength=len(y))]
         mu = math.inf
         if filled < len(order):
             i, k = divmod(int(order[filled]), n_seg)
@@ -546,8 +534,8 @@ class PiecewiseLinearFunction(OrliczFunction):
         # exact on the segment whose knot values bracket v
         k = int(np.searchsorted(self._knots, v, side="right")) - 1
         if self.slopes[k] == 0.0:
-            # flat zero head: inverse is the right edge of the flat part
-            return float(self._edges[k + 1]) if k + 1 < len(self._edges) else math.inf
+            # flat zero head: inverse is the end of the flat part
+            return float(self._ends[k + 1])
         t = float(self._edges[k] + (v - self._knots[k]) / self.slopes[k])
         if self.domain_cap is not None and t > self.domain_cap * (1 + 1e-12):
             raise NumericFailure("phi_inverse: value beyond domain cap")
@@ -576,11 +564,8 @@ def _pl_conjugate(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
     while g_bps and g_bps[0] == 0.0:
         g_bps.pop(0)
         g_slopes.pop(0)
-    out = PiecewiseLinearFunction(
-        g_bps, g_slopes, domain_cap=g_cap, name=f.name + "*",
-        delta2=f.conjugate_delta2, conjugate_delta2=f.delta2,
-    )
-    return out
+    return PiecewiseLinearFunction(g_bps, g_slopes, domain_cap=g_cap,
+                                   name=f.name + "*")
 
 
 @dataclass(frozen=True)
@@ -619,16 +604,18 @@ def sparse_schedule(bursts: int = 12, ratio: float = 2.0) -> PiecewiseSlopeSched
     """
     if bursts < 1:
         raise InvalidSchedule("need at least one burst")
-    if ratio < 2.0:
-        raise InvalidSchedule("burst ratio must be >= 2")
-    breakpoints = [ratio ** (k * k) for k in range(1, bursts + 1)]
-    slopes = [1.0]
-    for k in range(1, bursts + 1):
-        slopes.append(slopes[-1] * ratio ** k)
-    if not math.isfinite(breakpoints[-1]) or not math.isfinite(
-        breakpoints[-1] * slopes[-1]
-    ):
-        raise InvalidSchedule("schedule overflows double precision; reduce bursts")
+    if not 2.0 <= ratio < math.inf:  # a finite ratio overflows by k = 32
+        raise InvalidSchedule("burst ratio must be finite and >= 2")
+    overflow = "schedule overflows double precision; reduce bursts"
+    try:
+        breakpoints = [ratio ** (k * k) for k in range(1, bursts + 1)]
+        slopes = [1.0]
+        for k in range(1, bursts + 1):
+            slopes.append(slopes[-1] * ratio ** k)
+    except OverflowError:
+        raise InvalidSchedule(overflow) from None
+    if not math.isfinite(breakpoints[-1] * slopes[-1]):
+        raise InvalidSchedule(overflow)
     return PiecewiseSlopeSchedule(tuple(breakpoints), tuple(slopes))
 
 
@@ -642,13 +629,17 @@ def build_sparse_pair(schedule: PiecewiseSlopeSchedule) -> PiecewiseLinearFuncti
     ``t = 2^200``.  Only the conjugate fails Delta_2 at infinity,
     through its domain cap (phi's last slope, ``2^78`` by default), so
     each finite instance built on the pair is a truncation shadow of
-    the construction.  The ``delta2`` flags record the failures within
-    the range.
+    the construction.  The pair has a spec only when ``schedule`` is the
+    one :func:`sparse_schedule` builds from its burst count and ratio.
     """
-    return PiecewiseLinearFunction(
-        schedule.breakpoints, schedule.slopes, name="sparse",
-        delta2=False, conjugate_delta2=False,
-    )
+    phi = PiecewiseLinearFunction(schedule.breakpoints, schedule.slopes,
+                                  name="sparse")
+    b = schedule.breakpoints
+    with contextlib.suppress(IndexError, InvalidSchedule):
+        if schedule == sparse_schedule(len(b), b[0]):
+            # repr keeps the ratio lossless
+            phi.spec = f"sparse:bursts={len(b)},ratio={float(b[0])!r}"
+    return phi
 
 
 class _NumericConjugate(OrliczFunction):
@@ -657,8 +648,6 @@ class _NumericConjugate(OrliczFunction):
     def __init__(self, phi: OrliczFunction):
         self.phi = phi
         self.name = phi.name + "*"
-        self.delta2 = phi.conjugate_delta2
-        self.conjugate_delta2 = phi.delta2
 
     def _eval(self, s):
         return _elementwise(lambda x: conjugate_value(self.phi, x), s)
@@ -713,8 +702,8 @@ def delta2_witnesses(phi: OrliczFunction, count: int, t_cap: float = 1e50):
     """
     if count < 1:
         raise InputError("count must be >= 1")
-    if t_cap <= 0:
-        raise InputError("t_cap must be positive")
+    if not 0 < t_cap < math.inf:
+        raise InputError("t_cap must be positive and finite")
     grid = np.array(_scan_grid(phi, t_cap), dtype=float)
     a, b = _evaluable_prefix(phi, grid)
     finite = np.isfinite(a)
@@ -750,17 +739,10 @@ def _evaluable_prefix(phi: OrliczFunction, grid):
     full = evaluate(len(grid))
     if full is not None:
         return full
-    # invariant: the prefix of length lo evaluates, that of length hi raises
-    lo, hi = 0, len(grid)
-    best = evaluate(0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        got = evaluate(mid)
-        if got is None:
-            hi = mid
-        else:
-            lo, best = mid, got
-    return best
+    # the first k whose prefix of length k + 1 raises
+    k = _bisect.bisect_left(range(len(grid)), True,
+                            key=lambda k: evaluate(k + 1) is None)
+    return evaluate(k)
 
 
 def _scan_grid(phi: OrliczFunction, t_cap: float):
@@ -773,8 +755,7 @@ def _scan_grid(phi: OrliczFunction, t_cap: float):
     while t <= hi:
         pts.append(t)
         t *= factor
-    if isinstance(phi, PiecewiseLinearFunction):
-        pts.extend(b for b in phi.breakpoints if b <= hi)
+    pts.extend(b for b in phi.breakpoints if b <= hi)
     return sorted(pts)
 
 
@@ -788,61 +769,55 @@ def young_check(phi: OrliczFunction, t: float, s: float):
     return lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs)
 
 
+def _split_spec(text: str, grammar: dict, kind: str) -> tuple[str, dict]:
+    """``(head, params)`` of ``head[:key=value,...]``, the head in lower
+    case; ``grammar`` maps each head to its keys and each key to the type
+    of its value.  InputError on another head, on a piece without ``=``,
+    on a key the head does not take and on a value its type rejects."""
+    text = text.strip()
+    head, _, rest = text.partition(":")
+    head = head.lower()
+    if head not in grammar:
+        raise InputError(f"unknown {kind} spec {text!r}")
+    params = {}
+    for piece in rest.split(",") if rest else ():
+        key, eq, value = (part.strip() for part in piece.partition("="))
+        if not eq:
+            raise InputError(f"malformed parameter {piece!r} in {text!r}")
+        if key not in grammar[head]:
+            raise InputError(f"unknown parameter {key!r} in {text!r}")
+        try:
+            params[key] = grammar[head][key](value)
+        except ValueError as exc:
+            raise InputError(f"bad numeric value in {text!r}: {exc}") from None
+    return head, params
+
+
+_PHI_GRAMMAR = {"power": {"p": float}, "exp": {}, "entropy": {},
+                "sparse": {"bursts": int, "ratio": float}}
+
+
 def parse_phi_spec(text: str) -> OrliczFunction:
     """Parse the function mini-language.
 
     ``power:p=<real>`` | ``exp`` | ``entropy`` |
     ``sparse:bursts=<int>,ratio=<real>`` (both sparse keys optional).
     """
-    text = text.strip()
-    head, _, rest = text.partition(":")
-    head = head.lower()
-    params = {}
-    if rest:
-        for piece in rest.split(","):
-            k, eq, v = piece.partition("=")
-            if not eq:
-                raise InputError(f"malformed parameter {piece!r} in {text!r}")
-            params[k.strip()] = v.strip()
-    try:
-        if head == "power":
-            return PowerFunction(float(params.pop("p")))
-        if head == "exp":
-            _reject_extras(params, text)
-            return ExpFunction()
-        if head == "entropy":
-            _reject_extras(params, text)
-            return EntropyFunction()
-        if head == "sparse":
-            bursts = int(params.pop("bursts", 12))
-            ratio = float(params.pop("ratio", 2.0))
-            _reject_extras(params, text)
-            return build_sparse_pair(sparse_schedule(bursts, ratio))
-    except KeyError as exc:
-        raise InputError(f"missing parameter {exc} in {text!r}") from None
-    except ValueError as exc:
-        raise InputError(f"bad numeric value in {text!r}: {exc}") from None
-    raise InputError(f"unknown function spec {text!r}")
-
-
-def _reject_extras(params, text):
-    if params:
-        raise InputError(f"unknown parameters {sorted(params)} in {text!r}")
+    head, params = _split_spec(text, _PHI_GRAMMAR, "function")
+    if head == "power":
+        if "p" not in params:
+            raise InputError(f"missing parameter 'p' in {text.strip()!r}")
+        return PowerFunction(params["p"])
+    if head == "sparse":
+        return build_sparse_pair(sparse_schedule(**params))
+    return ExpFunction() if head == "exp" else EntropyFunction()
 
 
 def phi_spec_string(phi: OrliczFunction) -> str:
-    """Round-trip representation for catalog functions."""
-    if isinstance(phi, PowerFunction) and phi.coef == 1.0:
-        return f"power:p={phi.p:g}"
-    if isinstance(phi, ExpFunction):
-        return "exp"
-    if isinstance(phi, EntropyFunction):
-        return "entropy"
-    if isinstance(phi, PiecewiseLinearFunction) and phi.name == "sparse":
-        # burst count from the number of breakpoints, ratio from the
-        # first one (ratio**1); repr keeps the float lossless
-        return f"sparse:bursts={len(phi.breakpoints)},ratio={float(phi.breakpoints[0])!r}"
-    raise InputError(f"{phi.name} has no spec-string form")
+    """The spec text that rebuilds ``phi`` (see :func:`parse_phi_spec`)."""
+    if phi.spec is None:
+        raise InputError(f"{phi.name} has no spec-string form")
+    return phi.spec
 
 
 #: The four catalog entries used throughout the tests.

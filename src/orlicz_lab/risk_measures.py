@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BracketInvalid, EmptyScenarioSet, InputError
 from .finite_model import (FiniteSpace, RandomVariable, expectation,
                            nearest_point, pairing)
-from .orlicz_functions import bisect, double_until
+from .orlicz_functions import _split_spec, bisect, double_until
 
 __all__ = [
     "ScenarioSet",
@@ -348,8 +348,8 @@ def entropic_measure(theta: float = 1.0) -> RiskMeasure:
     (the Donsker-Varadhan formula; Föllmer & Schied, *Stochastic
     Finance*, ch. 4), summed with ``fsum`` over the atoms where ``Q > 0``
     (``0 log 0 = 0``)."""
-    if theta <= 0:
-        raise InputError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise InputError("theta must be positive and finite")
 
     def evaluate(X: RandomVariable) -> float:
         z = -X.x / theta
@@ -365,33 +365,27 @@ def entropic_measure(theta: float = 1.0) -> RiskMeasure:
                        penalty=penalty)
 
 
+_MEASURE_GRAMMAR = {"avar": {"alpha": float}, "worstcase": {},
+                    "entropic": {"theta": float}}
+
+
 def parse_measure_spec(text: str, space: FiniteSpace) -> RiskMeasure:
     """``avar:alpha=<a>`` | ``worstcase`` | ``entropic:theta=<t>`` |
-    ``scenario:<json file>``."""
-    text = text.strip()
-    head, _, rest = text.partition(":")
-    head = head.lower()
+    ``scenario:<json file>``, the last with its path kept raw."""
+    head, _, path = text.strip().partition(":")
+    if head.lower() == "scenario":
+        with open(path) as fh:
+            Q = scenarios_from_json(fh.read(), space)
+        return scenario_measure(Q, name=f"scenario:{path}")
+    head, params = _split_spec(text, _MEASURE_GRAMMAR, "measure")
     if head == "avar":
-        params = dict(piece.split("=", 1) for piece in rest.split(",") if piece)
-        try:
-            alpha = float(params["alpha"])
-        except (KeyError, ValueError):
-            raise InputError(f"avar needs alpha=<real>, got {text!r}") from None
-        return scenario_measure(avar_scenarios(space, alpha), name=text)
+        if "alpha" not in params:
+            raise InputError(f"avar needs alpha=<real>, got {text.strip()!r}")
+        return scenario_measure(avar_scenarios(space, params["alpha"]),
+                                name=text.strip())
     if head == "worstcase":
         return scenario_measure(worstcase_scenarios(space), name="worstcase")
-    if head == "entropic":
-        params = dict(piece.split("=", 1) for piece in rest.split(",") if piece)
-        try:
-            theta = float(params.get("theta", "1.0"))
-        except ValueError:
-            raise InputError(f"bad theta in {text!r}") from None
-        return entropic_measure(theta)
-    if head == "scenario":
-        with open(rest) as fh:
-            Q = scenarios_from_json(fh.read(), space)
-        return scenario_measure(Q, name=f"scenario:{rest}")
-    raise InputError(f"unknown measure spec {text!r}")
+    return entropic_measure(**params)
 
 
 def scenarios_to_json(Q: ScenarioSet) -> str:

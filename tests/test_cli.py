@@ -92,6 +92,17 @@ class TestDelta2:
         assert run(["delta2", "--phi", "exp", "--count", "3",
                     "--t-cap", "-1"]) == 3
 
+    @pytest.mark.parametrize("t_cap", ["inf", "nan"])
+    def test_non_finite_cap_is_rejected_before_the_scan(self, capsys, t_cap,
+                                                        monkeypatch):
+        # an infinite cap would make the scan endless
+        def scan(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr("orlicz_lab.cli.delta2_witnesses", scan)
+        assert run(["delta2", "--phi", "exp", "--count", "3",
+                    "--t-cap", t_cap]) == 3
+
 
 class TestRiskAndDual:
     def test_risk_eval(self, capsys, pos_csv):
@@ -100,6 +111,14 @@ class TestRiskAndDual:
                                          "--input", pos_csv])
         assert code == 0
         assert report["value"] == pytest.approx(0.0)  # max loss of (2, 0)
+
+    @pytest.mark.parametrize("measure", ["avar:0.5", "avar:alpha=0.5,beta=2",
+                                         "worstcase:x=1"])
+    def test_malformed_measure_is_invalid_input(self, capsys, pos_csv,
+                                                measure):
+        assert run(["risk", "eval", "--measure", measure,
+                    "--input", pos_csv]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
 
     def test_dual_report(self, capsys, pos_csv):
         code, report = run_json(capsys, ["dual", "--measure", "avar:alpha=0.5",
@@ -247,6 +266,13 @@ class TestCex:
         assert run(["cex", "approx", "--instance", instance_json,
                     "--targets", str(targets), "--eps", "-1"]) == 3
 
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_non_finite_eps(self, capsys, instance_json, tmp_path, eps):
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps([{"Z0": 1.0}]))
+        assert run(["cex", "approx", "--instance", instance_json,
+                    "--targets", str(targets), "--eps", eps]) == 3
+
 
 class TestClosure:
     def test_pipeline(self, capsys, pos_csv):
@@ -322,3 +348,36 @@ def test_no_library_module_has_an_unused_import():
         unused += [(path.name, node.lineno, name)
                    for name, node in imported.items() if name not in used]
     assert unused == []
+
+
+def test_no_library_module_asks_which_orlicz_function_it_holds():
+    # per-function facts (spec, kinks, kernels) live on the function
+    # classes, so no module calls isinstance on an OrliczFunction subclass
+    from orlicz_lab.orlicz_functions import OrliczFunction
+
+    def resolve(node, namespace):
+        if isinstance(node, ast.Name):
+            return namespace.get(node.id)
+        if isinstance(node, ast.Attribute):
+            return getattr(resolve(node.value, namespace), node.attr, None)
+        return None
+
+    package = pathlib.Path(orlicz_lab.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__main__.py":  # importing it runs the command line
+            continue
+        module = ("orlicz_lab" if path.stem == "__init__"
+                  else f"orlicz_lab.{path.stem}")
+        namespace = vars(importlib.import_module(module))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                cls = resolve(kind, namespace)
+                if isinstance(cls, type) and issubclass(cls, OrliczFunction):
+                    found.append((path.name, node.lineno, cls.__name__))
+    assert found == []

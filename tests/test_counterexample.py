@@ -988,8 +988,9 @@ class TestWeakApproxSelect:
             weak_approx_select(instance, targets(instance), 1e-12)
 
     def test_validation(self, instance, instance_h):
-        with pytest.raises(InputError):
-            weak_approx_select(instance, targets(instance), -1.0)
+        for eps in (-1.0, math.inf, math.nan):
+            with pytest.raises(InputError):
+                weak_approx_select(instance, targets(instance), eps)
         with pytest.raises(InputError):
             weak_approx_select(instance, [], 1e-2)
         with pytest.raises(InputError):

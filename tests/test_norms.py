@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from orlicz_lab import norms
+from orlicz_lab.block_sequences import (Block, block_luxemburg_norm,
+                                        dual_block_orlicz_norm)
 from orlicz_lab.errors import CrossCheckFailure, NumericFailure
 from orlicz_lab.finite_model import FiniteSpace, uniform_space
 from orlicz_lab.norms import (holder_check, luxemburg_norm, modular,
@@ -365,6 +367,29 @@ class TestDefinitionalSolvers:
     def test_linear_last_pieces(self, phi, expect):
         Y = FiniteSpace((0.25, 0.25, 0.5)).rv([1.0, 3.0, 2.0])
         assert orlicz_norm(Y, phi) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1.0, 2.0, 0.3])
+    def test_norms_under_the_conjugate_of_a_linear_function(self, c):
+        # psi is 0 up to c and +inf beyond: ||Y||_psi = max|y| / c and
+        # its Orlicz norm is the dual one, c E|Y|
+        psi = conjugate(PowerFunction(1.0, c))
+        Y = FiniteSpace((0.25, 0.25, 0.5)).rv([1.0, -3.0, 2.0])
+        assert luxemburg_norm(Y, psi) == 3.0 / c
+        assert orlicz_norm(Y, psi) == pytest.approx(2.0 * c, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1.0, 2.0, 0.3])
+    def test_indicator_closed_forms_under_the_conjugate_of_a_linear_function(
+            self, c):
+        # psi's generalised inverse is c at every v > 0, the end of its
+        # flat head at the cap, so the closed forms agree with the norms
+        psi = conjugate(PowerFunction(1.0, c))
+        for v in (0.5, 1.0, 4.0):
+            assert phi_inverse(psi, v) == c
+        block = Block(1, 3.0, 0.25, 0.0, 0.25)
+        Y = FiniteSpace((0.25, 0.75)).rv([3.0, 0.0])
+        assert block_luxemburg_norm(block, psi) == luxemburg_norm(Y, psi)
+        assert dual_block_orlicz_norm(block, psi) == \
+            pytest.approx(orlicz_norm(Y, psi), rel=1e-12)
 
     def test_the_fallback_past_the_largest_slope(self):
         # the numeric conjugate of CAPPED (slope 1 up to 0.1, then 2) keeps

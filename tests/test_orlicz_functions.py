@@ -163,7 +163,7 @@ def inverse_slope_functions():
     return fns + [
         PiecewiseLinearFunction([1.0, 3.0], [0.5, 2.0, 5.0], domain_cap=10.0,
                                 name="capped"),
-        conjugate(PowerFunction(1.0)),
+        _NumericConjugate(PowerFunction(1.0)),
         _NumericConjugate(PowerFunction(2.0)),
     ]
 
@@ -228,6 +228,16 @@ class TestDelta2Witnesses:
         with pytest.raises(InputError):
             delta2_witnesses(ExpFunction(), 0)
 
+    @pytest.mark.parametrize("t_cap", [math.inf, math.nan, 0.0])
+    def test_cap_must_be_positive_and_finite(self, t_cap, monkeypatch):
+        # an infinite cap would make the grid endless: reject before scanning
+        def endless(phi, t_cap):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr("orlicz_lab.orlicz_functions._scan_grid", endless)
+        with pytest.raises(InputError):
+            delta2_witnesses(ExpFunction(), 3, t_cap=t_cap)
+
     @pytest.mark.parametrize("t_cap", [1e10, 1e50, 1e300])
     @pytest.mark.parametrize("side", ["phi", "conjugate"])
     @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -255,7 +265,7 @@ class TestDelta2Witnesses:
     def test_scan_stops_where_evaluation_raises(self):
         # the conjugate of t is 0 on [0, 1] and +inf beyond; evaluating
         # it past s = 1 raises, so the scan stops before any witness
-        psi = conjugate(PowerFunction(1.0))
+        psi = _NumericConjugate(PowerFunction(1.0))
         with pytest.raises(NumericFailure):
             psi(np.array([0.5, 2.0]))
         with pytest.raises(WitnessNotFound):
@@ -298,8 +308,20 @@ class TestSparseSchedule:
         assert all(s2 > s1 for s1, s2 in zip(sched.slopes, sched.slopes[1:]))
 
     def test_overflowing_schedule_rejected(self):
-        with pytest.raises((InvalidSchedule, OverflowError)):
+        with pytest.raises(InvalidSchedule):
             sparse_schedule(bursts=40)
+
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan])
+    def test_non_finite_ratio_is_rejected_before_the_schedule_is_built(self,
+                                                                       ratio):
+        # inf ** k never overflows, so a huge burst count would build
+        # lists until memory runs out
+        class Ratio(float):
+            def __pow__(self, k):
+                raise AssertionError("built")
+
+        with pytest.raises(InvalidSchedule):
+            sparse_schedule(10 ** 9, Ratio(ratio))
 
     def test_pl_requires_monotone_slopes(self):
         with pytest.raises(InputError):
@@ -330,3 +352,46 @@ class TestSpecParsing:
     def test_bad_power(self):
         with pytest.raises(InputError):
             parse_phi_spec("power:p=0.5")
+
+    @pytest.mark.parametrize("text", ["power:p=2,q=3", "power:2", "exp:x=1",
+                                      "entropy:p=2", "sparse:bursts=3,size=2",
+                                      "power:p=nan", "power:p=inf",
+                                      "sparse:bursts=40", "sparse:bursts=2.5"])
+    def test_rejects_malformed_specs(self, text):
+        with pytest.raises(InputError):
+            parse_phi_spec(text)
+
+    @given(p=st.floats(min_value=1.0, max_value=1e300))
+    def test_power_spec_round_trips(self, p):
+        assert parse_phi_spec(phi_spec_string(PowerFunction(p))).p == p
+
+    def test_power_spec_is_short_where_it_round_trips(self):
+        assert phi_spec_string(PowerFunction(2.0)) == "power:p=2"
+        assert phi_spec_string(PowerFunction(2.123456789)) == "power:p=2.123456789"
+        with pytest.raises(InputError):
+            phi_spec_string(PowerFunction(2.0, 3.0))
+
+    def test_custom_schedule_has_no_spec(self):
+        # same burst count and first breakpoint as sparse:bursts=2,ratio=3,
+        # different slopes
+        phi = build_sparse_pair(PiecewiseSlopeSchedule((3.0, 81.0),
+                                                       (1.0, 2.0, 5.0)))
+        assert phi.spec is None
+        with pytest.raises(InputError):
+            phi_spec_string(phi)
+        canonical = build_sparse_pair(sparse_schedule(2, 3.0))
+        assert phi_spec_string(canonical) == "sparse:bursts=2,ratio=3.0"
+
+
+class TestLinearConjugate:
+    """The conjugate of c t is 0 up to c and +inf beyond."""
+
+    @pytest.mark.parametrize("c", [1.0, 2.0, 0.3])
+    def test_exact_and_biconjugate(self, c):
+        psi = conjugate(PowerFunction(1.0, c))
+        assert psi(np.array([0.0, 0.5 * c, c])).tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(NumericFailure):
+            psi(2.0 * c)
+        for s in (0.5, 1.0, 7.0):
+            assert conjugate_value(psi, s) == c * s
+        assert list(conjugate(psi).slopes) == [c]

@@ -387,3 +387,10 @@ class TestParseMeasureSpec:
             parse_measure_spec("avar:beta=0.5", sp)
         with pytest.raises(InputError):
             parse_measure_spec("mystery", sp)
+
+    @pytest.mark.parametrize("text", ["avar:0.5", "avar:alpha=0.5,beta=2",
+                                      "worstcase:x=1", "entropic:theta=2,x=1",
+                                      "entropic:theta=nan", "avar:alpha=0.5,"])
+    def test_one_grammar_rejects_stray_pieces(self, text):
+        with pytest.raises(InputError):
+            parse_measure_spec(text, uniform_space(2))
