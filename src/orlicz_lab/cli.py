@@ -58,31 +58,27 @@ def _load_instance(path: str) -> "cex.CounterexampleInstance":
         return cex.instance_from_json(fh.read())
 
 
-# -- subcommand handlers ----------------------------------------------
+# -- subcommand handlers: each returns the report ``run`` prints ------
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args) -> dict:
     phi = parse_phi_spec(args.phi)
     X = read_positions_csv(args.input)
     if args.which == "luxemburg":
         value = norms.luxemburg_norm(X, phi)
     else:
         value = norms.orlicz_norm(X, phi)
-    _emit({"which": args.which, "phi": phi_spec_string(phi), "value": value},
-          args.output)
-    return 0
+    return {"which": args.which, "phi": phi_spec_string(phi), "value": value}
 
 
-def _cmd_conjugate(args) -> int:
+def _cmd_conjugate(args) -> dict:
     phi = parse_phi_spec(args.phi)
     grid = [float(t) for t in args.grid.split(",")]
     values = [conjugate_value(phi, s) for s in grid]
-    _emit({"phi": phi_spec_string(phi), "grid": grid,
-           "values": [v if math.isfinite(v) else "inf" for v in values]},
-          args.output)
-    return 0
+    return {"phi": phi_spec_string(phi), "grid": grid,
+            "values": [v if math.isfinite(v) else "inf" for v in values]}
 
 
-def _cmd_delta2(args) -> int:
+def _cmd_delta2(args) -> dict:
     phi = parse_phi_spec(args.phi)
     try:
         witnesses = delta2_witnesses(phi, args.count, t_cap=args.t_cap)
@@ -90,33 +86,26 @@ def _cmd_delta2(args) -> int:
                   "witnesses": [{"n": n, "t": t} for n, t in witnesses]}
     except WitnessNotFound as exc:
         report = {"status": "witness-not-found", "detail": str(exc)}
-    _emit({"phi": phi_spec_string(phi), "count": args.count, **report},
-          args.output)
-    return 0
+    return {"phi": phi_spec_string(phi), "count": args.count, **report}
 
 
-def _cmd_risk(args) -> int:
-    if args.action != "eval":
-        raise InputError(f"unknown risk action {args.action!r}")
+def _cmd_risk(args) -> dict:
     X = read_positions_csv(args.input)
     rho = rm.parse_measure_spec(args.measure, X.space)
-    _emit({"measure": rho.name, "value": rho(X)}, args.output)
-    return 0
+    return {"measure": rho.name, "value": rho(X)}
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args) -> dict:
     X = read_positions_csv(args.input)
     rho = rm.parse_measure_spec(args.measure, X.space)
     if rho.scenarios is None:
         raise InputError("dual report requires a scenario-based measure")
     probes = [-Y for Y in rho.scenarios.densities]
-    report = du.duality_report(rho, [X], probes,
-                               candidates=list(rho.scenarios.densities))
-    _emit(report, args.output)
-    return 0
+    return du.duality_report(rho, [X], probes,
+                             candidates=list(rho.scenarios.densities))
 
 
-def _cmd_blocks(args) -> int:
+def _cmd_blocks(args) -> dict:
     phi = parse_phi_spec(args.phi)
     psi = conjugate(phi)
     x_seq, y_seq = bs.build_disjoint_sequence(phi, args.count,
@@ -129,43 +118,33 @@ def _cmd_blocks(args) -> int:
             "luxemburg_norm": bs.block_luxemburg_norm(bx, phi),
             "dual_orlicz_norm": bs.dual_block_orlicz_norm(by, phi),
         })
-    _emit({"phi": phi_spec_string(phi), "region": args.region,
-           "blocks": rows, "series_modular": value,
-           "series_tail_bound": tail,
-           "sequence": json.loads(bs.blocks_to_json(x_seq))}, args.output)
-    return 0
+    return {"phi": phi_spec_string(phi), "region": args.region,
+            "blocks": rows, "series_modular": value,
+            "series_tail_bound": tail,
+            "sequence": json.loads(bs.blocks_to_json(x_seq))}
 
 
-def _cmd_cex(args) -> int:
+def _cmd_cex(args) -> dict:
     if args.action == "build":
         phi = parse_phi_spec(args.phi)
         instance = cex.build_instance(phi, args.I, args.J, args.N,
                                       variant=args.variant)
-        _emit(json.loads(cex.instance_to_json(instance)), args.output)
-        return 0
+        return json.loads(cex.instance_to_json(instance))
     instance = _load_instance(args.instance)
-    if args.action == "member":
-        with open(args.combo) as fh:
-            X = _parse_combo(instance, json.load(fh))
-        cert = cex.membership(instance, cex.t_operator(instance, X))
-        _emit(json.loads(cex.certificate_to_json(cert)), args.output)
-        return 0
     if args.action == "approx":
         with open(args.targets) as fh:
             targets = [_parse_combo(instance, t) for t in json.load(fh)]
-        report = cex.gap_exhibit(instance, targets, args.eps)
-        _emit(report, args.output)
-        return 0
-    if args.action == "rho":
-        with open(args.combo) as fh:
-            X = _parse_combo(instance, json.load(fh))
-        value = cex.rho_c(instance, X)
-        _emit({"rho_c": value if math.isfinite(value) else "inf"}, args.output)
-        return 0
-    raise InputError(f"unknown cex action {args.action!r}")
+        return cex.gap_exhibit(instance, targets, args.eps)
+    with open(args.combo) as fh:
+        X = _parse_combo(instance, json.load(fh))
+    if args.action == "member":
+        cert = cex.membership(instance, cex.t_operator(instance, X))
+        return json.loads(cex.certificate_to_json(cert))
+    value = cex.rho_c(instance, X)  # rho, the one action argparse leaves
+    return {"rho_c": value if math.isfinite(value) else "inf"}
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args) -> dict:
     phi = parse_phi_spec(args.phi)
     X = read_positions_csv(args.input)
     splits, Z_parts = [], []
@@ -177,14 +156,13 @@ def _cmd_closure(args) -> int:
     mazur = cl.mazur_min_norm([Z for Z in Z_parts] + [-Z for Z in Z_parts],
                               phi, 1e-6)
     x_tilde, checks = cl.order_dominator(Z_parts, [], phi)
-    _emit({
+    return {
         "step1_splits": splits,
         "step2_mazur": {"found": mazur["found"], "value": mazur["value"],
                         "weights": list(mazur["weights"]),
                         "hull_certificate": mazur["hull_certificate"]},
         "step3_dominator": {"values": list(x_tilde.values), **checks},
-    }, args.output)
-    return 0
+    }
 
 
 # -- argument parsing --------------------------------------------------
@@ -276,7 +254,8 @@ def run(argv=None) -> int:
             if not 0 < getattr(args, name, 1.0) < math.inf:
                 raise InputError(
                     f"--{name.replace('_', '-')} must be positive and finite")
-        return args.func(args)
+        _emit(args.func(args), args.output)
+        return 0
     except NotAMember as exc:
         return _fail("not-a-member", exc, 2, certificate=exc.certificate)
     except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -76,6 +76,8 @@ __all__ = [
 
 _SQRT3 = math.sqrt(3.0)
 _FEAS_TOL = 1e-9
+#: the certificate slack of ``rho_c`` and ``limit_certificate``
+_CERT_TOL = 1e-6
 #: the greedy's only slack: float rounding, 4 ulp relative on a + lambda*
 _ROUNDING = 4.0 * np.finfo(float).eps
 
@@ -120,7 +122,6 @@ class MembershipCertificate:
 
     lam: float
     y: tuple  # sorted tuple of ((i, j), value)
-    variant: str = "L"
 
     def y_dict(self) -> dict:
         return dict(self.y)
@@ -383,16 +384,15 @@ def _lp_rows(instance: CounterexampleInstance, image: TImage):
     return chain.labels, chain.A, b, chain.eq, chain.pairs
 
 
-def _certificate_from_z(instance: CounterexampleInstance, z, pairs,
-                        tol: float) -> MembershipCertificate:
+def _certificate_from_z(z, pairs) -> MembershipCertificate:
     """``(lambda, y)`` from the greedy's z >= 0 (ordered like ``pairs``),
     with ``lambda = sum 2^i z`` and ``y = z / lambda``."""
     lam = float(sum((2.0 ** i) * z[k] for k, (i, _) in enumerate(pairs)))
-    if lam <= max(tol, 1e-7):
-        return MembershipCertificate(0.0, (((1, 1), 0.5),), instance.variant)
+    if lam <= 1e-7:
+        return MembershipCertificate(0.0, (((1, 1), 0.5),))
     y = tuple(sorted((pair, float(z[k]) / lam) for k, pair in enumerate(pairs)
-                     if z[k] / lam > tol))
-    cert = MembershipCertificate(lam, y, instance.variant)
+                     if z[k] / lam > _FEAS_TOL))
+    cert = MembershipCertificate(lam, y)
     if abs(cert.row_weighted_sum - 1.0) > 1e-6:
         raise CertificateError(
             f"row-weighted sum {cert.row_weighted_sum!r} != 1")
@@ -567,8 +567,8 @@ def _cover(chain: _Chain, b) -> np.ndarray:
     return rho
 
 
-def membership(instance: CounterexampleInstance, image: TImage,
-               tol: float = _FEAS_TOL) -> MembershipCertificate:
+def membership(instance: CounterexampleInstance,
+               image: TImage) -> MembershipCertificate:
     """Decide ``image in T(C)``: is there ``(lambda, z) >= 0`` meeting
     ``_lp_rows``' rows?
 
@@ -577,7 +577,7 @@ def membership(instance: CounterexampleInstance, image: TImage,
     image is a member exactly when ``a + lambda* >= 0``, up to 4 ulp of
     float rounding.  Returns the certificate with ``y = z / lambda`` of
     largest lambda (or the ``lambda = 0`` certificate ``y(1,1) = 1/2``
-    when that lambda is at most ``max(tol, 1e-7)``).
+    when that lambda is at most 1e-7).
     Otherwise raises NotAMember carrying a Farkas certificate: row
     multipliers ``mu >= 0`` summing to 1 with ``A^T mu + nu eq >= 0``
     for some ``nu`` and ``mu . b < 0``, keyed by row label, with
@@ -592,7 +592,7 @@ def membership(instance: CounterexampleInstance, image: TImage,
         z = _greedy(chain, b)
         lam = _lam(z, pairs)
         if b[0] + lam >= -_ROUNDING * max(abs(b[0]), lam):
-            return _certificate_from_z(instance, z, pairs, tol)
+            return _certificate_from_z(z, pairs)
         mu = _cover(chain, b)
         nu = mu[0]
     if not (mu @ b < 0.0 and np.all(A.T @ mu + nu * eq >= 0.0)):
@@ -727,7 +727,7 @@ def _rho_newton(chain: _Chain, rhs, b1):
 
 
 def rho_c(instance: CounterexampleInstance, X: Combo,
-          tol: float = 1e-6) -> float:
+          tol: float = _CERT_TOL) -> float:
     """``inf{m : X + m*1 in C}``, solved over ``(lambda, z, m)``.
 
     ``T(X + m*1) = T X0 + (c1 + m) T 1`` (``X0`` the non-constant part
@@ -760,7 +760,7 @@ def rho_c(instance: CounterexampleInstance, X: Combo,
     A, eq = chain.A, chain.eq
     m, z, mu, nu = _rho_newton(chain, rhs, b1)
     m += 0.0  # no -0.0 in reports
-    cert = _certificate_from_z(ins, z, chain.pairs, _FEAS_TOL)
+    cert = _certificate_from_z(z, chain.pairs)
     if not verify_certificate(ins, t_operator(ins, X + m), cert, tol=tol):
         raise CertificateError(f"primal certificate fails at m* = {m!r}")
     scale = tol * (1.0 + float(np.sum(np.abs(mu))))
@@ -771,8 +771,8 @@ def rho_c(instance: CounterexampleInstance, X: Combo,
     return m
 
 
-def limit_certificate(instance: CounterexampleInstance, members, limit: Combo,
-                      tol: float = 1e-6) -> MembershipCertificate:
+def limit_certificate(instance: CounterexampleInstance, members,
+                      limit: Combo) -> MembershipCertificate:
     """Certificate for the limit of certified members, following the
     order-closedness proof at finite truncation.
 
@@ -792,14 +792,14 @@ def limit_certificate(instance: CounterexampleInstance, members, limit: Combo,
         if not verify_certificate(instance, t_operator(instance, U_p), cert_p):
             raise CertificateError(f"certificate {p} does not verify")
         errors.append(float(np.max(np.abs(U_p.x - limit.x))))
-    if not errors[-1] <= 0.5 * errors[0] + tol:
+    if not errors[-1] <= 0.5 * errors[0] + _CERT_TOL:
         raise InputError("members do not approach the stated limit")
     lams = [c.lam for _, c in members]
     half = len(members) // 2
     lam = lams[-1]
     # a geometrically decaying lambda tail converges to the zero-lambda
     # certificate even though no finite element reaches it
-    vanishing = lam <= tol or lam <= 0.5 * lams[half] + tol
+    vanishing = lam <= _CERT_TOL or lam <= 0.5 * lams[half] + _CERT_TOL
     if vanishing:
         settle = max(lams[half:])
     else:
@@ -814,22 +814,22 @@ def limit_certificate(instance: CounterexampleInstance, members, limit: Combo,
                 "certificate sequence does not settle along the tail")
     image = t_operator(instance, limit)
     if vanishing:
-        cert = MembershipCertificate(0.0, (((1, 1), 0.5),), instance.variant)
+        cert = MembershipCertificate(0.0, (((1, 1), 0.5),))
     else:
         keys = sorted({k for _, c in members for k, _ in c.y})
         y = tuple((k, members[-1][1].y_dict().get(k, 0.0)) for k in keys
                   if members[-1][1].y_dict().get(k, 0.0) > 0.0)
-        cert = MembershipCertificate(lam, y, instance.variant)
+        cert = MembershipCertificate(lam, y)
     # verify up to the residual convergence error still visible in the
     # finite prefix (the true limit is only reached asymptotically)
     if not verify_certificate(instance, image, cert,
-                              tol=max(tol, 4.0 * settle)):
+                              tol=max(_CERT_TOL, 4.0 * settle)):
         raise NotAMember("limit certificate fails against the limit image")
     return cert
 
 
-def gap_exhibit(instance: CounterexampleInstance, targets, eps: float,
-                tol: float = 1e-6) -> dict:
+def gap_exhibit(instance: CounterexampleInstance, targets,
+                eps: float) -> dict:
     """The headline report: ``rho_c(-W_0) > 0`` versus members that are
     eps-indistinguishable from ``-W_0`` under every supplied target."""
     ins = instance
@@ -839,12 +839,12 @@ def gap_exhibit(instance: CounterexampleInstance, targets, eps: float,
         raise InputError("-W_0 unexpectedly in C; instance is degenerate")
     except NotAMember as exc:
         infeasibility = exc.certificate
-    rho_w0 = rho_c(ins, minus_w0, tol=tol)
+    rho_w0 = rho_c(ins, minus_w0)
     s, r, X_sr, sel = weak_approx_select(ins, targets, eps)
-    rho_sr = rho_c(ins, X_sr, tol=tol)
+    rho_sr = rho_c(ins, X_sr)
     return {
         "rho_minus_w0": rho_w0,
-        "delta": rho_w0 - tol,
+        "delta": rho_w0 - _CERT_TOL,
         "infeasibility_certificate": infeasibility,
         "approximants": [{
             "s": s, "r": r, "rho": rho_sr,
@@ -866,12 +866,12 @@ def certificate_to_json(cert: MembershipCertificate) -> str:
     }, sort_keys=True)
 
 
-def certificate_from_json(text: str, variant: str = "L") -> MembershipCertificate:
+def certificate_from_json(text: str) -> MembershipCertificate:
     try:
         payload = json.loads(text)
         y = tuple(sorted(((int(e["i"]), int(e["j"])), float(e["value"]))
                          for e in payload["y"]))
-        return MembershipCertificate(float(payload["lambda"]), y, variant)
+        return MembershipCertificate(float(payload["lambda"]), y)
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"malformed certificate JSON: {exc}") from None
 
@@ -891,13 +891,17 @@ def instance_from_json(text: str) -> CounterexampleInstance:
         payload = json.loads(text)
         phi = parse_phi_spec(payload["phi"])
         t = payload["truncation"]
+        stored = {key: [(float(b["t"]), float(b["p"]))
+                        for b in payload[key]["blocks"]]
+                  for key in ("first_region", "third_region")}
+        # a cap at the tallest stored block leaves the scan's first hits
+        t_cap = max([1e50] + [h for blocks in stored.values() for h, _ in blocks])
         instance = build_instance(phi, int(t["I"]), int(t["J"]), int(t["N"]),
-                                  variant=payload.get("variant", "L"))
+                                  variant=payload.get("variant", "L"),
+                                  t_cap=t_cap)
         for key, seq in (("first_region", instance.x_seq),
                          ("third_region", instance.z_seq)):
-            stored = [(float(b["t"]), float(b["p"]))
-                      for b in payload[key]["blocks"]]
-            if stored != [(b.height, b.probability) for b in seq.blocks]:
+            if stored[key] != [(b.height, b.probability) for b in seq.blocks]:
                 raise InputError(f"stored {key} blocks differ from the "
                                  f"blocks rebuilt from {payload['phi']!r}")
         return instance

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, InputError
-from .finite_model import RandomVariable, pairing
+from .finite_model import RandomVariable, expectation, pairing
 from .risk_measures import RiskMeasure, ScenarioSet
 
 __all__ = [
@@ -33,6 +33,11 @@ __all__ = [
     "duality_report",
     "report_to_json",
 ]
+
+#: an extracted density's slack on its sign and mean, and the relative
+#: distance between rho and rho** that ``duality_report`` flags as a gap
+_DENSITY_TOL = 1e-9
+_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ def biconjugate(rho: RiskMeasure, X: RandomVariable, probes) -> float:
     return best
 
 
-def extract_scenarios(rho: RiskMeasure, candidates, tol: float = 1e-9):
+def extract_scenarios(rho: RiskMeasure, candidates):
     """Filter candidate densities to ``{Y : rho*(-Y) = 0}``.
 
     Survivors are checked to be nonnegative with unit expectation (the
@@ -110,19 +115,17 @@ def extract_scenarios(rho: RiskMeasure, candidates, tol: float = 1e-9):
     ``(ScenarioSet-or-None, report dict)`` — extraction may legitimately
     come back empty.
     """
-    from .finite_model import expectation
-
     candidates = list(candidates)
     survivors, rejected = [], []
     for Y in candidates:
         cv = conjugate_rho(rho, -Y)
         if cv.finite and abs(cv.value) <= 1e-8:
-            if np.any(Y.x < -tol):
+            if np.any(Y.x < -_DENSITY_TOL):
                 raise InputError(
                     "zero conjugate value with a negative coordinate: "
                     "rho is not monotone on this space"
                 )
-            if abs(expectation(Y) - 1.0) > tol:
+            if abs(expectation(Y) - 1.0) > _DENSITY_TOL:
                 raise InputError(
                     "zero conjugate value without unit expectation: "
                     "rho is not cash additive on this space"
@@ -137,8 +140,7 @@ def extract_scenarios(rho: RiskMeasure, candidates, tol: float = 1e-9):
     return ScenarioSet(tuple(survivors)), report
 
 
-def duality_report(rho: RiskMeasure, positions, probes, candidates=None,
-                   tol: float = 1e-8):
+def duality_report(rho: RiskMeasure, positions, probes, candidates=None):
     """Per-position conjugation audit: rho, rho** over the probes, gap
     flags, and the extracted scenario list."""
     rows = []
@@ -146,7 +148,7 @@ def duality_report(rho: RiskMeasure, positions, probes, candidates=None,
     for X in positions:
         rho_x = rho(X)
         rho_xx = biconjugate(rho, X, probes)
-        g = abs(rho_xx - rho_x) > tol * (1.0 + abs(rho_x))
+        g = abs(rho_xx - rho_x) > _GAP_TOL * (1.0 + abs(rho_x))
         if rho_xx > rho_x + 1e-10 * (1.0 + abs(rho_x)):
             raise InputError(
                 "weak duality violated: biconjugate exceeds rho "

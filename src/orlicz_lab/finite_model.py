@@ -23,6 +23,9 @@ __all__ = [
     "write_positions_csv",
 ]
 
+#: largest final atomwise error ``order_convergence_check`` calls converged
+_CONVERGED_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FiniteSpace:
@@ -194,8 +197,8 @@ def nearest_point(points, p):
     return w, x, float(np.min(P @ (p * x))) - floor
 
 
-def order_convergence_check(sequence, X: RandomVariable, phi: OrliczFunction = None,
-                            tol: float = 1e-9):
+def order_convergence_check(sequence, X: RandomVariable,
+                            phi: OrliczFunction = None):
     """Report on a.s. convergence (atomwise, exact on finite spaces),
     order boundedness, and the dominating variable ``sup_n |X_n|``.
 
@@ -206,7 +209,7 @@ def order_convergence_check(sequence, X: RandomVariable, phi: OrliczFunction = N
     for Xn in sequence:
         _same_space(Xn, X)
     tail = np.abs(sequence[-1].x - X.x)
-    converges = bool(np.all(tail <= tol))
+    converges = bool(np.all(tail <= _CONVERGED_TOL))
     dominator = X.space.rv(np.max([np.abs(Xn.x) for Xn in sequence], axis=0))
     report = {
         "converges_as": converges,

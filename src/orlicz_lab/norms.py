@@ -106,9 +106,9 @@ def phi_inverse(phi: OrliczFunction, v: float) -> float:
     return phi.inverse(v)
 
 
-def orlicz_norm(Y: RandomVariable, phi: OrliczFunction,
-                psi: OrliczFunction | None = None) -> float:
-    """Definitional Orlicz norm ``sup{|E[XY]| : ||X||_phi <= 1}``.
+def orlicz_norm(Y: RandomVariable, phi: OrliczFunction) -> float:
+    """Definitional Orlicz norm ``sup{|E[XY]| : ||X||_phi <= 1}``: the
+    Orlicz norm of Y in ``L^psi``, where ``psi = conjugate(phi)``.
 
     The supremum is ``phi.orlicz_definitional``: the optimal X inverts
     the right-derivative of phi at a multiplier ``mu`` fixed by the
@@ -127,8 +127,7 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction,
     y_abs = np.abs(Y.x)
     if not np.any(y_abs > 0):
         return 0.0
-    if psi is None:
-        psi = conjugate(phi)
+    psi = conjugate(phi)
     order = np.lexsort((Y.space.p, y_abs))
     m = float(np.max(y_abs))
     y_abs, p = y_abs[order] / m, Y.space.p[order]
@@ -147,9 +146,10 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction,
     return m * definitional
 
 
-def holder_check(X: RandomVariable, Y: RandomVariable, phi: OrliczFunction,
-                 psi: OrliczFunction | None = None):
-    """``E[|XY|] <= ||X||_phi * ||Y||_psi(Orlicz)``; returns (lhs, rhs, holds)."""
+def holder_check(X: RandomVariable, Y: RandomVariable, phi: OrliczFunction):
+    """``E[|XY|] <= ||X||_phi * ||Y||_psi``, with X's Luxemburg norm in
+    ``L^phi`` and Y's Orlicz norm in ``L^psi``, ``psi = conjugate(phi)``
+    (``orlicz_norm(Y, phi)``); returns (lhs, rhs, holds)."""
     lhs = pairing(X.abs(), Y.abs())
-    rhs = luxemburg_norm(X, phi) * orlicz_norm(Y, phi, psi)
+    rhs = luxemburg_norm(X, phi) * orlicz_norm(Y, phi)
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9) + 1e-300

@@ -192,6 +192,8 @@ class OrliczFunction:
                               "orlicz_norm: multiplier bracket not found")
         lo, hi = bisect(over, lo, hi, lambda lo, hi: hi - lo <= 1e-14 * hi)
         mu = lo if lo > 0 else hi * 0.5
+        if mu == 0.0:
+            raise NumericFailure(f"{self.name}: orlicz_norm multiplier is 0")
         x = self.rderiv_inverse_left(mu * y_abs)
         budget = 1.0 - float(np.sum(p * np.asarray(self(x), dtype=float)))
         # distribute residual budget along flat segments (atoms whose
@@ -650,7 +652,8 @@ class _NumericConjugate(OrliczFunction):
         self.name = phi.name + "*"
 
     def _eval(self, s):
-        return _elementwise(lambda x: conjugate_value(self.phi, x), s)
+        t = self.phi.rderiv_inverse_left(s)
+        return np.maximum(0.0, t * s - self.phi(t))
 
     def _rderiv(self, s):
         # the maximizer t(s) is the right-derivative of the conjugate
@@ -673,18 +676,21 @@ def conjugate(phi: OrliczFunction) -> OrliczFunction:
 def conjugate_value(phi: OrliczFunction, s: float) -> float:
     """``sup_{t >= 0} (t*s - phi(t))``.
 
-    Closed forms are used when available; otherwise the maximizer is
-    located by monotone root-finding on ``rderiv(t) = s``.
+    Closed forms are used when available, and give ``math.inf`` strictly
+    past a closed form's domain cap; otherwise the maximizer is located
+    by monotone root-finding on ``rderiv(t) = s``, which raises
+    NumericFailure when no slope of phi reaches s.
     """
     if s < 0:
         raise InputError("conjugate argument must be nonnegative")
     if s == 0.0:
         return 0.0
     conj = phi.analytic_conjugate
-    if conj is not None:
-        return float(conj(s))
-    t = phi.rderiv_inverse_left(s)  # raises NumericFailure on bracket failure
-    return max(0.0, t * s - float(phi(t)))
+    if conj is None:
+        return float(_NumericConjugate(phi)(s))
+    if conj.domain_cap is not None and s > conj.domain_cap:
+        return math.inf
+    return float(conj(s))
 
 
 def delta2_witnesses(phi: OrliczFunction, count: int, t_cap: float = 1e50):
@@ -816,7 +822,9 @@ def parse_phi_spec(text: str) -> OrliczFunction:
 def phi_spec_string(phi: OrliczFunction) -> str:
     """The spec text that rebuilds ``phi`` (see :func:`parse_phi_spec`)."""
     if phi.spec is None:
-        raise InputError(f"{phi.name} has no spec-string form")
+        raise InputError(f"{phi.name} has no spec-string form (a sparse pair "
+                         f"has one only when built on sparse_schedule(bursts, "
+                         f"ratio))")
     return phi.spec
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BracketInvalid, EmptyScenarioSet, InputError
 from .finite_model import (FiniteSpace, RandomVariable, expectation,
-                           nearest_point, pairing)
+                           nearest_point, order_convergence_check, pairing)
 from .orlicz_functions import _split_spec, bisect, double_until
 
 __all__ = [
@@ -49,6 +49,12 @@ _MAX_VERTEX_ATOMS = 12
 #: unit expectation.
 _BOUND_TOL = 1e-12
 _MASS_TOL = 1e-10
+#: ``axiom_suite``'s slack, and the scalars and cash shifts it tries
+_AXIOM_TOL = 1e-9
+_SCALARS = (0.5, 2.0)
+_SHIFTS = (-1.0, 0.5, 2.0)
+#: ``fatou_harness``'s slack
+_FATOU_TOL = 1e-8
 
 
 class ScenarioSet:
@@ -164,7 +170,7 @@ class CappedScenarioSet(ScenarioSet):
 
 @dataclass(frozen=True)
 class RiskMeasure:
-    """Extended-real functional with a provenance tag.
+    """Extended-real functional, with its dual representation when known.
 
     ``evaluator`` maps RandomVariable -> float (``math.inf`` allowed);
     the measure is taken to be proper (finite at 0), which is not checked.
@@ -177,7 +183,6 @@ class RiskMeasure:
     """
 
     evaluator: object
-    provenance: str  # "scenario" | "acceptance" | "catalog"
     name: str = "rho"
     scenarios: ScenarioSet = None
     penalty: object = None  # density RandomVariable -> alpha, on the simplex
@@ -207,7 +212,7 @@ def scenario_eval(Q: ScenarioSet, X: RandomVariable) -> float:
 
 
 def scenario_measure(Q: ScenarioSet, name: str = "scenario") -> RiskMeasure:
-    return RiskMeasure(lambda X: scenario_eval(Q, X), "scenario", name, scenarios=Q)
+    return RiskMeasure(lambda X: scenario_eval(Q, X), name, scenarios=Q)
 
 
 def acceptance_eval(member, X: RandomVariable, bracket, tol: float = 1e-8) -> float:
@@ -240,12 +245,12 @@ def acceptance_measure(member, name: str = "acceptance") -> RiskMeasure:
                              "no lower bracket: X + m*1 always in C")
         return acceptance_eval(member, X, (-lo, hi))
 
-    return RiskMeasure(evaluate, "acceptance", name)
+    return RiskMeasure(evaluate, name)
 
 
-def axiom_suite(rho, samples, tol: float = 1e-9, scalars=(0.5, 2.0),
-                shifts=(-1.0, 0.5, 2.0)):
-    """Check the four coherence axioms on all sample pairs and scalars.
+def axiom_suite(rho, samples):
+    """Check the four coherence axioms on all sample pairs, the scalars
+    0.5 and 2 and the cash shifts -1, 0.5 and 2, at a slack of 1e-9.
 
     Returns a report dict with a pass flag and the witnessing inputs of
     every violation.
@@ -258,47 +263,42 @@ def axiom_suite(rho, samples, tol: float = 1e-9, scalars=(0.5, 2.0),
     for (i, X1), (j, X2) in itertools.combinations(enumerate(samples), 2):
         r1, r2 = values[i], values[j]
         rsum = rho(X1 + X2)
-        if rsum > r1 + r2 + tol * (1.0 + abs(r1) + abs(r2)):
+        if rsum > r1 + r2 + _AXIOM_TOL * (1.0 + abs(r1) + abs(r2)):
             violations["subadditive"].append((i, j, rsum, r1 + r2))
-        if np.all(X1.x >= X2.x) and r1 > r2 + tol * (1.0 + abs(r2)):
+        if np.all(X1.x >= X2.x) and r1 > r2 + _AXIOM_TOL * (1.0 + abs(r2)):
             violations["monotone"].append((i, j, r1, r2))
-        if np.all(X2.x >= X1.x) and r2 > r1 + tol * (1.0 + abs(r1)):
+        if np.all(X2.x >= X1.x) and r2 > r1 + _AXIOM_TOL * (1.0 + abs(r1)):
             violations["monotone"].append((j, i, r2, r1))
     for i, X in enumerate(samples):
         r = values[i]
         if not math.isfinite(r):
             continue
-        for m in shifts:
+        for m in _SHIFTS:
             shifted = rho(X + m)
-            if abs(shifted - (r - m)) > tol * (1.0 + abs(r) + abs(m)):
+            if abs(shifted - (r - m)) > _AXIOM_TOL * (1.0 + abs(r) + abs(m)):
                 violations["cash_additive"].append((i, m, shifted, r - m))
-        for lam in scalars:
+        for lam in _SCALARS:
             scaled = rho(X * lam)
-            if abs(scaled - lam * r) > tol * (1.0 + abs(lam * r)):
+            if abs(scaled - lam * r) > _AXIOM_TOL * (1.0 + abs(lam * r)):
                 violations["positively_homogeneous"].append((i, lam, scaled, lam * r))
     report = {k: {"passed": not v, "violations": v} for k, v in violations.items()}
     report["passed"] = all(not v for v in violations.values())
     return report
 
 
-def fatou_harness(rho, family, X: RandomVariable, mode: str = "order",
-                  tol: float = 1e-8):
+def fatou_harness(rho, family, X: RandomVariable):
     """Check ``rho(X) <= liminf_n rho(X_n)`` along the supplied prefix.
 
-    ``mode`` selects the convergence hypothesis that is verified first:
-    ``order`` (a.s. plus order bounded; automatic order bound on finite
-    spaces) or ``norm-bounded``.  The liminf surrogate is the infimum
-    over the tail half of the prefix.  The harness can only refute the
-    property, never prove it; the report says "no violation found".
+    The prefix must share X's space and approach X atomwise (on a finite
+    space every sequence is order bounded).  The liminf surrogate is the
+    infimum over the tail half of the prefix.  The harness can only
+    refute the property, never prove it; the report says "no violation
+    found".
     """
-    from .finite_model import order_convergence_check
-
-    if mode not in ("order", "norm-bounded"):
-        raise InputError(f"unknown mode {mode!r}")
     errors = [float(np.max(np.abs(Xn.x - X.x))) for Xn in family]
     # a finite prefix cannot certify convergence; require the error to
     # shrink along the prefix (final at most half the initial, or exact)
-    if len(errors) < 2 or not (errors[-1] <= 0.5 * errors[0] + tol):
+    if len(errors) < 2 or not (errors[-1] <= 0.5 * errors[0] + _FATOU_TOL):
         raise InputError("family does not approach the stated limit")
     order_convergence_check(family, X)  # validates shared space / dominator
     vals = [rho(Xn) for Xn in family]
@@ -308,14 +308,14 @@ def fatou_harness(rho, family, X: RandomVariable, mode: str = "order",
     # each prefix element may still be `errors[i]` away from the limit in
     # sup norm; cash additivity + monotonicity make rho 1-Lipschitz there,
     # so that slack is added before declaring a violation
-    holds = rho_x <= min(v + e for v, e in zip(vals[half:], errors[half:])) + tol
+    holds = rho_x <= (min(v + e for v, e in zip(vals[half:], errors[half:]))
+                      + _FATOU_TOL)
     return {
         "rho_limit": rho_x,
         "liminf": liminf,
         "margin": liminf - rho_x,
         "holds": holds,
         "verdict": "no violation found" if holds else "violated",
-        "mode": mode,
         "values": vals,
     }
 
@@ -361,8 +361,7 @@ def entropic_measure(theta: float = 1.0) -> RiskMeasure:
         on = q > 0.0
         return theta * math.fsum((Q.space.p[on] * q[on] * np.log(q[on])).tolist())
 
-    return RiskMeasure(evaluate, "catalog", f"entropic(theta={theta:g})",
-                       penalty=penalty)
+    return RiskMeasure(evaluate, f"entropic(theta={theta:g})", penalty=penalty)
 
 
 _MEASURE_GRAMMAR = {"avar": {"alpha": float}, "worstcase": {},

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -72,6 +73,17 @@ class TestConjugate:
         assert code == 0
         assert report["values"][0] == 0.0
         assert report["values"][1] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("phi, grid, values", [
+        ("power:p=1", "0.5,1.0,2.5", [0.0, 0.0, "inf"]),
+        ("sparse", "1e30", ["inf"]),
+    ])
+    def test_past_a_cap_prints_inf(self, capsys, phi, grid, values):
+        # the conjugate is +inf strictly past its domain cap
+        code, report = run_json(capsys, ["conjugate", "--phi", phi,
+                                         "--grid", grid])
+        assert code == 0
+        assert report["values"] == values
 
 
 class TestDelta2:
@@ -324,6 +336,18 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
                if not hasattr(importlib.import_module(f"orlicz_lab.{module}"),
                               name)]
     assert tracing.TARGETS and missing == []
+
+
+def test_the_import_prints_the_scipy_optimize_line_the_benchmark_parses():
+    # perfbench/run.py's startup_probes reads the cumulative import time
+    # of scipy.optimize from this line, and a traced run fails without it
+    src = str(pathlib.Path(orlicz_lab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import orlicz_lab"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert re.search(r"^import time:\s+\d+ \|\s+(\d+) \|\s+scipy\.optimize$",
+                     done.stderr, re.M)
 
 
 def test_no_library_module_has_an_unused_import():

@@ -439,12 +439,12 @@ class TestVerifyCertificate:
     def test_rejects_wrong_lambda(self, instance):
         ins = instance
         img = t_operator(ins, Combo(ins, {("W0",): -1.0}))
-        fake = MembershipCertificate(1.0, (((1, 1), 0.5),), "L")
+        fake = MembershipCertificate(1.0, (((1, 1), 0.5),))
         assert not verify_certificate(ins, img, fake)
 
     def test_rejects_negative_weights(self, instance):
         img = t_operator(instance, Combo(instance, {}))
-        bad = MembershipCertificate(0.0, (((1, 1), -0.5),), "L")
+        bad = MembershipCertificate(0.0, (((1, 1), -0.5),))
         assert not verify_certificate(instance, img, bad)
 
     def test_l_checks_every_box(self, instance):
@@ -452,7 +452,7 @@ class TestVerifyCertificate:
         # on -W_44; only the boxes of the pairs in y used to be checked
         ins = instance
         img = t_operator(ins, Combo(ins, {("W", 4, 4): -1.0}))
-        cert = MembershipCertificate(0.0, (((1, 1), 0.5),), "L")
+        cert = MembershipCertificate(0.0, (((1, 1), 0.5),))
         assert not verify_certificate(ins, img, cert)
         with pytest.raises(NotAMember):
             membership(ins, img)
@@ -463,7 +463,7 @@ class TestVerifyCertificate:
         ins = instance if variant == "L" else instance_h
         img = t_operator(ins, Combo(ins, {("one",): 1.0}))
         i = ins.I + 1
-        cert = MembershipCertificate(1.0, (((i, 1), 2.0 ** -i),), variant)
+        cert = MembershipCertificate(1.0, (((i, 1), 2.0 ** -i),))
         assert cert.row_weighted_sum == 1.0
         assert not verify_certificate(ins, img, cert)
 
@@ -473,7 +473,7 @@ class TestVerifyCertificate:
         X = Combo(ins, {("X", 1): 1.0, ("W", 3): 4.0, ("W0",): -1.0})
         img = t_operator(ins, X)
         assert img.u_tail == 0.0
-        cert = MembershipCertificate(1.0, (((1, 3), 0.5),), "H")
+        cert = MembershipCertificate(1.0, (((1, 3), 0.5),))
         assert not verify_certificate(ins, img, cert)
         with pytest.raises(NotAMember):
             membership(ins, img)
@@ -1029,7 +1029,7 @@ class TestLimitCertificate:
 
     def test_rejects_bad_certificate(self, instance):
         X, _ = self._member(instance)
-        fake = MembershipCertificate(0.5, (((1, 1), 2.0),), "L")
+        fake = MembershipCertificate(0.5, (((1, 1), 2.0),))
         with pytest.raises(CertificateError):
             limit_certificate(instance, [(X, fake)] * 3, X)
 
@@ -1093,6 +1093,15 @@ class TestSerialization:
         again = instance_from_json(text)
         assert again.x_seq.blocks[0].height == 3.0
         assert instance_to_json(again) == text
+
+    def test_instance_round_trip_past_the_default_cap(self):
+        # built at t_cap = 1e300, the tallest block is past the 1e50 the
+        # loader used to rebuild at, where the scan found no witness
+        ins = build_instance(build_sparse_pair(sparse_schedule(bursts=25)),
+                             6, 6, 12, t_cap=1e300)
+        assert max(b.height for b in ins.z_seq.blocks) > 1e50
+        text = instance_to_json(ins)
+        assert instance_to_json(instance_from_json(text)) == text
 
     def test_instance_tampered_blocks_rejected(self, instance):
         payload = json.loads(instance_to_json(instance))

@@ -1,8 +1,9 @@
+import copy
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orlicz_lab import norms
 from orlicz_lab.block_sequences import (Block, block_luxemburg_norm,
@@ -170,15 +171,34 @@ def amemiya_objective(k, y_abs, p, psi):
     return (1.0 + m) / k if math.isfinite(m) else math.inf
 
 
+def amemiya_scan(ks, y_abs, p, psi):
+    """``amemiya_objective`` at each k of ``ks``, from one psi call over
+    the k x atoms array and a row-wise ``fsum``: a row with an atom past
+    psi's domain cap (with the slack its evaluation allows) is +inf, as
+    is a row with a term that is not finite."""
+    t = np.asarray(ks)[:, None] * y_abs
+    rows = np.ones(len(t), dtype=bool)
+    if psi.domain_cap is not None:
+        rows = np.all(t <= psi.domain_cap * (1 + 1e-12), axis=1)
+    vals = np.full(t.shape, math.inf)
+    vals[rows] = psi(t[rows])
+    return [(1.0 + math.fsum((p * row).tolist())) / k
+            if np.all(np.isfinite(row)) else math.inf
+            for k, row in zip(ks, vals)]
+
+
+AMEMIYA_LOGS = np.linspace(-18.0, 18.0, 181)
+
+
 def amemiya_by_grid(y_abs, p, psi):
     """Reference Amemiya search: a 181-point scan over ``log10 k`` in
-    [-18, 18], then golden section between the neighbours of the best
-    grid point, stopped at width 1e-12."""
+    [-18, 18] (``amemiya_scan``), then golden section between the
+    neighbours of the best grid point, stopped at width 1e-12."""
     def objective(k):
         return amemiya_objective(k, y_abs, p, psi)
 
-    logs = np.linspace(-18.0, 18.0, 181)
-    j = int(np.argmin([objective(10.0 ** u) for u in logs]))
+    logs = AMEMIYA_LOGS
+    j = int(np.argmin(amemiya_scan([10.0 ** u for u in logs], y_abs, p, psi)))
     a, b = logs[max(j - 1, 0)], logs[min(j + 1, len(logs) - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
@@ -452,6 +472,17 @@ class TestAmemiyaAtTheMultiplier:
             got = amemiya_objective(mu * scale, y_abs, sp.p, psi)
             assert abs(got - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize("name", sorted(DEFINITIONAL_PHI) + ["CAPPED"])
+    @given(atoms=spread_atoms_st)
+    @settings(max_examples=20)
+    def test_the_grid_scan_is_the_scalar_loop_bit_for_bit(self, name, atoms):
+        psi = CAPPED if name == "CAPPED" else conjugate(DEFINITIONAL_PHI[name])
+        y, p = sorted_atoms(atoms)
+        ks = [10.0 ** u for u in AMEMIYA_LOGS]
+        got = amemiya_scan(ks, y, p, psi)
+        want = [amemiya_objective(k, y, p, psi) for k in ks]
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+
     def test_the_linear_multiplier(self):
         # under 2 t the budget goes to the largest atom, at slope 2 / 3
         y, p = np.array([1.0, 3.0]), np.array([0.5, 0.5])
@@ -480,10 +511,15 @@ class TestAmemiyaAtTheMultiplier:
         (PowerFunction(2.0), PowerFunction(2.0, 0.25 * (1.0 + 1e-4))),
     ], ids=["exp/entropy*", "sparse/power2*", "power2/perturbed"])
     def test_a_mismatched_psi_raises(self, phi, psi):
+        # phi, as a subclass whose closed-form conjugate is the wrong psi
+        wrong = copy.copy(phi)
+        wrong.__class__ = type("Mismatched", (type(phi),),
+                               {"analytic_conjugate": property(lambda _: psi)})
+        assert conjugate(wrong) is psi
         Y = FiniteSpace((0.25, 0.25, 0.5)).rv([1.0, -3.0, 2.0])
         with pytest.raises(CrossCheckFailure,
                            match="disagree beyond 1e-6 relative") as info:
-            orlicz_norm(Y, phi, psi)
+            orlicz_norm(Y, wrong)
         assert "np.float64" not in str(info.value)
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -497,8 +533,16 @@ class TestAmemiyaAtTheMultiplier:
         real = psi._eval
         monkeypatch.setattr(psi, "_eval",
                             lambda t: calls.append(t.shape) or real(t))
-        orlicz_norm(Y, phi, psi)
+        monkeypatch.setattr(norms, "conjugate", lambda f: psi)
+        orlicz_norm(Y, phi)
         assert calls == [(600,)]
+
+    def test_a_multiplier_of_zero_is_a_typed_failure(self):
+        # the conjugate of t is 0 up to 1 and +inf beyond; its numeric
+        # conjugate's multiplier bisection collapses to 0
+        Y = FiniteSpace((0.5, 0.5)).rv([1.0, 2.0])
+        with pytest.raises(NumericFailure, match=r"power\(p=1\)\*"):
+            orlicz_norm(Y, _NumericConjugate(PowerFunction(1.0)))
 
 
 LUXEMBURG_PHI = {**CATALOG,

@@ -377,7 +377,8 @@ class TestSpecParsing:
         phi = build_sparse_pair(PiecewiseSlopeSchedule((3.0, 81.0),
                                                        (1.0, 2.0, 5.0)))
         assert phi.spec is None
-        with pytest.raises(InputError):
+        with pytest.raises(InputError,
+                           match=r"only when built on sparse_schedule\(bursts, ratio\)"):
             phi_spec_string(phi)
         canonical = build_sparse_pair(sparse_schedule(2, 3.0))
         assert phi_spec_string(canonical) == "sparse:bursts=2,ratio=3.0"
@@ -395,3 +396,13 @@ class TestLinearConjugate:
         for s in (0.5, 1.0, 7.0):
             assert conjugate_value(psi, s) == c * s
         assert list(conjugate(psi).slopes) == [c]
+
+    @pytest.mark.parametrize("phi", [PowerFunction(1.0, c)
+                                     for c in (1.0, 2.0, 0.3)]
+                             + [CATALOG["sparse"]], ids=lambda f: f.name)
+    def test_conjugate_value_is_inf_strictly_past_the_cap(self, phi):
+        # as is the conjugate of the sparse pair past phi's last slope
+        cap = conjugate(phi).domain_cap
+        assert math.isfinite(conjugate_value(phi, cap))
+        for s in (math.nextafter(cap, math.inf), 2.5 * cap, 1e300):
+            assert conjugate_value(phi, s) == math.inf

@@ -78,11 +78,11 @@ class TestScenarioEval:
 
     def test_measure_wrapper(self):
         sp = uniform_space(3)
-        rho = scenario_measure(ScenarioSet((sp.constant(1.0),)))
+        Q = ScenarioSet((sp.constant(1.0),))
+        rho = scenario_measure(Q)
         X = sp.rv([1.0, 2.0, 3.0])
         assert rho(X) == pytest.approx(-2.0)
-        assert rho.provenance == "scenario"
-        assert rho.scenarios is not None
+        assert rho.scenarios is Q
 
 
 def avar_vertices_by_loop(space, alpha):
@@ -319,7 +319,7 @@ class TestAxiomSuite:
 
     def test_violations_carry_witnesses(self):
         sp = uniform_space(2)
-        bad = RiskMeasure(lambda X: float(np.sum(X.x)), "catalog", "bad")
+        bad = RiskMeasure(lambda X: float(np.sum(X.x)), "bad")
         report = axiom_suite(bad, self._samples(sp))
         assert not report["passed"]
         some = [v for k, v in report.items()
@@ -349,7 +349,7 @@ class TestFatouHarness:
         # rho jumps down along the family but is large at the limit
         jumpy = RiskMeasure(
             lambda Z: 5.0 if float(np.max(np.abs(Z.x))) < 1e-6 else 0.0,
-            "catalog", "jumpy")
+            "jumpy")
         report = fatou_harness(jumpy, family, X)
         assert not report["holds"]
         assert report["verdict"] == "violated"
@@ -360,13 +360,6 @@ class TestFatouHarness:
         family = [X + 1.0 for _ in range(10)]
         with pytest.raises(InputError):
             fatou_harness(entropic_measure(), family, X)
-
-    def test_mode_validation(self):
-        sp = uniform_space(2)
-        X = sp.constant(0.0)
-        family = [X + 2.0 ** (-n) for n in range(1, 10)]
-        with pytest.raises(InputError):
-            fatou_harness(entropic_measure(), family, X, mode="weird")
 
 
 class TestParseMeasureSpec:
