@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,26 +29,39 @@ _CONVERGED_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """Finite probability model: positive atom probabilities summing to 1."""
+    """Finite probability model: positive atom probabilities summing to 1.
+
+    ``p`` is one read-only float64 array, built once and shared by every
+    read; the tuple ``probabilities`` holds the same floats and is what
+    equality and hashing compare."""
 
     probabilities: tuple
     labels: tuple = None
+    _p: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
+        p = np.array(self.probabilities, dtype=float)
         if p.ndim != 1 or len(p) == 0:
             raise InputError("need a nonempty probability vector")
+        if not np.all(np.isfinite(p)):
+            raise InputError("atom probabilities must be finite")
         if np.any(p <= 0):
             raise InputError("atom probabilities must be positive")
         if abs(p.sum() - 1.0) > 1e-12:
             raise InputError(f"probabilities sum to {p.sum()!r}, not 1")
-        object.__setattr__(self, "probabilities", tuple(float(x) for x in p))
+        p.flags.writeable = False
+        object.__setattr__(self, "_p", p)
+        object.__setattr__(self, "probabilities", tuple(p.tolist()))
         labels = self.labels
         if labels is None:
-            labels = tuple(str(i) for i in range(len(p)))
+            labels = tuple(map(str, range(len(p))))
         elif len(labels) != len(p):
             raise InputError("label count must match atom count")
         object.__setattr__(self, "labels", tuple(labels))
+
+    def __reduce__(self):
+        # rebuilt through __post_init__, so copies keep ``p`` read-only
+        return FiniteSpace, (self.probabilities, self.labels)
 
     @property
     def n_atoms(self) -> int:
@@ -56,33 +69,47 @@ class FiniteSpace:
 
     @property
     def p(self) -> np.ndarray:
-        return np.asarray(self.probabilities)
+        return self._p
 
     def rv(self, values) -> "RandomVariable":
-        return RandomVariable(self, tuple(float(v) for v in np.asarray(values, dtype=float)))
+        return RandomVariable(self, values)
 
     def constant(self, c: float) -> "RandomVariable":
         return self.rv(np.full(self.n_atoms, float(c)))
 
 
 def uniform_space(n: int) -> FiniteSpace:
+    if n < 1:
+        raise InputError(f"uniform_space needs at least one atom, not {n!r}")
     return FiniteSpace(tuple([1.0 / n] * n))
 
 
 @dataclass(frozen=True)
 class RandomVariable:
-    """Atomwise-valued position on a finite space."""
+    """Atomwise-valued position on a finite space.
+
+    ``x`` is one read-only float64 array, built once and shared by every
+    read; the tuple ``values`` holds the same floats and is what equality
+    and hashing compare."""
 
     space: FiniteSpace
     values: tuple
+    _x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.values) != self.space.n_atoms:
+        x = np.array(self.values, dtype=float)
+        if x.ndim != 1 or len(x) != self.space.n_atoms:
             raise InputError("value list length must equal atom count")
+        x.flags.writeable = False
+        object.__setattr__(self, "_x", x)
+        object.__setattr__(self, "values", tuple(x.tolist()))
+
+    def __reduce__(self):
+        return RandomVariable, (self.space, self.values)
 
     @property
     def x(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        return self._x
 
     def __add__(self, other):
         if isinstance(other, RandomVariable):

@@ -89,12 +89,14 @@ def newton_from_right(excess, slope, lo: float, hi: float,
 
     Newton steps along the right derivative ``slope`` from ``hi`` never
     pass the root of a convex function, so each one moves ``hi``.  A step
-    that leaves the bracket, or starts from a value that is not finite,
-    is replaced by the midpoint.  A step shorter than a quarter of the
-    tolerance is replaced by a probe just left of ``hi``; a Newton point
-    that lands on the root in rounding is followed by a probe just right
-    of it.  A probe on the expected side closes the bracket; otherwise
-    the search goes on from the narrower bracket."""
+    that leaves the bracket, or starts from a value or slope that is not
+    finite, is replaced by the midpoint.  A step shorter than a quarter
+    of the tolerance is replaced by a probe just left of ``hi``, and so
+    is a step shorter than half an ulp of ``hi``, whose Newton point
+    rounds onto ``hi`` itself (``c == hi``); a Newton point that lands on
+    the root in rounding is followed by a probe just right of it.  A
+    probe on the expected side closes the bracket; otherwise the search
+    goes on from the narrower bracket."""
     f_hi = excess(hi)
     landed = False
     for _ in range(_MAX_DOUBLINGS):
@@ -105,8 +107,8 @@ def newton_from_right(excess, slope, lo: float, hi: float,
             c = lo * (1.0 + 0.5 * rtol)
         else:
             d = slope(hi) if math.isfinite(f_hi) else math.nan
-            c = hi - f_hi / d if d > 0.0 else math.nan
-            if not lo < c < hi:
+            c = hi - f_hi / d if 0.0 < d < math.inf else math.nan
+            if not lo < c <= hi:
                 c = 0.5 * (lo + hi)
             elif hi - c <= 0.25 * rtol * hi:
                 c = hi * (1.0 - 0.5 * rtol)

@@ -62,6 +62,18 @@ class TestNorm:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "invalid-input"
 
+    @pytest.mark.parametrize("probability", ["nan", "-0.5"])
+    def test_bad_probability_is_invalid_input(self, capsys, tmp_path,
+                                              probability):
+        # a nan probability passed the sum check and printed "value": NaN
+        path = tmp_path / "bad.csv"
+        path.write_text(f"atom,probability,value\na,{probability},1.0\n"
+                        "b,1.5,2.0\n")
+        assert run(["norm", "--phi", "exp", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "invalid-input"
+
     def test_bad_phi(self, capsys, pos_csv):
         assert run(["norm", "--phi", "wat", "--input", pos_csv]) == 3
 

@@ -1,3 +1,7 @@
+import copy
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +10,8 @@ from scipy.optimize import linprog
 from orlicz_lab.errors import InputError, SpaceMismatch
 from orlicz_lab.finite_model import (
     FiniteSpace,
+    RandomVariable,
+    _same_space,
     expectation,
     nearest_point,
     order_convergence_check,
@@ -25,6 +31,19 @@ class TestFiniteSpace:
     def test_probabilities_must_be_positive(self):
         with pytest.raises(InputError):
             FiniteSpace((1.0, 0.0))
+
+    @pytest.mark.parametrize("probabilities", [
+        (0.5, math.nan), (math.nan,), (math.nan, 0.5, 0.5), (0.5, math.inf),
+    ])
+    def test_probabilities_must_be_finite(self, probabilities):
+        # a nan sum passed the ``abs(sum - 1) > 1e-12`` check
+        with pytest.raises(InputError, match="finite"):
+            FiniteSpace(probabilities)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_uniform_needs_an_atom(self, n):
+        with pytest.raises(InputError, match="at least one atom"):
+            uniform_space(n)
 
     def test_uniform(self):
         sp = uniform_space(4)
@@ -63,6 +82,70 @@ class TestRandomVariable:
         Y = sp.rv([2.0, 1.0])
         assert expectation(X) == 1.0
         assert pairing(X, Y) == 2.0
+
+
+class TestArrays:
+    """``.p`` and ``.x`` are one read-only array each, built once; the
+    tuples beside them are what equality and hashing compare."""
+
+    def test_every_read_shares_one_read_only_array(self):
+        sp = FiniteSpace((0.25, 0.75))
+        X = sp.rv([1.0, -2.0])
+        assert X.x is X.x and sp.p is sp.p
+        for a in (X.x, sp.p):
+            assert a.dtype == np.float64 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 5.0
+        assert X.values == (1.0, -2.0) and sp.probabilities == (0.25, 0.75)
+
+    def test_rv_copies_its_input(self):
+        sp = uniform_space(3)
+        a = np.array([1.0, 2.0, 3.0])
+        X = sp.rv(a)
+        a[0] = 99.0
+        assert X.values == (1.0, 2.0, 3.0)
+        assert X.x.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0, math.inf, -math.inf, 5e-324, 1],
+        np.array([-0.0, 0.0, np.inf, -np.inf, 5e-324, 1.0]),
+        np.array([-0.0, 0.0, np.inf, -np.inf, 1e-45, 1.0], dtype=np.float32),
+        (True, 0, 2, 3, 2 ** 60 + 1, 0.1),
+    ], ids=["list", "float64", "float32", "ints"])
+    def test_values_are_the_per_element_conversion(self, values):
+        X = uniform_space(6).rv(values)
+        expect = tuple(float(v) for v in np.asarray(values, dtype=float))
+        assert all(type(v) is float for v in X.values)
+        assert [v.hex() for v in X.values] == [v.hex() for v in expect]
+        assert [v.hex() for v in X.x.tolist()] == [v.hex() for v in expect]
+
+    def test_equal_tuples_make_equal_spaces(self):
+        p = tuple(np.random.default_rng(4).dirichlet(np.ones(7)).tolist())
+        a, b = FiniteSpace(p), FiniteSpace(p)
+        assert a is not b and a == b and hash(a) == hash(b)
+        X, Y = a.rv(range(7)), b.rv(range(7))
+        _same_space(X, Y)
+        assert X == Y and hash(X) == hash(Y)
+        assert {a: 1}[b] == 1
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda X: pickle.loads(pickle.dumps(X)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_stay_read_only(self, clone):
+        X = FiniteSpace((0.25, 0.75), ("u", "v")).rv([3.0, -0.5])
+        Y = clone(X)
+        assert Y == X and Y.space.labels == ("u", "v")
+        for a in (Y.x, Y.space.p):
+            assert not a.flags.writeable
+
+    def test_direct_construction_is_rv(self):
+        sp = FiniteSpace((0.25, 0.75))
+        X = RandomVariable(sp, (3, -0.5))
+        assert X == sp.rv([3.0, -0.5])
+        assert np.array_equal(X.x, sp.rv([3.0, -0.5]).x)
+        assert not X.x.flags.writeable
+        with pytest.raises(InputError):
+            RandomVariable(sp, (1.0, 2.0, 3.0))
 
 
 @st.composite
@@ -158,6 +241,12 @@ class TestPositionsCsv:
     def test_probability_sum_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("atom,probability,value\na,0.5,1.0\nb,0.4,2.0\n")
+        with pytest.raises(InputError):
+            read_positions_csv(path)
+
+    def test_nan_probability(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("atom,probability,value\na,nan,1.0\nb,0.5,2.0\n")
         with pytest.raises(InputError):
             read_positions_csv(path)
 

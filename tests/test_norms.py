@@ -610,6 +610,33 @@ class TestLuxemburgBracket:
             luxemburg_norm(X, ExpFunction())
 
 
+class TestEvaluationBudget:
+    """Each norm evaluates phi (and psi) at most 12 times on the draws the
+    ``kernels`` benchmark makes; a count, so it does not depend on the
+    host.  An entropy Orlicz norm whose first bracket started at 0 used
+    to bisect from there, at up to 57 evaluations."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @pytest.mark.parametrize("norm", [luxemburg_norm, orlicz_norm],
+                             ids=lambda f: f.__name__)
+    def test_at_most_12_evaluations(self, name, norm, monkeypatch):
+        calls = []
+        real = OrliczFunction.__call__
+        monkeypatch.setattr(OrliczFunction, "__call__",
+                            lambda self, t: calls.append(1) or real(self, t))
+        worst = 0
+        for n in (600, 200):
+            for seed in range(16):
+                rng = np.random.default_rng([seed, 0])
+                sp = FiniteSpace(tuple(rng.dirichlet(np.full(n, 2.0))))
+                X = sp.rv(1.5 * rng.standard_normal(n))
+                Y = sp.rv(rng.standard_normal(n))
+                calls.clear()
+                norm(X if norm is luxemburg_norm else Y, CATALOG[name])
+                worst = max(worst, len(calls))
+        assert worst <= 12
+
+
 class TestHolder:
     def test_random_pairs(self):
         rng = np.random.default_rng(5)

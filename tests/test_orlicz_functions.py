@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from orlicz_lab.errors import (InputError, InvalidSchedule, NumericFailure,
                                WitnessNotFound)
+from orlicz_lab.finite_model import FiniteSpace
+from orlicz_lab.norms import orlicz_norm
 from orlicz_lab.orlicz_functions import (
     CATALOG,
     EntropyFunction,
@@ -18,6 +20,7 @@ from orlicz_lab.orlicz_functions import (
     conjugate,
     conjugate_value,
     delta2_witnesses,
+    newton_from_right,
     parse_phi_spec,
     phi_spec_string,
     sparse_schedule,
@@ -194,6 +197,44 @@ class TestRderivInverseLeft:
         for s in (800.0, np.array([1.0, 800.0])):
             with pytest.raises(NumericFailure):
                 phi.rderiv_inverse_left(s)
+
+
+class TestNewtonFromRight:
+    """A Newton step shorter than half an ulp of ``hi`` rounds onto ``hi``;
+    it is replaced by the probe just left of ``hi``, not by the midpoint,
+    so a first bracket from 0 closes without bisecting down from it."""
+
+    def test_a_step_that_rounds_onto_hi_probes(self):
+        # the root lies 1e-20 / 2 below 1.0, so the Newton point from
+        # hi = 1.0 rounds onto 1.0 itself
+        calls = []
+
+        def excess(x):
+            calls.append(x)
+            return (x * x - 1.0) + 1e-20
+
+        lo, hi = newton_from_right(excess, lambda x: 2.0 * x, 0.0, 1.0, 1e-14)
+        assert len(calls) <= 12
+        assert excess(lo) <= 0.0 < excess(hi)
+        assert hi - lo <= 1e-14 * lo
+
+    def test_entropy_multiplier_from_an_overshooting_start(self, monkeypatch):
+        # mu0 = sqrt(2 / E[y^2]) already overshoots here, so the first
+        # bracket is (0, mu0), and its first Newton point rounds onto mu0:
+        # the midpoint branch took 56 evaluations of phi, bisecting from 0
+        rng = np.random.default_rng([7, 2])
+        p = rng.dirichlet(np.full(600, 2.0))
+        rng.standard_normal(600)
+        Y = FiniteSpace(tuple(p)).rv(rng.standard_normal(600))
+        calls = []
+        real = EntropyFunction.__call__
+        monkeypatch.setattr(EntropyFunction, "__call__",
+                            lambda self, t: calls.append(1) or real(self, t))
+        value = orlicz_norm(Y, EntropyFunction())
+        assert len(calls) <= 12
+        # the bisection's value, within the multiplier's 1e-14 width
+        assert value == pytest.approx(float.fromhex("0x1.fd89b6e14b2e7p+0"),
+                                      rel=1e-14, abs=0.0)
 
 
 class TestDelta2Witnesses:
