@@ -3,9 +3,9 @@
 Subcommands map one-to-one onto library modules and emit deterministic
 JSON reports (sorted keys, correctly rounded sums).  Exit codes: 0
 success, 2 not-a-member/infeasible (with the certificate in the JSON
-error payload on stderr), 3 invalid input or a phi without the
-Delta_2-failure witnesses a construction needs (``witness-not-found``),
-4 numeric failure.
+error payload on stderr) or a usage error, 3 invalid input or a phi
+without the Delta_2-failure witnesses a construction needs
+(``witness-not-found``), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 from .errors import InputError, NotAMember, OrliczLabError, WitnessNotFound
 from . import block_sequences as bs
@@ -32,8 +33,7 @@ __all__ = ["main", "run"]
 def _emit(report: dict, output: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        Path(output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -51,11 +51,6 @@ def _parse_combo(instance, payload: dict) -> "cex.Combo":
             sym = (key,)
         coeffs[sym] = float(val)
     return cex.Combo(instance, coeffs)
-
-
-def _load_instance(path: str) -> "cex.CounterexampleInstance":
-    with open(path) as fh:
-        return cex.instance_from_json(fh.read())
 
 
 # -- subcommand handlers: each returns the report ``run`` prints ------
@@ -89,7 +84,7 @@ def _cmd_delta2(args) -> dict:
     return {"phi": phi_spec_string(phi), "count": args.count, **report}
 
 
-def _cmd_risk(args) -> dict:
+def _cmd_risk_eval(args) -> dict:
     X = read_positions_csv(args.input)
     rho = rm.parse_measure_spec(args.measure, X.space)
     return {"measure": rho.name, "value": rho(X)}
@@ -124,24 +119,32 @@ def _cmd_blocks(args) -> dict:
             "sequence": json.loads(bs.blocks_to_json(x_seq))}
 
 
-def _cmd_cex(args) -> dict:
-    if args.action == "build":
-        phi = parse_phi_spec(args.phi)
-        instance = cex.build_instance(phi, args.I, args.J, args.N,
-                                      variant=args.variant)
-        return json.loads(cex.instance_to_json(instance))
-    instance = _load_instance(args.instance)
-    if args.action == "approx":
-        with open(args.targets) as fh:
-            targets = [_parse_combo(instance, t) for t in json.load(fh)]
-        return cex.gap_exhibit(instance, targets, args.eps)
-    with open(args.combo) as fh:
-        X = _parse_combo(instance, json.load(fh))
-    if args.action == "member":
-        cert = cex.membership(instance, cex.t_operator(instance, X))
-        return json.loads(cex.certificate_to_json(cert))
-    value = cex.rho_c(instance, X)  # rho, the one action argparse leaves
+def _cmd_cex_build(args) -> dict:
+    phi = parse_phi_spec(args.phi)
+    instance = cex.build_instance(phi, args.I, args.J, args.N,
+                                  variant=args.variant)
+    return json.loads(cex.instance_to_json(instance))
+
+
+def _cmd_cex_member(args) -> dict:
+    instance = cex.instance_from_json(Path(args.instance).read_text())
+    X = _parse_combo(instance, json.loads(Path(args.combo).read_text()))
+    cert = cex.membership(instance, cex.t_operator(instance, X))
+    return json.loads(cex.certificate_to_json(cert))
+
+
+def _cmd_cex_rho(args) -> dict:
+    instance = cex.instance_from_json(Path(args.instance).read_text())
+    X = _parse_combo(instance, json.loads(Path(args.combo).read_text()))
+    value = cex.rho_c(instance, X)
     return {"rho_c": value if math.isfinite(value) else "inf"}
+
+
+def _cmd_cex_approx(args) -> dict:
+    instance = cex.instance_from_json(Path(args.instance).read_text())
+    targets = [_parse_combo(instance, t)
+               for t in json.loads(Path(args.targets).read_text())]
+    return cex.gap_exhibit(instance, targets, args.eps)
 
 
 def _cmd_closure(args) -> dict:
@@ -171,71 +174,70 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orlicz-lab",
         description="Numerical laboratory for Orlicz-space risk measures.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output")
 
-    p = sub.add_parser("norm", help="Luxemburg/Orlicz norm of a CSV position")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--input", required=True)
+    def command(group, name, func, text, *required, parents=(output,)):
+        p = group.add_parser(name, help=text, parents=parents)
+        for flag in required:
+            p.add_argument(flag, required=True)
+        p.set_defaults(func=func)
+        return p
+
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = command(sub, "norm", _cmd_norm,
+                "Luxemburg/Orlicz norm of a CSV position", "--phi", "--input")
     p.add_argument("--which", choices=["luxemburg", "orlicz"],
                    default="luxemburg")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_norm)
 
-    p = sub.add_parser("conjugate", help="conjugate values on a grid")
-    p.add_argument("--phi", required=True)
+    p = command(sub, "conjugate", _cmd_conjugate, "conjugate values on a grid",
+                "--phi")
     p.add_argument("--grid", required=True,
                    help="comma-separated evaluation points")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_conjugate)
 
-    p = sub.add_parser("delta2", help="doubling-failure witness report")
-    p.add_argument("--phi", required=True)
+    p = command(sub, "delta2", _cmd_delta2, "doubling-failure witness report",
+                "--phi")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--t-cap", type=float, default=1e50)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_delta2)
 
-    p = sub.add_parser("risk", help="risk-measure evaluation")
-    p.add_argument("action", choices=["eval"])
-    p.add_argument("--measure", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_risk)
+    actions = sub.add_parser("risk", help="risk-measure evaluation") \
+        .add_subparsers(dest="action", required=True)
+    command(actions, "eval", _cmd_risk_eval, "a measure at a CSV position",
+            "--measure", "--input")
+    command(sub, "dual", _cmd_dual, "conjugation / biconjugation report",
+            "--measure", "--input")
 
-    p = sub.add_parser("dual", help="conjugation / biconjugation report")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser("blocks", help="block sequence build + invariants")
-    p.add_argument("--phi", required=True)
+    p = command(sub, "blocks", _cmd_blocks,
+                "block sequence build + invariants", "--phi")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--region", default="omega1",
                    choices=sorted(bs.REGIONS))
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_blocks)
 
-    p = sub.add_parser("cex", help="counterexample workflows")
-    p.add_argument("action", choices=["build", "member", "approx", "rho"])
+    actions = sub.add_parser("cex", help="counterexample workflows") \
+        .add_subparsers(dest="action", required=True)
+    p = command(actions, "build", _cmd_cex_build, "build an instance")
     p.add_argument("--phi", default="sparse:bursts=12,ratio=2")
     p.add_argument("--I", type=int, default=4)
     p.add_argument("--J", type=int, default=4)
     p.add_argument("--N", type=int, default=8)
     p.add_argument("--variant", choices=["L", "H"], default="L")
-    p.add_argument("--instance", help="instance JSON path")
-    p.add_argument("--combo", help="position JSON path")
-    p.add_argument("--targets", help="JSON list of dual combinations")
+    instance = argparse.ArgumentParser(add_help=False, parents=[output])
+    instance.add_argument("--instance", required=True, help="instance JSON path")
+    combo = argparse.ArgumentParser(add_help=False, parents=[instance])
+    combo.add_argument("--combo", required=True, help="position JSON path")
+    command(actions, "member", _cmd_cex_member,
+            "membership certificate of a position", parents=(combo,))
+    p = command(actions, "approx", _cmd_cex_approx, "the duality-gap exhibit",
+                parents=(instance,))
+    p.add_argument("--targets", required=True,
+                   help="JSON list of dual combinations")
     p.add_argument("--eps", type=float, default=1e-2)
-    p.set_defaults(func=_cmd_cex)
-    p.add_argument("--output")
+    command(actions, "rho", _cmd_cex_rho, "rho_c of a position",
+            parents=(combo,))
 
-    p = sub.add_parser("closure", help="truncation/Mazur/domination pipeline")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--input", required=True)
+    p = command(sub, "closure", _cmd_closure,
+                "truncation/Mazur/domination pipeline", "--phi", "--input")
     p.add_argument("--levels", type=int, default=5)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_closure)
     return parser
 
 

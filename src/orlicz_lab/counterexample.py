@@ -132,6 +132,9 @@ class MembershipCertificate:
         return sum((2.0 ** i) * val for (i, _), val in self.y)
 
 
+_ZERO_LAMBDA = MembershipCertificate(0.0, (((1, 1), 0.5),))
+
+
 class CounterexampleInstance:
     """Immutable truncated instance; see the module docstring."""
 
@@ -363,9 +366,9 @@ def t_operator(instance: CounterexampleInstance, X) -> TImage:
                   variant=ins.variant, u_tail=u_tail)
 
 
-def _lp_rows(instance: CounterexampleInstance, image: TImage):
-    """Constraint rows over variables ``(lambda, z)``, ``z`` ordered like
-    ``pairs``; returns (labels, A_ub, b_ub, A_eq, pairs).
+def _rows(instance: CounterexampleInstance, image: TImage):
+    """``(b, chain)``: the capacities ``b`` of the rows over ``(lambda, z)``
+    and the ``_Chain`` holding them, ``z`` ordered like ``chain.pairs``.
 
     The rows are the a row ``-lambda <= a``, the own rows (L: the box
     ``z(i,j) <= v(i,j)`` of each pair; H: ``sum_i 4^i z(i,j) <= v(j)``
@@ -380,8 +383,7 @@ def _lp_rows(instance: CounterexampleInstance, image: TImage):
     tail = [image.u_tail] if math.isfinite(image.u_tail) else []
     b = np.array([image.a] + [vd[k] for k in ins.third_keys] + list(image.u)
                  + tail)
-    chain = _chain_of(ins, len(b))
-    return chain.labels, chain.A, b, chain.eq, chain.pairs
+    return b, _chain(ins.I, ins.J, ins.N, ins.variant, len(b))
 
 
 def _certificate_from_z(z, pairs) -> MembershipCertificate:
@@ -389,7 +391,7 @@ def _certificate_from_z(z, pairs) -> MembershipCertificate:
     with ``lambda = sum 2^i z`` and ``y = z / lambda``."""
     lam = float(sum((2.0 ** i) * z[k] for k, (i, _) in enumerate(pairs)))
     if lam <= 1e-7:
-        return MembershipCertificate(0.0, (((1, 1), 0.5),))
+        return _ZERO_LAMBDA
     y = tuple(sorted((pair, float(z[k]) / lam) for k, pair in enumerate(pairs)
                      if z[k] / lam > _FEAS_TOL))
     cert = MembershipCertificate(lam, y)
@@ -400,7 +402,7 @@ def _certificate_from_z(z, pairs) -> MembershipCertificate:
 
 
 class _Chain(NamedTuple):
-    """``_lp_rows``' rows past the first as one chain problem.
+    """``_rows``' rows past the first as one chain problem.
 
     Those rows are the own rows ``b[1:first]`` (L: the box of each pair;
     H: the row of each group j) and then the chain rows ``b[first:]``:
@@ -427,7 +429,7 @@ class _Chain(NamedTuple):
     the next one down (to 0 after the last), row 0 of ``out`` marks
     every element and row 1 + c those off chain row c, and ``count``
     is the number of rows of each cover, ``out`` row by ``member`` row.
-    ``labels``, ``A`` and ``eq`` are the rows of ``_lp_rows``.
+    ``labels``, ``A`` and ``eq`` are the rows of ``_rows``.
     """
 
     pairs: tuple
@@ -493,14 +495,9 @@ def _chain(I: int, J: int, N: int, variant: str, n_rows: int) -> _Chain:
     return chain
 
 
-def _chain_of(instance: CounterexampleInstance, n_rows: int) -> _Chain:
-    ins = instance
-    return _chain(ins.I, ins.J, ins.N, ins.variant, n_rows)
-
-
 def _greedy(chain: _Chain, b) -> np.ndarray:
     """The ``z`` (ordered like ``pairs``) of largest lambda under
-    ``_lp_rows``' rows with capacities ``b >= 0`` past the first.
+    ``_rows``' rows with capacities ``b >= 0`` past the first.
 
     Elements are filled in ``order``, each up to the least of its length
     and its chain rows' slacks.  An H group's pieces share their rows
@@ -567,10 +564,23 @@ def _cover(chain: _Chain, b) -> np.ndarray:
     return rho
 
 
+def _decide(chain: _Chain, b):
+    """``(z, rho)``: ``rho`` is None for a member (``z`` the greedy's),
+    else Farkas multipliers, the most negative row past the first or the
+    cover when ``b[0] + lambda*`` is below 0 by more than 4 ulp."""
+    if np.any(b[1:] < 0.0):
+        return None, np.eye(len(b))[1 + int(np.argmin(b[1:]))]
+    z = _greedy(chain, b)
+    lam = _lam(z, chain.pairs)
+    if b[0] + lam >= -_ROUNDING * max(abs(b[0]), lam):
+        return z, None
+    return z, _cover(chain, b)
+
+
 def membership(instance: CounterexampleInstance,
                image: TImage) -> MembershipCertificate:
     """Decide ``image in T(C)``: is there ``(lambda, z) >= 0`` meeting
-    ``_lp_rows``' rows?
+    ``_rows``' rows?
 
     A row past the first with a negative capacity rejects the image.
     Otherwise the greedy (``_greedy``) gives the largest lambda, and the
@@ -584,21 +594,14 @@ def membership(instance: CounterexampleInstance,
     ``mu . b`` as ``"__objective__"``.  It is the negative row or the
     cover (``_cover``), audited before it is raised.
     """
-    labels, A, b, eq, pairs = _lp_rows(instance, image)
-    if np.any(b[1:] < 0.0):
-        mu, nu = np.eye(len(b))[1 + int(np.argmin(b[1:]))], 0.0
-    else:
-        chain = _chain_of(instance, len(b))
-        z = _greedy(chain, b)
-        lam = _lam(z, pairs)
-        if b[0] + lam >= -_ROUNDING * max(abs(b[0]), lam):
-            return _certificate_from_z(z, pairs)
-        mu = _cover(chain, b)
-        nu = mu[0]
-    if not (mu @ b < 0.0 and np.all(A.T @ mu + nu * eq >= 0.0)):
+    b, chain = _rows(instance, image)
+    z, mu = _decide(chain, b)
+    if mu is None:
+        return _certificate_from_z(z, chain.pairs)
+    if not (mu @ b < 0.0 and np.all(chain.A.T @ mu + mu[0] * chain.eq >= 0.0)):
         raise CertificateError("Farkas certificate fails its audit")
     mu = mu / mu.sum()
-    certificate = {labels[r]: float(mu[r]) for r in np.flatnonzero(mu)}
+    certificate = {chain.labels[r]: float(mu[r]) for r in np.flatnonzero(mu)}
     certificate["__objective__"] = float(mu @ b)
     raise NotAMember("image admits no certificate (not a member of C)",
                      certificate=certificate)
@@ -607,7 +610,7 @@ def membership(instance: CounterexampleInstance,
 def verify_certificate(instance: CounterexampleInstance, image: TImage,
                        cert: MembershipCertificate, tol: float = 1e-7) -> bool:
     """Re-check all certificate constraints against the image: y holds
-    only pairs, and ``z = lambda y`` meets every row of ``_lp_rows`` past
+    only pairs, and ``z = lambda y`` meets every row of ``_rows`` past
     the first up to ``tol (1 + lambda)``, the a row up to ``tol``."""
     lam = cert.lam
     y = cert.y_dict()
@@ -617,11 +620,11 @@ def verify_certificate(instance: CounterexampleInstance, image: TImage,
         return False
     if image.a < -lam - tol:
         return False
-    _, A, b, _, pairs = _lp_rows(instance, image)
-    if not set(y) <= set(pairs):
+    b, chain = _rows(instance, image)
+    if not set(y) <= set(chain.pairs):
         return False
-    z = lam * np.array([y.get(pair, 0.0) for pair in pairs])
-    return bool(np.all(A[1:, 1:] @ z <= b[1:] + tol * (1.0 + lam)))
+    z = lam * np.array([y.get(pair, 0.0) for pair in chain.pairs])
+    return bool(np.all(chain.A[1:, 1:] @ z <= b[1:] + tol * (1.0 + lam)))
 
 
 def weak_approx_select(instance: CounterexampleInstance, targets, eps: float):
@@ -711,13 +714,12 @@ def _rho_newton(chain: _Chain, rhs, b1):
     mu, nu = np.eye(len(rhs))[r] / b1[r], 0.0
     while True:
         # rows past the threshold can round to just below 0; the greedy
-        # and the cover ignore the first row
+        # and the cover do not read the first row, a(m)
         b = np.maximum(rhs + m * b1, 0.0)
-        z = _greedy(chain, b)
-        a, lam = rhs[0] + m * b1[0], _lam(z, chain.pairs)
-        if a + lam >= -_ROUNDING * max(abs(a), lam):
+        b[0] = rhs[0] + m * b1[0]
+        z, rho = _decide(chain, b)
+        if rho is None:
             return m, z, mu, nu
-        rho = _cover(chain, b)
         slope = float(rho @ b1)
         root = -float(rho @ rhs) / slope
         mu, nu = rho / slope, rho[0] / slope
@@ -747,16 +749,16 @@ def rho_c(instance: CounterexampleInstance, X: Combo,
     """
     ins = instance
     c1 = X.constant_part
-    b0 = _lp_rows(ins, t_operator(ins, X - c1))[2]
+    b0 = _rows(ins, t_operator(ins, X - c1))[0]
     if X.tail_coefficient < 0.0:
         return math.inf
-    b1 = _lp_rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[2]
+    b1 = _rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[0]
     # the last row is the tail row, where T 1 contributes 0; its twin
     # carries the constant part's (c1 + m)/t_N
     b0 = np.append(b0, b0[-1])
     b1 = np.append(b1, 1.0 / ins.t_last)
     rhs = b0 + c1 * b1
-    chain = _chain_of(ins, len(rhs))
+    chain = _chain(ins.I, ins.J, ins.N, ins.variant, len(rhs))
     A, eq = chain.A, chain.eq
     m, z, mu, nu = _rho_newton(chain, rhs, b1)
     m += 0.0  # no -0.0 in reports
@@ -796,7 +798,7 @@ def limit_certificate(instance: CounterexampleInstance, members,
         raise InputError("members do not approach the stated limit")
     lams = [c.lam for _, c in members]
     half = len(members) // 2
-    lam = lams[-1]
+    lam, last = lams[-1], members[-1][1].y_dict()
     # a geometrically decaying lambda tail converges to the zero-lambda
     # certificate even though no finite element reaches it
     vanishing = lam <= _CERT_TOL or lam <= 0.5 * lams[half] + _CERT_TOL
@@ -805,21 +807,15 @@ def limit_certificate(instance: CounterexampleInstance, members,
     else:
         settle = max(abs(l - lam) for l in lams[half:])
         for _, c in members[half:]:
-            ref = members[-1][1].y_dict()
-            for k in set(ref) | set(c.y_dict()):
-                settle = max(settle,
-                             abs(c.y_dict().get(k, 0.0) - ref.get(k, 0.0)))
+            y = c.y_dict()
+            for k in set(last) | set(y):
+                settle = max(settle, abs(y.get(k, 0.0) - last.get(k, 0.0)))
         if settle > 1e-3 + 0.5 * abs(lam):
             raise InputError(
                 "certificate sequence does not settle along the tail")
     image = t_operator(instance, limit)
-    if vanishing:
-        cert = MembershipCertificate(0.0, (((1, 1), 0.5),))
-    else:
-        keys = sorted({k for _, c in members for k, _ in c.y})
-        y = tuple((k, members[-1][1].y_dict().get(k, 0.0)) for k in keys
-                  if members[-1][1].y_dict().get(k, 0.0) > 0.0)
-        cert = MembershipCertificate(lam, y)
+    cert = _ZERO_LAMBDA if vanishing else MembershipCertificate(
+        lam, tuple((k, v) for k, v in sorted(last.items()) if v > 0.0))
     # verify up to the residual convergence error still visible in the
     # finite prefix (the true limit is only reached asymptotically)
     if not verify_certificate(instance, image, cert,

@@ -38,7 +38,7 @@ class BracketInvalid(OrliczLabError):
 
 
 class NotAMember(OrliczLabError):
-    """LP membership in the counterexample set failed.
+    """Membership in the counterexample set failed.
 
     Carries a Farkas-type infeasibility certificate in ``certificate``.
     """

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, SpaceMismatch
-from .orlicz_functions import OrliczFunction
 
 __all__ = [
     "FiniteSpace",
@@ -224,13 +223,9 @@ def nearest_point(points, p):
     return w, x, float(np.min(P @ (p * x))) - floor
 
 
-def order_convergence_check(sequence, X: RandomVariable,
-                            phi: OrliczFunction = None):
+def order_convergence_check(sequence, X: RandomVariable):
     """Report on a.s. convergence (atomwise, exact on finite spaces),
-    order boundedness, and the dominating variable ``sup_n |X_n|``.
-
-    The dominator's Luxemburg norm is included when ``phi`` is given.
-    """
+    order boundedness, and the dominating variable ``sup_n |X_n|``."""
     if not sequence:
         raise InputError("empty sequence")
     for Xn in sequence:
@@ -238,24 +233,19 @@ def order_convergence_check(sequence, X: RandomVariable,
     tail = np.abs(sequence[-1].x - X.x)
     converges = bool(np.all(tail <= _CONVERGED_TOL))
     dominator = X.space.rv(np.max([np.abs(Xn.x) for Xn in sequence], axis=0))
-    report = {
+    return {
         "converges_as": converges,
         "final_error": float(np.max(tail)),
         "order_bounded": True,  # pointwise sup always finite on finite spaces
         "dominator": dominator,
     }
-    if phi is not None:
-        from .norms import luxemburg_norm
-
-        report["dominator_norm"] = luxemburg_norm(dominator, phi)
-    return report
 
 
 def read_positions_csv(path) -> RandomVariable:
     """Positions CSV with header ``atom,probability,value``.
 
     Probabilities are validated to sum to 1 within 1e-9, then
-    renormalized exactly for the space constructor.
+    renormalized exactly for the space constructor; values must be finite.
     """
     labels, probs, values = [], [], []
     with open(path, newline="") as fh:
@@ -271,6 +261,8 @@ def read_positions_csv(path) -> RandomVariable:
                 values.append(float(row["value"]))
             except (TypeError, ValueError):
                 raise InputError(f"{path}: non-numeric row {row!r}") from None
+            if not math.isfinite(values[-1]):
+                raise InputError(f"{path}: non-finite value in row {row!r}")
     if not labels:
         raise InputError(f"{path}: no data rows")
     total = sum(probs)

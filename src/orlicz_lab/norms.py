@@ -25,6 +25,15 @@ def _expect(p: np.ndarray, vals: np.ndarray) -> float:
     return math.fsum((p * vals).tolist())
 
 
+def _finite_abs(X: RandomVariable) -> np.ndarray:
+    """``|X|``; NumericFailure names the first atom that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(X.x))
+    if bad.size:
+        raise NumericFailure(f"value {X.values[bad[0]]!r} on atom "
+                             f"{X.space.labels[bad[0]]} is not finite")
+    return np.abs(X.x)
+
+
 def _modular(x: np.ndarray, p: np.ndarray, phi: OrliczFunction,
              lam: float) -> float:
     """E[phi(|x|/lam)]; NumericFailure names the first atom whose term is
@@ -67,9 +76,10 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
     convex ``E[phi(v |X| / m)]``, along ``phi.rderiv``, started by
     doubling from ``v = 1`` (``newton_from_right``).  The value returned
     is the lower end ``lam`` of a certified bracket: the modular is above
-    1 at ``lam`` and at most 1 at ``lam * (1 + 1e-10)``.
+    1 at ``lam`` and at most 1 at ``lam * (1 + 1e-10)``.  An atom that is
+    not finite raises NumericFailure.
     """
-    x_abs = np.abs(X.x)
+    x_abs = _finite_abs(X)
     if not np.any(x_abs > 0):
         return 0.0
     p = X.space.p
@@ -122,9 +132,9 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction) -> float:
     must agree within 1e-6 relative.  The atoms are first sorted by
     ``(|y_i|, p_i)``, so the value does not depend on their order, and
     both run on ``|Y| / max|y_i|``, so it does not depend on the scale
-    of Y.
+    of Y.  An atom that is not finite raises NumericFailure.
     """
-    y_abs = np.abs(Y.x)
+    y_abs = _finite_abs(Y)
     if not np.any(y_abs > 0):
         return 0.0
     psi = conjugate(phi)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BracketInvalid, EmptyScenarioSet, InputError
 from .finite_model import (FiniteSpace, RandomVariable, expectation,
-                           nearest_point, order_convergence_check, pairing)
+                           nearest_point, pairing)
 from .orlicz_functions import _split_spec, bisect, double_until
 
 __all__ = [
@@ -289,18 +289,17 @@ def axiom_suite(rho, samples):
 def fatou_harness(rho, family, X: RandomVariable):
     """Check ``rho(X) <= liminf_n rho(X_n)`` along the supplied prefix.
 
-    The prefix must share X's space and approach X atomwise (on a finite
-    space every sequence is order bounded).  The liminf surrogate is the
-    infimum over the tail half of the prefix.  The harness can only
-    refute the property, never prove it; the report says "no violation
-    found".
+    The prefix must share X's space (else SpaceMismatch) and approach X
+    atomwise (on a finite space every sequence is order bounded).  The
+    liminf surrogate is the infimum over the tail half of the prefix.
+    The harness can only refute the property, never prove it; the report
+    says "no violation found".
     """
-    errors = [float(np.max(np.abs(Xn.x - X.x))) for Xn in family]
+    errors = [(Xn - X).max_abs() for Xn in family]
     # a finite prefix cannot certify convergence; require the error to
     # shrink along the prefix (final at most half the initial, or exact)
     if len(errors) < 2 or not (errors[-1] <= 0.5 * errors[0] + _FATOU_TOL):
         raise InputError("family does not approach the stated limit")
-    order_convergence_check(family, X)  # validates shared space / dominator
     vals = [rho(Xn) for Xn in family]
     half = len(vals) // 2
     liminf = min(vals[half:])

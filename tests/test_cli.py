@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import orlicz_lab
-from orlicz_lab.cli import run
+from orlicz_lab import cli
+from orlicz_lab.cli import _build_parser, run
 from orlicz_lab.finite_model import (FiniteSpace, read_positions_csv,
                                      write_positions_csv)
 
@@ -76,6 +77,20 @@ class TestNorm:
 
     def test_bad_phi(self, capsys, pos_csv):
         assert run(["norm", "--phi", "wat", "--input", pos_csv]) == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--phi", "power:p=2"], ["norm", "--phi", "exp"],
+        ["risk", "eval", "--measure", "avar:alpha=0.5"]])
+    def test_non_finite_value_is_invalid_input(self, capsys, tmp_path,
+                                               value, argv):
+        # these printed "value": NaN, which is not JSON, or a traceback
+        path = tmp_path / "bad.csv"
+        path.write_text(f"atom,probability,value\na,0.5,{value}\nb,0.5,1.0\n")
+        assert run(argv + ["--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "invalid-input"
 
 
 class TestConjugate:
@@ -297,6 +312,20 @@ class TestCex:
         assert run(["cex", "approx", "--instance", instance_json,
                     "--targets", str(targets), "--eps", eps]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["member"], ["member", "--instance", "i.json"],
+        ["rho", "--combo", "c.json"], ["rho", "--instance", "i.json"],
+        ["approx", "--instance", "i.json"]])
+    def test_a_missing_flag_is_a_usage_error(self, capsys, argv):
+        # each action declares the files it reads; a missing one reached
+        # open(None) and exited 1 with a TypeError traceback
+        with pytest.raises(SystemExit) as exc:
+            run(["cex", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: orlicz-lab cex {argv[0]} ")
+        assert "the following arguments are required" in err
+
 
 class TestClosure:
     def test_pipeline(self, capsys, pos_csv):
@@ -307,6 +336,32 @@ class TestClosure:
         assert len(report["step1_splits"]) == 3
         assert report["step2_mazur"]["found"]
         assert report["step3_dominator"]["markov_table"]
+
+
+class TestParser:
+    def test_every_readme_command_parses(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        lines = [line.split()[1:] for line in readme.read_text().splitlines()
+                 if line.startswith("orlicz-lab ")]
+        assert len(lines) >= 11
+        for argv in lines:
+            # the command words before the first flag name the handler
+            words = argv[:next(k for k, w in enumerate(argv)
+                               if w.startswith("--"))]
+            handler = getattr(cli, "_cmd_" + "_".join(words))
+            assert _build_parser().parse_args(argv).func is handler, argv
+
+    @pytest.mark.parametrize("argv", [
+        ["cex", "build", "--I", "2", "--J", "2", "--N", "3"],
+        ["delta2", "--phi", "exp", "--count", "3"],
+        ["conjugate", "--phi", "exp", "--grid", "0.5,1"]])
+    def test_output_writes_what_stdout_prints(self, capsys, tmp_path, argv):
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "report.json"
+        assert run(argv + ["--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == printed
 
 
 class TestDeterminism:
@@ -384,6 +439,19 @@ def test_no_library_module_has_an_unused_import():
         unused += [(path.name, node.lineno, name)
                    for name, node in imported.items() if name not in used]
     assert unused == []
+
+
+def test_no_library_module_imports_inside_a_function():
+    # every import is at module level, where the import graph is explicit
+    # and a cycle fails at once; a function-local import can hide one
+    package = pathlib.Path(orlicz_lab.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.name, node.lineno) for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
 
 
 def test_no_library_module_asks_which_orlicz_function_it_holds():

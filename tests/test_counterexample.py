@@ -415,14 +415,15 @@ class TestMembership:
         # every Farkas certificate must price the constraint rows so
         # that mu . b < 0 while mu^T A lies in the span of the equality
         ins = instance
-        from orlicz_lab.counterexample import _lp_rows
+        from orlicz_lab.counterexample import _rows
         X = Combo(ins, {("W0",): -1.0, ("X", 1): 0.3})
         img = t_operator(ins, X)
         with pytest.raises(NotAMember) as exc:
             membership(ins, img)
         cert = dict(exc.value.certificate)
         obj = cert.pop("__objective__")
-        labels, A, b, eq, pairs = _lp_rows(ins, img)
+        b, chain = _rows(ins, img)
+        labels, A, eq = chain.labels, chain.A, chain.eq
         mu = np.array([cert.get(lbl, 0.0) for lbl in labels])
         assert np.all(mu >= 0.0)
         assert float(mu @ b) < -1e-9
@@ -691,9 +692,10 @@ HIGHS = {"primal_feasibility_tolerance": 1e-10}
 
 
 def highs_max_lambda(ins, img):
-    """Reference: HiGHS' largest lambda on ``_lp_rows``' rows, or None
+    """Reference: HiGHS' largest lambda on ``_rows``' rows, or None
     when the LP is infeasible."""
-    _, A, b, eq, _ = cex._lp_rows(ins, img)
+    b, chain = cex._rows(ins, img)
+    A, eq = chain.A, chain.eq
     cost = np.zeros(A.shape[1])
     cost[0] = -1.0
     res = linprog(cost, A_ub=A, b_ub=b, A_eq=eq.reshape(1, -1), b_eq=[0.0],
@@ -708,8 +710,9 @@ def highs_rho(ins, X):
     (its small_matrix_value), so a row whose ``T 1`` coefficient is that
     small loses m; such a row must keep a clearly positive capacity."""
     c1 = X.constant_part
-    _, A, b0, eq, _ = cex._lp_rows(ins, t_operator(ins, X - c1))
-    b1 = cex._lp_rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[2]
+    b0, chain = cex._rows(ins, t_operator(ins, X - c1))
+    A, eq = chain.A, chain.eq
+    b1 = cex._rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[0]
     A = np.vstack([A, A[-1]])
     rhs = np.append(b0, b0[-1]) + c1 * np.append(b1, 1.0 / ins.t_last)
     b1 = np.append(b1, 1.0 / ins.t_last)
@@ -729,7 +732,8 @@ def audit_farkas(ins, img, certificate):
     """The audit of ``TestMembership.test_farkas_certificate_audits``."""
     cert = dict(certificate)
     cert.pop("__objective__")
-    labels, A, b, eq, _ = cex._lp_rows(ins, img)
+    b, chain = cex._rows(ins, img)
+    labels, A, eq = chain.labels, chain.A, chain.eq
     mu = np.array([cert.get(lbl, 0.0) for lbl in labels])
     assert np.all(mu >= 0.0)
     assert float(mu @ b) < -1e-9 * max(1.0, float(np.abs(mu * b).max()))
@@ -844,7 +848,7 @@ class TestGreedyAgainstHighs:
         ins = truncated
         X = data.draw(positions(ins))
         img = t_operator(ins, X)
-        b = cex._lp_rows(ins, img)[2]
+        b, chain = cex._rows(ins, img)
         # HiGHS accepts rows violated by up to its feasibility tolerance,
         # so it cannot decide an image with a capacity just below 0
         assume(not np.any((b[1:] < 0.0) & (b[1:] > -1e-9)))
@@ -857,9 +861,7 @@ class TestGreedyAgainstHighs:
         else:
             assert reference is not None
             assert verify_certificate(ins, img, cert)
-            pairs = cex._lp_rows(ins, img)[4]
-            chain = cex._chain_of(ins, len(b))
-            lam = cex._lam(cex._greedy(chain, b), pairs)
+            lam = cex._lam(cex._greedy(chain, b), chain.pairs)
             assert lam == pytest.approx(reference, rel=1e-9, abs=1e-12)
         value = rho_c(ins, X)
         assert math.isfinite(value) == (X.tail_coefficient >= 0.0)

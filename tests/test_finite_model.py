@@ -20,6 +20,7 @@ from orlicz_lab.finite_model import (
     uniform_space,
     write_positions_csv,
 )
+from orlicz_lab.norms import luxemburg_norm
 from orlicz_lab.orlicz_functions import PowerFunction
 
 
@@ -212,8 +213,9 @@ class TestOrderConvergence:
     def test_dominator_norm(self):
         sp = uniform_space(2)
         X = sp.rv([1.0, 1.0])
-        report = order_convergence_check([X, X], X, phi=PowerFunction(2.0))
-        assert abs(report["dominator_norm"] - 1.0) < 1e-8
+        report = order_convergence_check([X, X], X)
+        dominator_norm = luxemburg_norm(report["dominator"], PowerFunction(2.0))
+        assert abs(dominator_norm - 1.0) < 1e-8
 
     def test_empty_sequence(self):
         sp = uniform_space(2)
@@ -248,6 +250,13 @@ class TestPositionsCsv:
         path = tmp_path / "bad.csv"
         path.write_text("atom,probability,value\na,nan,1.0\nb,0.5,2.0\n")
         with pytest.raises(InputError):
+            read_positions_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"atom,probability,value\na,0.5,{value}\nb,0.5,2.0\n")
+        with pytest.raises(InputError, match="non-finite value"):
             read_positions_csv(path)
 
     def test_non_numeric_row(self, tmp_path):

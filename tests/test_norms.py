@@ -637,6 +637,21 @@ class TestEvaluationBudget:
         assert worst <= 12
 
 
+class TestNonFiniteAtoms:
+    """A nan or infinite atom has no norm.  Each norm names the atom in a
+    NumericFailure; they returned nan or raised ZeroDivisionError,
+    IndexError or a misleading CrossCheckFailure, by phi."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @pytest.mark.parametrize("norm", [luxemburg_norm, orlicz_norm],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_names_the_atom(self, name, norm, value):
+        X = FiniteSpace((0.25, 0.25, 0.5), ("a", "b", "c")).rv([1.0, value, 0.0])
+        with pytest.raises(NumericFailure, match="on atom b is not finite"):
+            norm(X, CATALOG[name])
+
+
 class TestHolder:
     def test_random_pairs(self):
         rng = np.random.default_rng(5)
