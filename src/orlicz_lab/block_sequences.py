@@ -87,13 +87,12 @@ def _exact_unit_pair(p: float, t: float):
     """
 
     def steps(v):
-        out = [v]
+        yield v
         up = down = v
         for _ in range(3):
             up = math.nextafter(up, math.inf)
             down = math.nextafter(down, 0.0)
-            out.extend([up, down])
-        return out
+            yield from (up, down)
 
     for p2 in steps(p):
         q = p2 * t
@@ -118,11 +117,12 @@ def build_disjoint_sequence(phi: OrliczFunction, count: int, region: str = "omeg
     if region not in REGIONS:
         raise InputError(f"unknown region {region!r}")
     witnesses = delta2_witnesses(phi, count, t_cap=t_cap)
+    phi_t = phi(np.array([t for _, t in witnesses])).tolist()
     lo, hi = REGIONS[region]
     x_blocks, y_blocks = [], []
     cursor = lo
-    for n, t_n in witnesses:
-        p_n = 1.0 / (2.0 ** n * float(phi(t_n)))
+    for (n, t_n), phi_n in zip(witnesses, phi_t):
+        p_n = 1.0 / (2.0 ** n * phi_n)
         p_n, h_n = _exact_unit_pair(p_n, t_n)
         slot_hi = cursor + p_n
         if slot_hi <= cursor:  # increment underflows: use a minimal slot
@@ -140,7 +140,8 @@ def series_modular(blocks: BlockSequence, phi: OrliczFunction, lam: float,
                    N: int | None = None):
     """Truncated series modular with a certified geometric tail bound.
 
-    ``value = sum_{n<=N} p_n phi(t_n / lam)``; for ``lam >= 1`` the tail
+    ``value = sum_{n<=N} p_n phi(t_n / lam)``, summed left to right
+    from one phi evaluation on all N heights; for ``lam >= 1`` the tail
     beyond N is bounded by ``sum_{n>N} p_n phi(t_n) = 2**-N`` by
     monotonicity of phi, so ``value <= true series <= value + 2**-N``.
     """
@@ -152,9 +153,11 @@ def series_modular(blocks: BlockSequence, phi: OrliczFunction, lam: float,
         N = len(blocks.blocks)
     if N < 1 or N > len(blocks.blocks):
         raise InputError(f"truncation N={N} outside available blocks")
+    head = blocks.blocks[:N]
+    phi_t = phi(np.array([b.height for b in head]) / lam).tolist()
     value = 0.0
-    for b in blocks.blocks[:N]:
-        value += b.probability * float(phi(b.height / lam))
+    for b, phi_b in zip(head, phi_t):
+        value += b.probability * phi_b
     last_index = blocks.blocks[N - 1].index
     return value, 2.0 ** (-last_index)
 

@@ -39,17 +39,21 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 def _parse_combo(instance, payload: dict) -> "cex.Combo":
+    if not isinstance(payload, dict):
+        raise InputError(f"a combination is a JSON object, not {payload!r}")
     coeffs = {}
-    for key, val in payload.items():
-        if key == "const":
-            sym = ("one",)
-        elif ":" in key:
-            base, _, idx = key.partition(":")
-            parts = tuple(int(x) for x in idx.split(","))
-            sym = (base, *parts)
-        else:
-            sym = (key,)
-        coeffs[sym] = float(val)
+    try:
+        for key, val in payload.items():
+            if key == "const":
+                sym = ("one",)
+            elif ":" in key:
+                base, _, idx = key.partition(":")
+                sym = (base, *(int(x) for x in idx.split(",")))
+            else:
+                sym = (key,)
+            coeffs[sym] = float(val)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed combination {payload!r}: {exc}") from None
     return cex.Combo(instance, coeffs)
 
 
@@ -67,7 +71,12 @@ def _cmd_norm(args) -> dict:
 
 def _cmd_conjugate(args) -> dict:
     phi = parse_phi_spec(args.phi)
-    grid = [float(t) for t in args.grid.split(",")]
+    try:
+        grid = [float(t) for t in args.grid.split(",")]
+    except ValueError as exc:
+        raise InputError(f"--grid: {exc}") from None
+    if not all(map(math.isfinite, grid)):
+        raise InputError(f"--grid points must be finite: {args.grid}")
     values = [conjugate_value(phi, s) for s in grid]
     return {"phi": phi_spec_string(phi), "grid": grid,
             "values": [v if math.isfinite(v) else "inf" for v in values]}

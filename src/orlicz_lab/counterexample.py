@@ -215,7 +215,7 @@ class CounterexampleInstance:
     def t_last(self) -> float:
         return self.x_seq.blocks[-1].height
 
-    @property
+    @functools.cached_property
     def constant_tail_bound(self) -> float:
         """Certified bound on ``sum_{n>N} E[X_n]``: the summands are
         ``t_n / (2^n phi(t_n))`` with ``t/phi(t)`` nonincreasing."""

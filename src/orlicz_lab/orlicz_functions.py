@@ -491,7 +491,8 @@ class PiecewiseLinearFunction(OrliczFunction):
 
     def _segment(self, t):
         k = np.searchsorted(self._edges, t, side="right") - 1
-        return np.clip(k, 0, len(self._edges) - 1)
+        # searchsorted(..., "right") - 1 never exceeds the last edge
+        return np.maximum(k, 0)
 
     def _eval(self, t):
         k = self._segment(t)

@@ -1,6 +1,6 @@
 import pytest
 
-from orlicz_lab.errors import InputError
+from orlicz_lab.errors import InputError, WitnessNotFound
 from orlicz_lab.block_sequences import (
     REGIONS,
     Block,
@@ -13,10 +13,22 @@ from orlicz_lab.block_sequences import (
     dual_block_orlicz_norm,
     series_modular,
 )
+from orlicz_lab.block_sequences import _exact_unit_pair
 from orlicz_lab.finite_model import pairing
 from orlicz_lab.norms import luxemburg_norm, orlicz_norm
-from orlicz_lab.orlicz_functions import (ExpFunction, build_sparse_pair,
-                                         conjugate, sparse_schedule)
+from orlicz_lab.orlicz_functions import (CATALOG, ExpFunction,
+                                         build_sparse_pair, conjugate,
+                                         delta2_witnesses, sparse_schedule)
+
+#: every CATALOG function and its conjugate, and sparse functions whose
+#: schedules fit in double precision, with their conjugates
+SEQUENCE_FUNCTIONS = [
+    pytest.param(f, id=f"{name}-{side}")
+    for name, phi in list(CATALOG.items()) + [
+        (f"sparse{b}/{r:g}", build_sparse_pair(sparse_schedule(b, r)))
+        for b in (6, 12, 25) for r in (2.0, 3.0) if (b, r) != (25, 3.0)]
+    for side, f in (("phi", phi), ("conjugate", conjugate(phi)))
+]
 
 
 class TestBlockSequenceValidation:
@@ -89,6 +101,38 @@ class TestBuildDisjointSequence:
     def test_bad_region(self):
         with pytest.raises(InputError):
             build_disjoint_sequence(ExpFunction(), 3, region="omega9")
+
+
+class TestOneEvaluationPerSequence:
+    """The blocks and the series modular from one phi call on all heights
+    are, bit for bit, what one scalar call per block gives."""
+
+    @staticmethod
+    def witnesses(phi, most=8):
+        for count in range(most, 0, -1):
+            try:
+                return delta2_witnesses(phi, count)
+            except WitnessNotFound:
+                pass
+        return []
+
+    @pytest.mark.parametrize("phi", SEQUENCE_FUNCTIONS)
+    def test_blocks_match_the_per_block_recipe(self, phi):
+        witnesses = self.witnesses(phi)
+        if not witnesses:
+            with pytest.raises(WitnessNotFound):
+                build_disjoint_sequence(phi, 1)
+            return
+        xs, ys = build_disjoint_sequence(phi, len(witnesses))
+        for (n, t), xb, yb in zip(witnesses, xs.blocks, ys.blocks):
+            p, h = _exact_unit_pair(1 / (2 ** n * float(phi(t))), t)
+            assert (xb.height, xb.probability) == (t, p)
+            assert (yb.height, yb.probability) == (h, p)
+        for lam in (1.0, 1.7):
+            value = 0.0
+            for b in xs.blocks:
+                value += b.probability * float(phi(b.height / lam))
+            assert series_modular(xs, phi, lam)[0] == value
 
 
 class TestDiscretize:

@@ -112,6 +112,27 @@ class TestConjugate:
         assert code == 0
         assert report["values"] == values
 
+    @pytest.mark.parametrize("grid", ["nan", "inf", "1,,2", "0.5,-inf", ""])
+    def test_bad_point_is_invalid_input(self, capsys, grid):
+        # nan printed "values": [NaN], which is not JSON; an empty piece
+        # exited 1 with a ValueError traceback
+        assert run(["conjugate", "--phi", "exp", "--grid", grid]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "invalid-input"
+
+    @pytest.mark.parametrize("phi", ["power:p=1", "sparse", "exp", "entropy"])
+    @pytest.mark.parametrize("grid", ["0,0.5,1,2.5,1e30", "nan", "inf,1"])
+    def test_stdout_is_strict_json(self, capsys, phi, grid):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code = run(["conjugate", "--phi", phi, "--grid", grid])
+        out = capsys.readouterr().out
+        assert code in (0, 3) and bool(out) == (code == 0)
+        if out:
+            json.loads(out, parse_constant=reject)
+
 
 class TestDelta2:
     def test_witnesses_found(self, capsys):
@@ -250,6 +271,29 @@ class TestCex:
                                          "--combo", str(combo)])
         assert code == 0
         assert report["rho_c"] == "inf"
+
+    @pytest.mark.parametrize("combo", [
+        {"X:a": 1}, {"X:": 1}, {"W0": "x"}, {"W0": None}, [{"W0": 1}]])
+    @pytest.mark.parametrize("action", ["member", "rho"])
+    def test_malformed_combo_is_invalid_input(self, capsys, instance_json,
+                                              tmp_path, combo, action):
+        # each exited 1 with a ValueError, TypeError or AttributeError
+        path = tmp_path / "combo.json"
+        path.write_text(json.dumps(combo))
+        assert run(["cex", action, "--instance", instance_json,
+                    "--combo", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "invalid-input"
+
+    @pytest.mark.parametrize("targets", [[["Z0"]], {"Z0": 1.0}, [{"Y:1,x": 1}]])
+    def test_malformed_targets_are_invalid_input(self, capsys, instance_json,
+                                                 tmp_path, targets):
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(targets))
+        assert run(["cex", "approx", "--instance", instance_json,
+                    "--targets", str(path)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
 
     def test_an_overflowing_position_exits_4_at_once(self, instance_json,
                                                      tmp_path):

@@ -35,8 +35,9 @@ from orlicz_lab.counterexample import (
 from orlicz_lab.errors import (CertificateError, InputError, NotAMember,
                                NumericFailure, TruncationTooSmall)
 from orlicz_lab.finite_model import pairing
-from orlicz_lab.orlicz_functions import (build_sparse_pair, conjugate,
-                                         delta2_witnesses, sparse_schedule)
+from orlicz_lab.orlicz_functions import (OrliczFunction, build_sparse_pair,
+                                         conjugate, delta2_witnesses,
+                                         sparse_schedule)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -143,6 +144,25 @@ class TestInstanceInvariants:
             assert ins.space.labels[R:] == ("rest",)
             for atom, (primal, dual) in enumerate(ins._row_pairs):
                 assert ins._atom_of[primal] == ins._atom_of[dual] == atom
+
+    def test_phi_calls_do_not_grow_with_the_block_count(self, phi,
+                                                       monkeypatch):
+        # the build evaluates phi and psi once per block sequence and
+        # once per series modular, however many blocks there are
+        psi, calls = conjugate(phi), []
+        call = OrliczFunction.__call__
+
+        def counted(f, t):
+            calls.append(f is phi or f is psi)
+            return call(f, t)
+
+        monkeypatch.setattr(OrliczFunction, "__call__", counted)
+        counts = []
+        for I, J, N in ((2, 2, 4), (4, 4, 8)):
+            calls.clear()
+            build_instance(phi, I, J, N)
+            counts.append(sum(calls))
+        assert counts[0] == counts[1]
 
     def test_truncation_validation(self, phi):
         with pytest.raises(InputError):

@@ -369,6 +369,30 @@ class TestSparseSchedule:
             PiecewiseLinearFunction((1.0, 2.0), (2.0, 1.0))
 
 
+class TestPiecewiseLinearArrays:
+    """An array call gives, entry by entry, the scalar call's bits."""
+
+    SPARSE = build_sparse_pair(sparse_schedule())
+
+    @staticmethod
+    def points(f):
+        top = f.domain_cap or 2.0 * f.breakpoints[-1]
+        kinks = [-1.0, -1e-300, 0.0, top, *f.breakpoints]
+        kinks += [math.nextafter(b, d) for b in f.breakpoints
+                  for d in (-math.inf, math.inf)]
+        return st.lists(st.sampled_from(kinks) | st.floats(-top, top),
+                        min_size=1, max_size=30)
+
+    @settings(max_examples=60)
+    @given(data=st.data(), side=st.sampled_from(["phi", "conjugate"]))
+    def test_phi_and_rderiv_match_scalar_calls(self, data, side):
+        f = self.SPARSE if side == "phi" else conjugate(self.SPARSE)
+        t = data.draw(self.points(f))
+        for method in (f, f.rderiv):
+            one_by_one = np.array([method(x) for x in t])
+            assert method(np.array(t)).tobytes() == one_by_one.tobytes()
+
+
 class TestSpecParsing:
     @pytest.mark.parametrize("text", ["power:p=2", "power:p=3", "exp",
                                       "entropy", "sparse:bursts=12,ratio=2"])
