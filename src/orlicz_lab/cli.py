@@ -52,7 +52,10 @@ def _parse_combo(instance, payload: dict) -> "cex.Combo":
             else:
                 sym = (key,)
             coeffs[sym] = float(val)
-    except (TypeError, ValueError) as exc:
+            if isinstance(val, bool) or not math.isfinite(coeffs[sym]):
+                raise ValueError(f"coefficient {val!r} of {key!r} is not "
+                                 f"a finite number")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed combination {payload!r}: {exc}") from None
     return cex.Combo(instance, coeffs)
 
@@ -158,6 +161,8 @@ def _cmd_cex_approx(args) -> dict:
 
 def _cmd_closure(args) -> dict:
     phi = parse_phi_spec(args.phi)
+    if args.levels < 1:
+        raise InputError(f"--levels must be at least 1, got {args.levels}")
     X = read_positions_csv(args.input)
     splits, Z_parts = [], []
     for n in range(1, args.levels + 1):

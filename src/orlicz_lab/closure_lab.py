@@ -42,8 +42,8 @@ def split_with_budget(X: RandomVariable, phi: OrliczFunction, budget: float):
     it is nonincreasing in the level, and bisection over those levels
     finds the same smallest level as a linear scan.
     """
-    if budget <= 0:
-        raise InputError("budget must be positive")
+    if not budget > 0:
+        raise InputError(f"budget must be positive, got {budget!r}")
     modular(X, phi, 1.0)  # raises NumericFailure when not finite
     x_abs = np.abs(X.x)
     terms = X.space.p * np.asarray(phi(x_abs), dtype=float)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,12 +20,6 @@ __all__ = [
     "phi_inverse",
 ]
 
-def _expect(p: np.ndarray, vals: np.ndarray) -> float:
-    """``sum_i p_i v_i`` as one correctly rounded sum, so the value does not
-    depend on the order of the atoms."""
-    return math.fsum((p * vals).tolist())
-
-
 def _finite_abs(X: RandomVariable) -> np.ndarray:
     """``|X|``; NumericFailure names the first atom that is not finite."""
     bad = np.flatnonzero(~np.isfinite(X.x))
@@ -34,10 +29,10 @@ def _finite_abs(X: RandomVariable) -> np.ndarray:
     return np.abs(X.x)
 
 
-def _modular(x: np.ndarray, p: np.ndarray, phi: OrliczFunction,
-             lam: float) -> float:
-    """E[phi(|x|/lam)]; NumericFailure names the first atom whose term is
-    not finite."""
+def _terms(x: np.ndarray, p: np.ndarray, phi: OrliczFunction,
+           lam: float) -> np.ndarray:
+    """``p_i phi(|x_i|/lam)``; NumericFailure names the first atom whose
+    term is not finite."""
     try:
         vals = np.asarray(phi(np.abs(x) / lam), dtype=float)
     except NumericFailure as exc:
@@ -47,23 +42,30 @@ def _modular(x: np.ndarray, p: np.ndarray, phi: OrliczFunction,
         raise NumericFailure(
             f"modular overflow at atom {int(bad[0])} (value {float(x[bad[0]])!r})"
         )
-    return _expect(p, vals)
+    return p * vals
+
+
+def _terms_raw(x_abs: np.ndarray, p: np.ndarray, phi: OrliczFunction,
+               lam: float) -> np.ndarray:
+    """``_terms``, with overflow / beyond-domain reported as one +inf."""
+    try:
+        return _terms(x_abs, p, phi, lam)
+    except NumericFailure:
+        return np.array([math.inf])
 
 
 def _modular_raw(x_abs: np.ndarray, p: np.ndarray, phi: OrliczFunction,
                  lam: float) -> float:
     """E[phi(|X|/lam)] with overflow / beyond-domain reported as +inf."""
-    try:
-        return _modular(x_abs, p, phi, lam)
-    except NumericFailure:
-        return math.inf
+    return math.fsum(_terms_raw(x_abs, p, phi, lam).tolist())
 
 
 def modular(X: RandomVariable, phi: OrliczFunction, lam: float) -> float:
-    """E[phi(|X| / lam)] for lam > 0."""
-    if lam <= 0:
-        raise NumericFailure("modular requires lam > 0")
-    return _modular(X.x, X.space.p, phi, lam)
+    """E[phi(|X| / lam)] for lam > 0, as one correctly rounded sum, so the
+    value does not depend on the order of the atoms."""
+    if not lam > 0:
+        raise NumericFailure(f"modular requires lam > 0, got {lam!r}")
+    return math.fsum(_terms(X.x, X.space.p, phi, lam).tolist())
 
 
 def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
@@ -74,8 +76,13 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
     a domain cap it is ``m / cap`` when the modular there is at most 1.
     Otherwise by Newton's method from the right in ``v = m / lam`` on the
     convex ``E[phi(v |X| / m)]``, along ``phi.rderiv``, started by
-    doubling from ``v = 1`` (``newton_from_right``).  The value returned
-    is the lower end ``lam`` of a certified bracket: the modular is above
+    doubling from ``v = 1`` (``newton_from_right``), over the atoms
+    sorted by ``(|x_i|, p_i)``.  Each point's terms are made once:
+    pairwise sums of them (``np.sum``) steer, and one correctly rounded
+    sum each (``math.fsum``, as ``modular`` sums) certifies the two ends
+    of the closed bracket, an end found on the wrong side moving out by
+    half the tolerance.  The value returned is the lower end ``lam`` of
+    that bracket, whatever the order of the atoms: the modular is above
     1 at ``lam`` and at most 1 at ``lam * (1 + 1e-10)``.  An atom that is
     not finite raises NumericFailure.
     """
@@ -87,30 +94,37 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
     if exact is not None:
         return exact
     m = float(np.max(x_abs))
-    cap = phi.domain_cap
-    if cap is not None and _modular_raw(x_abs, p, phi, m / cap) <= 1.0:
-        return m / cap  # below m / cap the largest atom leaves the domain
+    order = np.lexsort((p, x_abs))
+    x_abs, p = x_abs[order], p[order]
     x_unit = x_abs / m
+    terms = functools.cache(lambda v: _terms_raw(x_abs, p, phi, m / v))
 
     def excess(v: float) -> float:
-        return _modular_raw(x_abs, p, phi, m / v) - 1.0
+        return float(np.sum(terms(v))) - 1.0
+
+    def certified(v: float) -> float:
+        return math.fsum(terms(v).tolist()) - 1.0
 
     def slope(v: float) -> float:
         with np.errstate(invalid="ignore"):
-            return _expect(p, x_unit * phi.rderiv(x_unit * v))
+            return float(np.sum(p * (x_unit * phi.rderiv(x_unit * v))))
 
+    cap = phi.domain_cap
+    if cap is not None and certified(cap) <= 0.0:
+        return m / cap  # below m / cap the largest atom leaves the domain
     lo, hi = double_until(lambda v: excess(v) > 0.0, 1.0,
                           "luxemburg_norm: bracket not found")
-    lo, hi = newton_from_right(excess, slope, lo, hi, 1e-10)
+    lo, hi = newton_from_right(excess, slope, lo, hi, 1e-10, certified)
     if not math.isfinite(m / lo):
         raise NumericFailure("luxemburg_norm: norm beyond the double range")
     return m / hi
 
 
 def phi_inverse(phi: OrliczFunction, v: float) -> float:
-    """Solve ``phi(t) = v`` for ``v >= 0`` (exact for piecewise-linear)."""
-    if v < 0:
-        raise NumericFailure("phi_inverse requires v >= 0")
+    """Solve ``phi(t) = v`` for finite ``v >= 0`` (exact for
+    piecewise-linear)."""
+    if not 0 <= v < math.inf:
+        raise NumericFailure(f"phi_inverse requires finite v >= 0, got {v!r}")
     if v == 0.0:
         return 0.0
     return phi.inverse(v)
@@ -144,7 +158,7 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction) -> float:
     definitional, mu = phi.orlicz_definitional(y_abs, p)
     mu = float(mu)
     if mu == math.inf:
-        amemiya = _expect(p, y_abs) * psi.rderiv(math.inf)
+        amemiya = math.fsum((p * y_abs).tolist()) * psi.rderiv(math.inf)
     else:
         amemiya = (1.0 + _modular_raw(mu * y_abs, p, psi, 1.0)) / mu
     if not math.isclose(definitional, amemiya, rel_tol=1e-6, abs_tol=1e-306):

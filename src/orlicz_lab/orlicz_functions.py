@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect as _bisect
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -81,8 +82,8 @@ def bisect(holds, lo: float, hi: float, narrow) -> tuple[float, float]:
     return lo, hi
 
 
-def newton_from_right(excess, slope, lo: float, hi: float,
-                      rtol: float) -> tuple[float, float]:
+def newton_from_right(excess, slope, lo: float, hi: float, rtol: float,
+                      certify=None) -> tuple[float, float]:
     """Root bracket ``(lo, hi)`` of a convex nondecreasing ``excess``, with
     ``excess(lo) <= 0 < excess(hi)`` and ``hi - lo <= rtol * lo``, from a
     first bracket of the same kind.
@@ -96,12 +97,18 @@ def newton_from_right(excess, slope, lo: float, hi: float,
     rounds onto ``hi`` itself (``c == hi``); a Newton point that lands on
     the root in rounding is followed by a probe just right of it.  A
     probe on the expected side closes the bracket; otherwise the search
-    goes on from the narrower bracket."""
+    goes on from the narrower bracket.
+
+    ``excess`` and ``slope`` only steer.  Given ``certify``, the excess
+    the bracket is certified by (``excess`` estimating it), the closed
+    bracket's ``hi`` and then its ``lo`` are decided again: an end on the
+    wrong side becomes the other end, the new end half the tolerance
+    beyond it, until ``certify`` agrees."""
     f_hi = excess(hi)
     landed = False
     for _ in range(_MAX_DOUBLINGS):
         if hi - lo <= rtol * lo:
-            return lo, hi
+            break
         newton = False
         if landed:
             c = lo * (1.0 + 0.5 * rtol)
@@ -121,7 +128,14 @@ def newton_from_right(excess, slope, lo: float, hi: float,
         else:
             lo = c
             landed = newton
-    raise NumericFailure("newton_from_right: bracket did not close")
+    else:
+        raise NumericFailure("newton_from_right: bracket did not close")
+    if certify is not None:
+        while certify(hi) <= 0.0:
+            lo, hi = hi, hi * (1.0 + 0.5 * rtol)
+        while certify(lo) > 0.0:
+            lo, hi = lo * (1.0 - 0.5 * rtol), lo
+    return lo, hi
 
 
 class OrliczFunction:
@@ -404,7 +418,9 @@ class EntropyFunction(OrliczFunction):
         # at s = mu y the optimal X is e**s - 1, where the modular is
         # E[e**s (s - 1) + 1]: convex in mu, with slope E[y s e**s], and
         # at least mu**2 E[y**2] / 2, so Newton runs from the right of
-        # mu0 = sqrt(2 / E[y**2]) down to width 1e-14
+        # mu0 = sqrt(2 / E[y**2]) down to width 1e-14; the slope only
+        # picks the Newton point, so a pairwise sum serves
+        @functools.cache
         def excess(mu: float) -> float:
             try:
                 x = self.rderiv_inverse_left(mu * y_abs)
@@ -415,7 +431,7 @@ class EntropyFunction(OrliczFunction):
         def slope(mu: float) -> float:
             s = mu * y_abs
             with np.errstate(over="ignore"):
-                return math.fsum((p * y_abs * s * np.exp(s)).tolist())
+                return float(np.sum(p * y_abs * s * np.exp(s)))
 
         mu0 = math.sqrt(2.0 / math.fsum((p * y_abs ** 2).tolist()))
         lo, hi = double_until(lambda mu: excess(mu) > 0.0, mu0,

@@ -295,6 +295,28 @@ class TestCex:
                     "--targets", str(path)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
 
+    @pytest.mark.parametrize("text", [
+        '{"W0": "nan"}', '{"W0": "inf"}', '{"W0": NaN}', '{"W0": -Infinity}',
+        '{"W0": 1e400}', '{"W0": 1%s}' % ("0" * 400), '{"W0": true}'],
+        ids=["nan-text", "inf-text", "NaN", "-Infinity", "1e400", "10**400",
+             "true"])
+    @pytest.mark.parametrize("action", ["member", "rho", "approx"])
+    def test_a_non_finite_or_boolean_coefficient_is_invalid_input(
+            self, capsys, instance_json, tmp_path, text, action):
+        # a non-finite coefficient reached t_operator (`rho` exited 4), an
+        # integer past the double range exited 1 with an OverflowError,
+        # and true was taken as 1
+        path = tmp_path / "combo.json"
+        path.write_text(f"[{text}]" if action == "approx" else text)
+        flag = "--targets" if action == "approx" else "--combo"
+        assert run(["cex", action, "--instance", instance_json,
+                    flag, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "invalid-input"
+        assert "'W0'" in err["detail"]
+
     def test_an_overflowing_position_exits_4_at_once(self, instance_json,
                                                      tmp_path):
         # x = 1e308 t_4 is inf on atom A4; rho_c once looped on it for
@@ -380,6 +402,15 @@ class TestClosure:
         assert len(report["step1_splits"]) == 3
         assert report["step2_mazur"]["found"]
         assert report["step3_dominator"]["markov_table"]
+
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_levels_below_one_is_invalid_input(self, capsys, pos_csv, levels):
+        # the Mazur step said "need at least one candidate", naming no flag
+        assert run(["closure", "--phi", "power:p=2", "--input", pos_csv,
+                    "--levels", levels]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-input"
+        assert err["detail"] == f"--levels must be at least 1, got {levels}"
 
 
 class TestParser:

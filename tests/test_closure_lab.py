@@ -136,6 +136,12 @@ class TestSplitWithBudget:
         with pytest.raises(InputError):
             split_with_budget(sp.constant(1.0), PowerFunction(2.0), 0.0)
 
+    def test_a_nan_budget_is_invalid_input(self):
+        # nan passed the budget <= 0 check and split at the top level
+        X = uniform_space(3).rv([1.0, -2.0, 0.5])
+        with pytest.raises(InputError, match="budget must be positive"):
+            split_with_budget(X, PowerFunction(2.0), math.nan)
+
 
 class TestMazurMinNorm:
     def test_opposite_pair_reaches_zero(self):

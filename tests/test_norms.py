@@ -17,7 +17,8 @@ from orlicz_lab.orlicz_functions import (CATALOG, EntropyConjugateFunction,
                                          OrliczFunction,
                                          PiecewiseLinearFunction, PowerFunction,
                                          _NumericConjugate, build_sparse_pair,
-                                         conjugate, sparse_schedule)
+                                         conjugate, double_until,
+                                         newton_from_right, sparse_schedule)
 
 
 def two_atom_space(p):
@@ -38,6 +39,12 @@ class TestModular:
         with pytest.raises(NumericFailure):
             modular(indicator_rv(0.5, 1.0), PowerFunction(2.0), 0.0)
 
+    def test_a_nan_lambda_is_named(self):
+        # nan passed the lam <= 0 check and was reported as an overflow
+        X = uniform_space(3).rv([1.0, -2.0, 0.5])
+        with pytest.raises(NumericFailure, match="requires lam > 0, got nan"):
+            modular(X, ExpFunction(), math.nan)
+
     def test_overflow_reports_atom(self):
         X = two_atom_space(0.5).rv([1e200, 0.0])
         with pytest.raises(NumericFailure, match="atom 0"):
@@ -54,6 +61,14 @@ class TestPhiInverse:
 
     def test_zero(self):
         assert phi_inverse(ExpFunction(), 0.0) == 0.0
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @pytest.mark.parametrize("v", [-1.0, math.inf, math.nan])
+    def test_a_negative_or_non_finite_value_is_named(self, name, v):
+        # inf returned 709.78 under exp, and nan failed to find a bracket
+        with pytest.raises(NumericFailure, match=f"requires finite v >= 0, "
+                                                 f"got {v!r}"):
+            phi_inverse(CATALOG[name], v)
 
 
 class TestLuxemburgNorm:
@@ -133,6 +148,16 @@ def space_and_values(atoms):
     return FiniteSpace(tuple(w / w.sum())), np.array([a[1] for a in atoms])
 
 
+def full_size_draw(n, seed, tied):
+    """Dirichlet(2) probabilities and normal values, as the ``kernels``
+    benchmark draws them; ``tied`` rounds the values to one decimal, so
+    many atoms share a value (and some are 0)."""
+    rng = np.random.default_rng([seed, 1])
+    sp = FiniteSpace(tuple(rng.dirichlet(np.full(n, 2.0))))
+    x = 1.5 * rng.standard_normal(n)
+    return sp, np.round(x, 1) if tied else x
+
+
 class TestSumProperties:
     """The modular is one correctly rounded sum, so it does not depend on
     the order of the atoms; the norm is positively homogeneous."""
@@ -148,6 +173,19 @@ class TestSumProperties:
         assert modular(X2, phi, lam) == modular(X, phi, lam)
         assert luxemburg_norm(X2, phi) == luxemburg_norm(X, phi)
         assert orlicz_norm(X2, phi) == orlicz_norm(X, phi)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_permuting_600_tied_atoms_changes_no_bit(self, name):
+        # the Luxemburg search steers on pairwise sums, which depend on
+        # the order of the atoms; it sorts them first, as the Orlicz norm
+        # does
+        phi = CATALOG[name]
+        for seed in range(4):
+            sp, x = full_size_draw(600, seed, tied=True)
+            perm = np.random.default_rng([seed, 2]).permutation(600)
+            X, X2 = sp.rv(x), FiniteSpace(tuple(sp.p[perm])).rv(x[perm])
+            assert luxemburg_norm(X2, phi) == luxemburg_norm(X, phi)
+            assert orlicz_norm(X2, phi) == orlicz_norm(X, phi)
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     @given(atoms=atoms_st, sign=st.sampled_from([-1.0, 1.0]),
@@ -309,6 +347,32 @@ def definitional_by_bisection(y_abs, p, phi):
     return math.fsum((p * x * y_abs).tolist())
 
 
+def entropy_by_newton(y_abs, p):
+    """Reference entropy definitional value: the multiplier by Newton's
+    method from the right of ``mu0 = sqrt(2 / E[y**2])`` to width 1e-14,
+    every excess and every slope one correctly rounded sum, made anew at
+    each point it is asked for."""
+    phi = EntropyFunction()
+
+    def excess(mu):
+        try:
+            x = phi.rderiv_inverse_left(mu * y_abs)
+        except NumericFailure:
+            return math.inf
+        return math.fsum((p * phi(x)).tolist()) - 1.0
+
+    def slope(mu):
+        s = mu * y_abs
+        with np.errstate(over="ignore"):
+            return math.fsum((p * y_abs * s * np.exp(s)).tolist())
+
+    mu0 = math.sqrt(2.0 / math.fsum((p * y_abs ** 2).tolist()))
+    lo, hi = double_until(lambda mu: excess(mu) > 0.0, mu0, "no bracket")
+    mu, _ = newton_from_right(excess, slope, lo, hi, 1e-14)
+    x = phi.rderiv_inverse_left(mu * y_abs)
+    return math.fsum((p * (x * y_abs)).tolist())
+
+
 # slopes 1 then 2 up to the cap 1.5, where phi is 2: the cheapest second
 # segments fill up to the cap before the budget runs out
 CAP_BINDS = PiecewiseLinearFunction([1.0], [1.0, 2.0], domain_cap=1.5)
@@ -352,6 +416,20 @@ class TestDefinitionalSolvers:
         ref = definitional_by_bisection(y, p, phi)
         got, _ = phi.orlicz_definitional(y, p)
         assert abs(got - ref) <= 1e-12 * ref
+
+    def test_entropy_matches_the_newton_on_correctly_rounded_slopes(self):
+        # the slope only picks the Newton point: summed pairwise, it moves
+        # no multiplier and no norm
+        for n in (600, 200, 7, 2):
+            for seed in range(10):
+                rng = np.random.default_rng([seed, 3])
+                sp = FiniteSpace(tuple(rng.dirichlet(np.full(n, 2.0))))
+                Y = sp.rv(10.0 ** rng.uniform(-3.0, 3.0)
+                          * rng.standard_normal(n))
+                order = np.lexsort((sp.p, np.abs(Y.x)))
+                m = float(np.max(np.abs(Y.x)))
+                ref = entropy_by_newton(np.abs(Y.x)[order] / m, sp.p[order])
+                assert orlicz_norm(Y, EntropyFunction()) == m * ref
 
     def test_the_cap_binds(self):
         # atom 3 fills both segments up to the cap (cost .25 + .25),
@@ -555,13 +633,9 @@ class TestLuxemburgBracket:
     """Without a closed form the norm is the lower end of a certified
     bracket of relative width 1e-10; a closed form is the root itself."""
 
-    @pytest.mark.parametrize("name", sorted(LUXEMBURG_PHI))
-    @given(atoms=atoms_st)
-    def test_certified_bracket(self, name, atoms):
-        phi = LUXEMBURG_PHI[name]
-        sp, x = space_and_values(atoms)
+    @staticmethod
+    def assert_certified(phi, sp, x):
         x_abs = np.abs(x)
-        assume(np.any(x_abs > 0))
         v = luxemburg_norm(sp.rv(x), phi)
         if phi.domain_cap is not None and v == np.max(x_abs) / phi.domain_cap:
             # the cap binds: the norm itself, where the modular is at most 1
@@ -573,6 +647,23 @@ class TestLuxemburgBracket:
         else:
             assert norms._modular_raw(x_abs, sp.p, phi, v * (1.0 - 1e-10)) > 1.0
         assert norms._modular_raw(x_abs, sp.p, phi, v * (1.0 + 1e-10)) <= 1.0
+
+    @pytest.mark.parametrize("name", sorted(LUXEMBURG_PHI))
+    @given(atoms=atoms_st)
+    def test_certified_bracket(self, name, atoms):
+        sp, x = space_and_values(atoms)
+        assume(np.any(x != 0))
+        self.assert_certified(LUXEMBURG_PHI[name], sp, x)
+
+    @pytest.mark.parametrize("name", sorted(LUXEMBURG_PHI))
+    def test_certified_bracket_at_full_size(self, name):
+        # the search steers on pairwise sums, which at hundreds of atoms
+        # often disagree in sign with the correctly rounded sum near the
+        # root; the bracket's ends hold for the correctly rounded one
+        for n in (600, 200):
+            for seed in range(8):
+                sp, x = full_size_draw(n, seed, tied=seed % 2 == 1)
+                self.assert_certified(LUXEMBURG_PHI[name], sp, x)
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     @pytest.mark.parametrize("c", [1e-310, 1e-300, 1e-100, 1e100, 1e300])
@@ -596,12 +687,12 @@ class TestLuxemburgBracket:
         p = rng.dirichlet(np.full(600, 2.0))
         X = FiniteSpace(tuple(p)).rv(1.5 * rng.standard_normal(600))
         calls = []
-        real = norms._modular_raw
-        monkeypatch.setattr(norms, "_modular_raw",
-                            lambda *args: calls.append(1) or real(*args))
+        real = OrliczFunction.__call__
+        monkeypatch.setattr(OrliczFunction, "__call__",
+                            lambda self, t: calls.append(1) or real(self, t))
         v = luxemburg_norm(X, CAPPED)
         assert v == X.max_abs() / 2.0 == 2.241185691302481
-        assert len(calls) <= 2
+        assert len(calls) == 1
 
     def test_a_norm_past_the_double_range_raises(self):
         # the norm is about 1.9e308: the bracket's upper end overflows
@@ -610,31 +701,64 @@ class TestLuxemburgBracket:
             luxemburg_norm(X, ExpFunction())
 
 
+def budget_draws():
+    """The draws the ``kernels`` benchmark makes: ``(X, Y)`` at 600 and
+    200 atoms, 16 seeds each."""
+    for n in (600, 200):
+        for seed in range(16):
+            rng = np.random.default_rng([seed, 0])
+            sp = FiniteSpace(tuple(rng.dirichlet(np.full(n, 2.0))))
+            X = sp.rv(1.5 * rng.standard_normal(n))
+            yield X, sp.rv(rng.standard_normal(n))
+
+
 class TestEvaluationBudget:
-    """Each norm evaluates phi (and psi) at most 12 times on the draws the
-    ``kernels`` benchmark makes; a count, so it does not depend on the
-    host.  An entropy Orlicz norm whose first bracket started at 0 used
-    to bisect from there, at up to 57 evaluations."""
+    """Each norm evaluates phi (and psi) at most 10 times on the draws the
+    ``kernels`` benchmark makes, and at no point twice; a count, so it
+    does not depend on the host.  An entropy Orlicz norm whose first
+    bracket started at 0 used to bisect from there, at up to 57
+    evaluations, and each Newton search evaluated the end of its first
+    bracket twice, at up to 11."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = OrliczFunction.__call__
+        monkeypatch.setattr(
+            OrliczFunction, "__call__",
+            lambda self, t: calls.append(np.asarray(t).tobytes())
+            or real(self, t))
+        return calls
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     @pytest.mark.parametrize("norm", [luxemburg_norm, orlicz_norm],
                              ids=lambda f: f.__name__)
-    def test_at_most_12_evaluations(self, name, norm, monkeypatch):
-        calls = []
-        real = OrliczFunction.__call__
-        monkeypatch.setattr(OrliczFunction, "__call__",
-                            lambda self, t: calls.append(1) or real(self, t))
+    def test_at_most_10_evaluations(self, name, norm, calls):
         worst = 0
-        for n in (600, 200):
-            for seed in range(16):
-                rng = np.random.default_rng([seed, 0])
-                sp = FiniteSpace(tuple(rng.dirichlet(np.full(n, 2.0))))
-                X = sp.rv(1.5 * rng.standard_normal(n))
-                Y = sp.rv(rng.standard_normal(n))
-                calls.clear()
-                norm(X if norm is luxemburg_norm else Y, CATALOG[name])
-                worst = max(worst, len(calls))
-        assert worst <= 12
+        for X, Y in budget_draws():
+            calls.clear()
+            norm(X if norm is luxemburg_norm else Y, CATALOG[name])
+            worst = max(worst, len(calls))
+        assert worst <= 10
+
+    @pytest.mark.parametrize("name, norm", [
+        ("exp", luxemburg_norm), ("entropy", luxemburg_norm),
+        ("sparse", luxemburg_norm), ("entropy", orlicz_norm)],
+        ids=lambda v: getattr(v, "__name__", v))
+    def test_no_point_is_evaluated_twice(self, name, norm, calls):
+        # phi's argument is |x| / lam (exp(mu |y|) - 1 for the entropy
+        # multiplier), so a repeated argument is a repeated point
+        for X, Y in budget_draws():
+            calls.clear()
+            norm(X if norm is luxemburg_norm else Y, CATALOG[name])
+            assert len(set(calls)) == len(calls)
+
+    def test_a_cap_that_does_not_bind_is_not_evaluated_again(self, calls):
+        # 4 (t - 1)+ up to its cap 2: the modular is 2 at v = m / lam = 2,
+        # the cap, and the doubling from v = 1 ends there
+        phi = PiecewiseLinearFunction([1.0], [0.0, 4.0], domain_cap=2.0)
+        luxemburg_norm(FiniteSpace((0.5, 0.5)).rv([1.0, 0.5]), phi)
+        assert len(set(calls)) == len(calls)
 
 
 class TestNonFiniteAtoms:

@@ -218,6 +218,17 @@ class TestNewtonFromRight:
         assert excess(lo) <= 0.0 < excess(hi)
         assert hi - lo <= 1e-14 * lo
 
+    @pytest.mark.parametrize("shift", [-3e-11, 1e-13, 1e-10, 2e-10])
+    def test_certify_moves_the_ends_the_steering_misjudged(self, shift):
+        # the steering root is 1 + shift and the certified root 1: at
+        # -3e-11 hi lands below 1, at 1e-10 and 2e-10 lo lands above it
+        # (two and four half-tolerance moves), and at 1e-13 both ends hold
+        lo, hi = newton_from_right(lambda x: x * x - (1.0 + shift) ** 2,
+                                   lambda x: 2.0 * x, 0.5, 2.0, 1e-10,
+                                   lambda x: x - 1.0)
+        assert lo <= 1.0 < hi
+        assert hi - lo <= 1e-10 * lo
+
     def test_entropy_multiplier_from_an_overshooting_start(self, monkeypatch):
         # mu0 = sqrt(2 / E[y^2]) already overshoots here, so the first
         # bracket is (0, mu0), and its first Newton point rounds onto mu0:
