@@ -1,6 +1,6 @@
 """Conjugate Orlicz functions and failure of the doubling condition.
 
-Shows exact and numeric Legendre conjugation, Young's inequality, and
+Shows exact Legendre conjugation, Young's inequality, and
 the witness machinery for the doubling (Delta_2) condition: exp fails
 it, powers satisfy it, and the sparse piecewise-linear pair fails it on
 both sides at once -- the hypothesis behind the duality-gap instance.

@@ -163,6 +163,8 @@ def _cmd_closure(args) -> dict:
     phi = parse_phi_spec(args.phi)
     if args.levels < 1:
         raise InputError(f"--levels must be at least 1, got {args.levels}")
+    if args.levels > 1074:  # past it the budget 2**-n is 0.0
+        raise InputError(f"--levels must be at most 1074, got {args.levels}")
     X = read_positions_csv(args.input)
     splits, Z_parts = [], []
     for n in range(1, args.levels + 1):

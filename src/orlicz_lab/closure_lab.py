@@ -85,7 +85,7 @@ def mazur_min_norm(candidates, phi: OrliczFunction, target: float):
             reach = phi_inverse(phi, 1.0 / float(np.min(p)))
         except NumericFailure:  # phi stays below 1/min p up to its cap
             reach = phi.domain_cap
-        reach += 1e-12 * (1.0 + reach)  # past phi.inverse's bisection
+        reach += 1e-12 * (1.0 + reach)  # past phi.inverse's 1e-12 error
         lower = margin / math.sqrt(float(p @ (x * x))) / reach
     return {"found": value <= target, "weights": tuple(float(c) for c in w),
             "value": value, "hull_certificate": not margin > 0.0,

@@ -42,9 +42,6 @@ __all__ = [
     "CATALOG",
 ]
 
-# Tolerances for the monotone root-finding used by numeric conjugation.
-_ABS_TOL = 1e-12
-_REL_TOL = 1e-10
 _BRACKET_CAP = 1e300
 #: Most doublings (or safeguarded Newton steps) one bracket search makes.
 _MAX_DOUBLINGS = 1100
@@ -139,7 +136,9 @@ def newton_from_right(excess, slope, lo: float, hi: float, rtol: float,
 
 
 class OrliczFunction:
-    """Base class.  Subclasses provide ``_eval`` and ``_rderiv``."""
+    """Base class.  Subclasses provide the kernels ``_eval`` (phi),
+    ``_rderiv`` (its right derivative) and ``_rderiv_inverse_left``, and
+    those that keep the base multiplier loop ``_rderiv2`` (phi'')."""
 
     name = "orlicz"
     #: the ``parse_phi_spec`` text that rebuilds this function; ``None``
@@ -186,58 +185,38 @@ class OrliczFunction:
         probabilities ``p``, and ``mu`` its Lagrange multiplier (``inf``
         when no constraint binds but the domain cap).
 
-        The optimal X inverts the right-derivative at ``mu * y_abs`` for
-        the multiplier ``mu`` at which the modular reaches 1, and the
-        residual budget goes along flat segments.  Here ``mu`` is found by
-        bisection to width 1e-14; subclasses solve for it directly."""
-        active = y_abs > 0
-
-        def over(mu: float) -> bool:
-            # the modular at the multiplier mu passes 1; it is
-            # nondecreasing in mu and 0 at mu = 0
+        The optimal X is ``x = rderiv_inverse_left(mu * y_abs)`` at the
+        multiplier ``mu`` where the modular ``E[self(x)]`` reaches 1.  It
+        is convex in ``mu``, with slope ``E[mu y**2 / phi''(x)]``, so
+        Newton's method runs from the right to width 1e-14, from the
+        bracket that doubling from ``mu0 = sqrt(2 / E[y**2])`` finds
+        (under entropy and exp* the modular is at least
+        ``mu**2 E[y**2] / 2``, so at least 1 there).
+        Each ``mu``'s x is made once; the excess is one correctly
+        rounded sum, and the slope, which only picks the Newton point,
+        a pairwise one.  Power, exp and piecewise-linear phi solve for
+        ``mu`` exactly instead."""
+        @functools.cache
+        def at(mu: float) -> tuple[np.ndarray | None, float]:
             try:
                 x = self.rderiv_inverse_left(mu * y_abs)
-            except NumericFailure:
-                return True
-            vals = np.asarray(self(x), dtype=float)
-            if np.any(~np.isfinite(vals)):
-                return True
-            return float(np.sum(p * vals)) > 1.0
+            except NumericFailure:  # a slope beyond the double range
+                return None, math.inf
+            return x, math.fsum((p * self(x)).tolist()) - 1.0
 
-        lo, hi = double_until(over, 1.0,
+        def excess(mu: float) -> float:
+            return at(mu)[1]
+
+        def slope(mu: float) -> float:
+            with np.errstate(over="ignore"):
+                return float(np.sum(p * mu * y_abs ** 2
+                                    / self._rderiv2(at(mu)[0])))
+
+        mu0 = math.sqrt(2.0 / math.fsum((p * y_abs ** 2).tolist()))
+        lo, hi = double_until(lambda mu: excess(mu) > 0.0, mu0,
                               "orlicz_norm: multiplier bracket not found")
-        lo, hi = bisect(over, lo, hi, lambda lo, hi: hi - lo <= 1e-14 * hi)
-        mu = lo if lo > 0 else hi * 0.5
-        if mu == 0.0:
-            raise NumericFailure(f"{self.name}: orlicz_norm multiplier is 0")
-        x = self.rderiv_inverse_left(mu * y_abs)
-        budget = 1.0 - float(np.sum(p * np.asarray(self(x), dtype=float)))
-        # distribute residual budget along flat segments (atoms whose
-        # stationarity inverse jumps across the bracket); an atom past
-        # the largest slope has unbounded room
-        if budget > 1e-15:
-            def left_end(s: float) -> float:
-                try:
-                    return self.rderiv_inverse_left(s)
-                except NumericFailure:
-                    return math.inf
-
-            try:
-                x_hi = self.rderiv_inverse_left(hi * y_abs)
-            except NumericFailure:
-                x_hi = _elementwise(left_end, hi * y_abs)
-            jump = active & (x_hi > x * (1 + 1e-9) + 1e-300)
-            for i in np.where(jump)[0]:
-                slope = float(self.rderiv(x[i]))
-                if slope <= 0:
-                    continue
-                room = x_hi[i] - x[i]
-                d = min(room, budget / (p[i] * slope))
-                x[i] += d
-                budget -= p[i] * slope * d
-                if budget <= 1e-15:
-                    break
-        return math.fsum((p * (x * y_abs)).tolist()), mu
+        mu, _ = newton_from_right(excess, slope, lo, hi, 1e-14)
+        return math.fsum((p * (at(mu)[0] * y_abs)).tolist()), mu
 
     def rderiv_inverse_left(self, s):
         """Left endpoint of ``{t : rderiv(t) = s}`` (0 when rderiv(0) >= s),
@@ -248,37 +227,16 @@ class OrliczFunction:
             return float(out)
         return out
 
-    def _rderiv_inverse_left(self, s):
-        # monotone bisection with bracket doubling, entry by entry
-        def left_end(s: float) -> float:
-            if s <= self.rderiv(0.0):
-                return 0.0
-
-            def reaches(t: float) -> bool:
-                return self.rderiv(t) >= s
-
-            lo, hi = double_until(
-                reaches, 1.0,
-                f"{self.name}: slope {s:g} beyond representable range")
-            _, hi = bisect(reaches, lo, hi,
-                           lambda lo, hi: hi - lo <= _ABS_TOL + _REL_TOL * hi)
-            return hi
-
-        return _elementwise(left_end, s)
-
     def inverse(self, v: float) -> float:
-        """Solve ``self(t) = v`` for ``v > 0``: bracket by doubling, then
-        bisect to width 1e-12 absolute plus relative."""
-        def reaches(t: float) -> bool:
-            try:
-                return float(self(t)) >= v
-            except NumericFailure:  # past the domain cap
-                return True
-
-        lo, hi = double_until(reaches, 1.0, "phi_inverse: bracket not found")
-        lo, hi = bisect(reaches, lo, hi,
-                        lambda lo, hi: hi - lo <= 1e-12 + 1e-12 * hi)
-        return 0.5 * (lo + hi)
+        """Solve ``self(t) = v`` for ``v > 0``: Newton's method from the
+        right on the convex increasing ``self(t) - v`` along ``rderiv``,
+        from the bracket that doubling from 1 finds, to relative width
+        1e-12.  Returns the bracket's upper end, where ``self`` exceeds
+        ``v``."""
+        excess = functools.cache(lambda t: float(self(t)) - v)
+        lo, hi = double_until(lambda t: excess(t) > 0.0, 1.0,
+                              "phi_inverse: bracket not found")
+        return newton_from_right(excess, self.rderiv, lo, hi, 1e-12)[1]
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
@@ -338,6 +296,9 @@ class PowerFunction(OrliczFunction):
         cq = (p - 1.0) * c * (c * p) ** (-q)
         return PowerFunction(q, cq)
 
+    def inverse(self, v):
+        return (v / self.coef) ** (1.0 / self.p)
+
     def _rderiv_inverse_left(self, s):
         if self.p == 1.0:
             if np.any(s > self.coef):
@@ -375,6 +336,9 @@ class ExpFunction(OrliczFunction):
     def analytic_conjugate(self):
         return ExpConjugateFunction()
 
+    def inverse(self, v):
+        return math.log1p(v)
+
     def _rderiv_inverse_left(self, s):
         return np.log(np.maximum(s, 1.0))
 
@@ -390,6 +354,12 @@ class ExpConjugateFunction(OrliczFunction):
 
     def _rderiv(self, s):
         return np.log(np.maximum(s, 1.0))
+
+    def _rderiv2(self, s):
+        # 1/s for s >= 1; below, where phi'' is 0, the multiplier loop
+        # meets only s = 0 (an atom at 0, whose slope term is 0 either
+        # way), and 1 keeps that term from 0/0
+        return 1.0 / np.maximum(s, 1.0)
 
     @property
     def analytic_conjugate(self):
@@ -414,31 +384,8 @@ class EntropyFunction(OrliczFunction):
     def _rderiv(self, t):
         return np.log1p(t)
 
-    def orlicz_definitional(self, y_abs, p):
-        # at s = mu y the optimal X is e**s - 1, where the modular is
-        # E[e**s (s - 1) + 1]: convex in mu, with slope E[y s e**s], and
-        # at least mu**2 E[y**2] / 2, so Newton runs from the right of
-        # mu0 = sqrt(2 / E[y**2]) down to width 1e-14; the slope only
-        # picks the Newton point, so a pairwise sum serves
-        @functools.cache
-        def excess(mu: float) -> float:
-            try:
-                x = self.rderiv_inverse_left(mu * y_abs)
-            except NumericFailure:  # e**s beyond the double range
-                return math.inf
-            return math.fsum((p * self(x)).tolist()) - 1.0
-
-        def slope(mu: float) -> float:
-            s = mu * y_abs
-            with np.errstate(over="ignore"):
-                return float(np.sum(p * y_abs * s * np.exp(s)))
-
-        mu0 = math.sqrt(2.0 / math.fsum((p * y_abs ** 2).tolist()))
-        lo, hi = double_until(lambda mu: excess(mu) > 0.0, mu0,
-                              "orlicz_norm: multiplier bracket not found")
-        mu, _ = newton_from_right(excess, slope, lo, hi, 1e-14)
-        x = self.rderiv_inverse_left(mu * y_abs)
-        return math.fsum((p * (x * y_abs)).tolist()), mu
+    def _rderiv2(self, t):
+        return 1.0 / (1.0 + t)
 
     @property
     def analytic_conjugate(self):
@@ -462,6 +409,9 @@ class EntropyConjugateFunction(OrliczFunction):
 
     def _rderiv(self, s):
         return np.expm1(s)
+
+    def _rderiv2(self, s):
+        return np.exp(s)
 
     @property
     def analytic_conjugate(self):
@@ -663,50 +613,25 @@ def build_sparse_pair(schedule: PiecewiseSlopeSchedule) -> PiecewiseLinearFuncti
     return phi
 
 
-class _NumericConjugate(OrliczFunction):
-    """Conjugate of phi evaluated by monotone root-finding on rderiv."""
-
-    def __init__(self, phi: OrliczFunction):
-        self.phi = phi
-        self.name = phi.name + "*"
-
-    def _eval(self, s):
-        t = self.phi.rderiv_inverse_left(s)
-        return np.maximum(0.0, t * s - self.phi(t))
-
-    def _rderiv(self, s):
-        # the maximizer t(s) is the right-derivative of the conjugate
-        return self.phi._rderiv_inverse_left(s)
-
-
-def _elementwise(f, s):
-    """``f`` applied to each entry of ``s``; the result has the shape of
-    ``s`` (0-d, length 1 and empty inputs included)."""
-    s = np.asarray(s, dtype=float)
-    return np.array([f(float(x)) for x in s.ravel()], dtype=float).reshape(s.shape)
-
-
 def conjugate(phi: OrliczFunction) -> OrliczFunction:
-    """Conjugate of phi as a function object (closed form when known)."""
+    """Conjugate of phi as a function object, in closed form; InputError
+    names a class that has none."""
     conj = phi.analytic_conjugate
-    return conj if conj is not None else _NumericConjugate(phi)
+    if conj is None:
+        raise InputError(f"{type(phi).__name__} ({phi.name}) has no "
+                         f"analytic conjugate")
+    return conj
 
 
 def conjugate_value(phi: OrliczFunction, s: float) -> float:
-    """``sup_{t >= 0} (t*s - phi(t))``.
-
-    Closed forms are used when available, and give ``math.inf`` strictly
-    past a closed form's domain cap; otherwise the maximizer is located
-    by monotone root-finding on ``rderiv(t) = s``, which raises
-    NumericFailure when no slope of phi reaches s.
-    """
+    """``sup_{t >= 0} (t*s - phi(t))``, from phi's closed-form conjugate:
+    ``math.inf`` strictly past its domain cap.  InputError names a class
+    without a closed-form conjugate."""
     if s < 0:
         raise InputError("conjugate argument must be nonnegative")
+    conj = conjugate(phi)
     if s == 0.0:
         return 0.0
-    conj = phi.analytic_conjugate
-    if conj is None:
-        return float(_NumericConjugate(phi)(s))
     if conj.domain_cap is not None and s > conj.domain_cap:
         return math.inf
     return float(conj(s))

@@ -29,13 +29,15 @@ from orlicz_lab.finite_model import FiniteSpace, pairing, uniform_space, \
     write_positions_csv
 from orlicz_lab.norms import luxemburg_norm, modular, orlicz_norm, phi_inverse
 from orlicz_lab.orlicz_functions import (CATALOG, EntropyFunction, ExpFunction,
-                                         PowerFunction, _NumericConjugate,
-                                         build_sparse_pair, conjugate,
-                                         conjugate_value, delta2_witnesses,
-                                         sparse_schedule, young_check)
+                                         PowerFunction, build_sparse_pair,
+                                         conjugate, conjugate_value,
+                                         delta2_witnesses, sparse_schedule,
+                                         young_check)
 from orlicz_lab.risk_measures import (ScenarioSet, avar_scenarios, axiom_suite,
                                       entropic_measure, scenario_eval,
                                       scenario_measure, worstcase_scenarios)
+
+from bisection_oracle import _NumericConjugate
 
 
 def verdict(capsys, num, summary, ok):

@@ -412,6 +412,24 @@ class TestClosure:
         assert err["error"] == "invalid-input"
         assert err["detail"] == f"--levels must be at least 1, got {levels}"
 
+    @pytest.mark.parametrize("levels", ["1075", "2000"])
+    def test_levels_past_the_least_double_is_invalid_input(self, capsys,
+                                                           pos_csv, levels):
+        # the budget 2**-n is 0.0 past n = 1074, which split_with_budget
+        # rejected as "budget must be positive, got 0.0", naming no flag
+        assert run(["closure", "--phi", "power:p=2", "--input", pos_csv,
+                    "--levels", levels]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-input"
+        assert err["detail"] == f"--levels must be at most 1074, got {levels}"
+
+    def test_1074_levels_run(self, capsys, pos_csv):
+        code, report = run_json(capsys, ["closure", "--phi", "power:p=2",
+                                         "--input", pos_csv,
+                                         "--levels", "1074"])
+        assert code == 0
+        assert report["step1_splits"][-1]["budget"] == 2.0 ** -1074 > 0.0
+
 
 class TestParser:
     def test_every_readme_command_parses(self):
@@ -529,27 +547,37 @@ def test_no_library_module_imports_inside_a_function():
     assert found == []
 
 
+def resolve(node, namespace):
+    """The object a name or dotted attribute refers to in ``namespace``,
+    or None."""
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return getattr(resolve(node.value, namespace), node.attr, None)
+    return None
+
+
+def library_modules():
+    """``(path, tree, namespace)`` of each library module but
+    ``__main__``, whose import runs the command line."""
+    package = pathlib.Path(orlicz_lab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__main__.py":
+            continue
+        module = ("orlicz_lab" if path.stem == "__init__"
+                  else f"orlicz_lab.{path.stem}")
+        yield (path, ast.parse(path.read_text()),
+               vars(importlib.import_module(module)))
+
+
 def test_no_library_module_asks_which_orlicz_function_it_holds():
     # per-function facts (spec, kinks, kernels) live on the function
     # classes, so no module calls isinstance on an OrliczFunction subclass
     from orlicz_lab.orlicz_functions import OrliczFunction
 
-    def resolve(node, namespace):
-        if isinstance(node, ast.Name):
-            return namespace.get(node.id)
-        if isinstance(node, ast.Attribute):
-            return getattr(resolve(node.value, namespace), node.attr, None)
-        return None
-
-    package = pathlib.Path(orlicz_lab.__file__).resolve().parent
     found = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__main__.py":  # importing it runs the command line
-            continue
-        module = ("orlicz_lab" if path.stem == "__init__"
-                  else f"orlicz_lab.{path.stem}")
-        namespace = vars(importlib.import_module(module))
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree, namespace in library_modules():
+        for node in ast.walk(tree):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "isinstance" and len(node.args) == 2):
@@ -560,3 +588,24 @@ def test_no_library_module_asks_which_orlicz_function_it_holds():
                 if isinstance(cls, type) and issubclass(cls, OrliczFunction):
                     found.append((path.name, node.lineno, cls.__name__))
     assert found == []
+
+
+def test_only_acceptance_eval_uses_the_bisection_helper():
+    # Orlicz functions and norms solve by exact forms or by Newton's
+    # method; only acceptance_eval bisects, on an opaque predicate.  The
+    # stdlib bisect module, which searches finite grids, is another
+    # object and does not count
+    from orlicz_lab.orlicz_functions import bisect
+
+    found = []
+    for path, tree, namespace in library_modules():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.name, fn.name) for node in ast.walk(fn)
+                          if resolve(node, namespace) is bisect]
+        found += [(path.name, "import") for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and any(alias.name == "bisect" for alias in node.names)
+                  and (node.module or "").endswith("orlicz_functions")]
+    assert sorted(found) == [("risk_measures.py", "acceptance_eval"),
+                             ("risk_measures.py", "import")]

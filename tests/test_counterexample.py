@@ -455,6 +455,27 @@ class TestMembership:
         nu = max(lower) if lower else 0.0
         assert np.all(combo + nu * eq >= -1e-7)
 
+    @pytest.mark.parametrize("variant", ["L", "H"])
+    def test_a_cover_that_fails_its_dual_rows_is_a_certificate_error(
+            self, instance, instance_h, variant, monkeypatch):
+        # the chain rows' multipliers halved: mu . b stays below 0, but
+        # A^T mu + nu eq >= 0 fails at nu = mu_a, so the audit, not the
+        # cover, decides: CertificateError, where an unaudited cover
+        # would raise NotAMember on a certificate that proves nothing
+        ins = instance if variant == "L" else instance_h
+        real = cex._cover
+
+        def halved(chain, b):
+            mu = real(chain, b)
+            mu[chain.first:] *= 0.5
+            assert mu @ b < 0.0
+            assert np.any(chain.A.T @ mu + mu[0] * chain.eq < 0.0)
+            return mu
+
+        monkeypatch.setattr(cex, "_cover", halved)
+        with pytest.raises(CertificateError, match="fails its audit"):
+            membership(ins, t_operator(ins, Combo(ins, {("W0",): -1.0})))
+
 
 class TestVerifyCertificate:
     def test_rejects_wrong_lambda(self, instance):
@@ -1054,6 +1075,23 @@ class TestLimitCertificate:
         fake = MembershipCertificate(0.5, (((1, 1), 2.0),))
         with pytest.raises(CertificateError):
             limit_certificate(instance, [(X, fake)] * 3, X)
+
+    def test_a_limit_outside_c_fails_the_final_check(self, instance):
+        # -W0 + 4 and -W0 + 2 are members at lambda = 0 and approach -W0,
+        # which is not a member: every check passes but the last, the
+        # limit certificate against the limit's image
+        ins = instance
+        minus_w0 = Combo(ins, {("W0",): -1.0})
+        members = [(U, membership(ins, t_operator(ins, U)))
+                   for U in (minus_w0 + 4.0, minus_w0 + 2.0)]
+        assert [cert.lam for _, cert in members] == [0.0, 0.0]
+        with pytest.raises(NotAMember, match="against the limit image"):
+            limit_certificate(ins, members, minus_w0)
+
+    def test_one_member_is_invalid_input(self, instance):
+        X, cert = self._member(instance)
+        with pytest.raises(InputError, match="at least two"):
+            limit_certificate(instance, [(X, cert)], X)
 
 
 class TestGapExhibit:

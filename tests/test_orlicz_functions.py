@@ -13,6 +13,7 @@ from orlicz_lab.orlicz_functions import (
     EntropyFunction,
     ExpConjugateFunction,
     ExpFunction,
+    OrliczFunction,
     PiecewiseLinearFunction,
     PiecewiseSlopeSchedule,
     PowerFunction,
@@ -26,7 +27,9 @@ from orlicz_lab.orlicz_functions import (
     sparse_schedule,
     young_check,
 )
-from orlicz_lab.orlicz_functions import _NumericConjugate, _scan_grid
+from orlicz_lab.orlicz_functions import _scan_grid
+
+from bisection_oracle import _NumericConjugate
 
 
 def grid_conjugate(phi, s, t_max=200.0, n=400_001):
@@ -127,6 +130,19 @@ class TestConjugation:
             assert value >= oracle - 1e-9
             assert value <= oracle + 1e-4 + 1e-4 * abs(oracle)
 
+    def test_a_class_without_a_closed_form_conjugate_is_named(self):
+        # every shipped class has a closed-form conjugate, and there is
+        # no numeric fallback for one that has none
+        class Quartic(OrliczFunction):
+            name = "quartic"
+
+            def _eval(self, t):
+                return t ** 4
+
+        for call in (conjugate, lambda f: conjugate_value(f, 1.0)):
+            with pytest.raises(InputError, match="Quartic"):
+                call(Quartic())
+
     def test_negative_argument_rejected(self):
         with pytest.raises(InputError):
             conjugate_value(PowerFunction(2.0), -1.0)
@@ -149,8 +165,6 @@ class TestConjugation:
         assert err <= 1e-9
 
     def test_smooth_numeric_biconjugation(self):
-        from orlicz_lab.orlicz_functions import _NumericConjugate
-
         for phi in (PowerFunction(2.0), ExpFunction(), EntropyFunction()):
             psi_numeric = _NumericConjugate(phi)
             for t in (0.3, 1.0, 2.5):
