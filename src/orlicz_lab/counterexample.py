@@ -101,13 +101,14 @@ class TImage:
 
     ``u`` has one entry per first-region block; ``u_tail`` is a sound
     lower bound for ``inf_{n > N} u(n)`` (``+inf`` when unknown, e.g.
-    for raw discretized positions).  ``v`` is keyed by ``(i, j)`` in
-    variant L and by ``(j,)`` in variant H.
+    for raw discretized positions).  ``v`` holds one entry for each of
+    the instance's third keys, ``(i, j)`` in variant L and ``(j,)`` in
+    variant H, sorted by key.
     """
 
     u: tuple
     a: float
-    v: tuple  # sorted tuple of (key, value)
+    v: tuple  # tuple of (key, value), sorted by key
     variant: str
     u_tail: float = math.inf
 
@@ -166,7 +167,8 @@ class CounterexampleInstance:
     def _build_space(self):
         """T's rows in atom order, each ``(primal, dual, primal height,
         dual height, p, label)`` for a block and its dual on one atom; the
-        space, the row arrays and the symbol tables are read off them."""
+        space, the row arrays, the symbol tables and the sorted third keys
+        ``_v_keys`` (at rows ``_v_rows``, ``_v_rank`` the inverse order)."""
         p2 = self.w0_seq.blocks[0].probability
         rows = [(("X", x.index), ("Y", y.index), x.height, y.height,
                  x.probability, f"A{x.index}")
@@ -185,6 +187,10 @@ class CounterexampleInstance:
         self._atom_of = {sym: atom for atom, pair in enumerate(self._row_pairs)
                          for sym in pair}
         self._height_of = dict(zip(primal + dual, h_primal + h_dual))
+        order = sorted(range(len(self.third_keys)), key=self.third_keys.__getitem__)
+        self._v_keys = [self.third_keys[k] for k in order]
+        self._v_rows = self.N + 1 + np.array(order)
+        self._v_rank = np.argsort(order).tolist()
 
     def _resolve(self, symbol):
         """``(atoms, heights)`` of a block symbol, ``("Xtail", r)`` being
@@ -202,7 +208,7 @@ class CounterexampleInstance:
         return self._atom_of[symbol], self._height_of[symbol]
 
     def _check_invariants(self):
-        units = _pair_rows(self, self._row_primal, self._row_dual)
+        units = _pair_rows(self, self._row_primal, self._row_dual).tolist()
         for (sym_p, sym_d), pr in zip(self._row_pairs, units):
             if abs(pr - 1.0) > 1e-9:
                 raise InputError(f"pairing({sym_p},{sym_d}) = {pr!r}, not 1")
@@ -227,12 +233,14 @@ class Combo:
     """Finite linear combination of instance blocks, the constant, and
     the symbolic first-region tails ``("Xtail", r) = sum_{n>=r} X_n``."""
 
-    def __init__(self, instance: CounterexampleInstance, coeffs: dict):
+    def __init__(self, instance: CounterexampleInstance, coeffs: dict,
+                 _resolved: bool = False):
         self.instance = instance
         self.coeffs = {k: float(v) for k, v in coeffs.items() if v != 0.0}
-        for k in self.coeffs:
-            if k != ("one",):
-                instance._resolve(k)
+        if not _resolved:  # arithmetic's keys are its operands'
+            for k in self.coeffs:
+                if k != ("one",):
+                    instance._resolve(k)
 
     # -- arithmetic ----------------------------------------------------
     def _merge(self, other, sign: float) -> "Combo":
@@ -244,7 +252,7 @@ class Combo:
                 out[k] = out.get(k, 0.0) + sign * v
         else:
             out[("one",)] = out.get(("one",), 0.0) + sign * float(other)
-        return Combo(self.instance, out)
+        return Combo(self.instance, out, _resolved=True)
 
     def __add__(self, other):
         return self._merge(other, 1.0)
@@ -255,7 +263,8 @@ class Combo:
         return self._merge(other, -1.0)
 
     def __mul__(self, c):
-        return Combo(self.instance, {k: v * float(c) for k, v in self.coeffs.items()})
+        return Combo(self.instance, {k: v * float(c) for k, v in self.coeffs.items()},
+                     _resolved=True)
 
     __rmul__ = __mul__
 
@@ -304,12 +313,12 @@ class Combo:
         return Combo(ins, out)
 
 
-def _pair_rows(instance: CounterexampleInstance, left, right) -> list:
+def _pair_rows(instance: CounterexampleInstance, left, right) -> np.ndarray:
     """``(p * left) * right`` on each of T's row atoms: ``pairing``'s one
     nonzero term in its order, ``+ 0.0`` making -0.0 the 0.0 its sum
     returns; like that sum, it overflows to inf without a warning."""
     with np.errstate(over="ignore"):
-        return ((instance._row_p * left) * right + 0.0).tolist()
+        return (instance._row_p * left) * right + 0.0
 
 
 def _pairing_interval(P: Combo, D: Combo):
@@ -334,7 +343,9 @@ def build_instance(phi: OrliczFunction, I: int, J: int, N: int,
 
 def t_operator(instance: CounterexampleInstance, X) -> TImage:
     """``T X = (E[X Y_n])_n (+) E[X Z_0] (+) (E[X Z_key])_key``, each
-    entry one atom's term; NumericFailure where it or X is not finite."""
+    entry one atom's term; NumericFailure where it or X is not finite.
+    Floats out of one array: its atom is named only if a test fails, and
+    ``v`` takes the instance's sorted keys at their rows, ``_v_rows``."""
     ins = instance
     if isinstance(X, Combo):
         if X.instance is not ins:
@@ -355,14 +366,13 @@ def t_operator(instance: CounterexampleInstance, X) -> TImage:
     x = X.x
     R = len(ins._row_pairs)
     rows = _pair_rows(ins, x[:R], ins._row_dual)
-    bad = ~np.isfinite(x)
-    bad[:R] |= ~np.isfinite(rows)
-    if bad.any():
+    if not (np.isfinite(x).all() and np.isfinite(rows).all()):
+        bad = ~np.isfinite(x) | np.append(~np.isfinite(rows), False)
         label = ins.space.labels[int(np.argmax(bad))]
         raise NumericFailure(f"X or T X is not finite on atom {label}")
     n = ins.N
-    return TImage(u=tuple(rows[:n]), a=rows[n],
-                  v=tuple(sorted(zip(ins.third_keys, rows[n + 1:]))),
+    return TImage(u=tuple(rows[:n].tolist()), a=float(rows[n]),
+                  v=tuple(zip(ins._v_keys, rows[ins._v_rows].tolist())),
                   variant=ins.variant, u_tail=u_tail)
 
 
@@ -379,21 +389,22 @@ def _rows(instance: CounterexampleInstance, image: TImage):
     ins = instance
     if len(image.u) != ins.N or image.variant != ins.variant:
         raise InputError("image dimensions do not match the truncation")
-    vd = image.v_dict()
+    if [k for k, _ in image.v] != ins._v_keys:
+        raise InputError("image v keys are not the third keys, sorted")
     tail = [image.u_tail] if math.isfinite(image.u_tail) else []
-    b = np.array([image.a] + [vd[k] for k in ins.third_keys] + list(image.u)
-                 + tail)
+    b = np.array([image.a] + [image.v[r][1] for r in ins._v_rank]
+                 + list(image.u) + tail)
     return b, _chain(ins.I, ins.J, ins.N, ins.variant, len(b))
 
 
-def _certificate_from_z(z, pairs) -> MembershipCertificate:
-    """``(lambda, y)`` from the greedy's z >= 0 (ordered like ``pairs``),
-    with ``lambda = sum 2^i z`` and ``y = z / lambda``."""
-    lam = float(sum((2.0 ** i) * z[k] for k, (i, _) in enumerate(pairs)))
+def _certificate_from_z(z, chain: _Chain) -> MembershipCertificate:
+    """``(lambda, y)`` from the greedy's z >= 0 (ordered like
+    ``chain.pairs``), with ``lambda = sum 2^i z`` and ``y = z / lambda``."""
+    lam = sum((chain.pow2 * z).tolist())
     if lam <= 1e-7:
         return _ZERO_LAMBDA
-    y = tuple(sorted((pair, float(z[k]) / lam) for k, pair in enumerate(pairs)
-                     if z[k] / lam > _FEAS_TOL))
+    y = tuple(sorted((pair, zk / lam) for pair, zk in zip(chain.pairs, z.tolist())
+                     if zk / lam > _FEAS_TOL))
     cert = MembershipCertificate(lam, y)
     if abs(cert.row_weighted_sum - 1.0) > 1e-6:
         raise CertificateError(
@@ -428,8 +439,10 @@ class _Chain(NamedTuple):
     least the l-th largest weight, ``gap`` is that weight's distance to
     the next one down (to 0 after the last), row 0 of ``out`` marks
     every element and row 1 + c those off chain row c, and ``count``
-    is the number of rows of each cover, ``out`` row by ``member`` row.
-    ``labels``, ``A`` and ``eq`` are the rows of ``_rows``.
+    is the number of rows of each cover, ``out`` row by ``member`` row
+    (``gap`` and ``count`` as Python numbers).  ``labels``, ``A`` and
+    ``eq`` are the rows of ``_rows``; ``pow2`` is ``2^i``, ``pair_set``
+    the set of pairs and ``A_max`` the largest ``|A|``.
     """
 
     pairs: tuple
@@ -442,12 +455,15 @@ class _Chain(NamedTuple):
     unit: float
     order: tuple
     member: np.ndarray
-    gap: np.ndarray
+    gap: tuple
     out: np.ndarray
-    count: np.ndarray
+    count: tuple
     labels: tuple
     A: np.ndarray
     eq: np.ndarray
+    pow2: np.ndarray
+    pair_set: frozenset
+    A_max: float
 
 
 @functools.lru_cache(maxsize=64)
@@ -487,8 +503,10 @@ def _chain(I: int, J: int, N: int, variant: str, n_rows: int) -> _Chain:
     A[first:, 1:] = held * chain_coef
     eq = np.concatenate(([1.0], -(2.0 ** i)))
     chain = _Chain(tuple(pairs), i, j, own, factor, tuple(span), first, unit,
-                   tuple(order), member, levels - np.append(levels[1:], 0.0),
-                   out, count, tuple(labels), A, eq)
+                   tuple(order), member,
+                   tuple((levels - np.append(levels[1:], 0.0)).tolist()),
+                   out, tuple(map(tuple, count.tolist())), tuple(labels), A, eq,
+                   2.0 ** i, frozenset(pairs), float(np.abs(A).max()))
     for value in chain:  # every caller shares the cached chain
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
@@ -500,23 +518,23 @@ def _greedy(chain: _Chain, b) -> np.ndarray:
     ``_rows``' rows with capacities ``b >= 0`` past the first.
 
     Elements are filled in ``order``, each up to the least of its length
-    and its chain rows' slacks.  An H group's pieces share their rows
-    and fall in slope, so they fill in turn; a piece filled to the
-    fraction ``theta`` of its length puts ``z(i,j) = (theta(i,j) -
-    theta(i-1,j)) v(j)/4^i`` on level i, which is at least 0 because a
-    piece starts only once the one before is full.
+    and its chain rows' slacks, on lists of floats.  An H group's pieces
+    share their rows and fall in slope, so they fill in turn; a piece
+    filled to the fraction ``theta`` of its length puts ``z(i,j) =
+    (theta(i,j) - theta(i-1,j)) v(j)/4^i`` on level i, which is at least
+    0 because a piece starts only once the one before is full.
     """
     length = chain.factor * b[chain.own]
-    slack = list(b[chain.first:])
-    fill = np.zeros(len(length))
+    lengths, slack = length.tolist(), b[chain.first:].tolist()
+    fill = [0.0] * len(lengths)
     for k in chain.order:
         lo, hi = chain.span[k]
-        w = min([length[k]] + slack[lo:hi])
+        w = min([lengths[k]] + slack[lo:hi])
         for r in range(lo, hi):
             slack[r] -= w
         fill[k] = w
     if chain.unit == 1.0:  # L: one piece per pair
-        return fill / chain.factor
+        return np.array(fill) / chain.factor
     i, j = chain.i, chain.j
     theta = np.zeros((i.max() + 1, j.max()))
     theta[i, j - 1] = np.divide(fill, length, out=np.zeros_like(fill),
@@ -524,8 +542,8 @@ def _greedy(chain: _Chain, b) -> np.ndarray:
     return (theta[i, j - 1] - theta[i - 1, j - 1]) * (b[chain.own] / 4.0 ** i)
 
 
-def _lam(z, pairs) -> float:
-    return math.fsum((2.0 ** i) * z[k] for k, (i, _) in enumerate(pairs))
+def _lam(z, chain: _Chain) -> float:
+    return math.fsum((chain.pow2 * z).tolist())
 
 
 def _cover(chain: _Chain, b) -> np.ndarray:
@@ -539,7 +557,8 @@ def _cover(chain: _Chain, b) -> np.ndarray:
     greedy's value on them.  The row gets the level's ``gap``, so each
     element is priced ``P``, the sum over its chain rows, at most its
     weight.  Among covers of equal cost the one with the fewest rows is
-    taken, then the earliest row; the costs are summed left to right.
+    taken, then the earliest row (compared as floats); the costs are
+    summed left to right.
     Each own row then gets the least multiplier that covers its columns:
     ``4^i (2^-i - P)``, at least 0, for an L box (the sum of the gaps
     of the levels whose cover leaves the pair out) and ``max(0, max_i
@@ -552,7 +571,7 @@ def _cover(chain: _Chain, b) -> np.ndarray:
     cost[:, 1:] += b[first:]
     rho = np.zeros(len(b))
     rho[0] = chain.unit
-    for gap, c, n in zip(chain.gap, cost, chain.count):
+    for gap, c, n in zip(chain.gap, cost.tolist(), chain.count):
         r = min(zip(c, n, range(len(c))))[2]
         if r:
             rho[first + r - 1] += gap
@@ -568,10 +587,10 @@ def _decide(chain: _Chain, b):
     """``(z, rho)``: ``rho`` is None for a member (``z`` the greedy's),
     else Farkas multipliers, the most negative row past the first or the
     cover when ``b[0] + lambda*`` is below 0 by more than 4 ulp."""
-    if np.any(b[1:] < 0.0):
+    if (b[1:] < 0.0).any():
         return None, np.eye(len(b))[1 + int(np.argmin(b[1:]))]
     z = _greedy(chain, b)
-    lam = _lam(z, chain.pairs)
+    lam = _lam(z, chain)
     if b[0] + lam >= -_ROUNDING * max(abs(b[0]), lam):
         return z, None
     return z, _cover(chain, b)
@@ -597,7 +616,7 @@ def membership(instance: CounterexampleInstance,
     b, chain = _rows(instance, image)
     z, mu = _decide(chain, b)
     if mu is None:
-        return _certificate_from_z(z, chain.pairs)
+        return _certificate_from_z(z, chain)
     if not (mu @ b < 0.0 and np.all(chain.A.T @ mu + mu[0] * chain.eq >= 0.0)):
         raise CertificateError("Farkas certificate fails its audit")
     mu = mu / mu.sum()
@@ -621,7 +640,7 @@ def verify_certificate(instance: CounterexampleInstance, image: TImage,
     if image.a < -lam - tol:
         return False
     b, chain = _rows(instance, image)
-    if not set(y) <= set(chain.pairs):
+    if not chain.pair_set.issuperset(y):
         return False
     z = lam * np.array([y.get(pair, 0.0) for pair in chain.pairs])
     return bool(np.all(chain.A[1:, 1:] @ z <= b[1:] + tol * (1.0 + lam)))
@@ -650,7 +669,7 @@ def weak_approx_select(instance: CounterexampleInstance, targets, eps: float):
         V = V + t.abs()
     V = V * (1.0 / eps)
     # E[X_n V], E[W_0 V] and E[W_key V], in the order of pairing(block, V)
-    rows = _pair_rows(ins, ins._row_primal, V.x[:len(ins._row_pairs)])
+    rows = _pair_rows(ins, ins._row_primal, V.x[:len(ins._row_pairs)]).tolist()
     block_pair = rows[:ins.N]
     w_max = max(rows[ins.N + 1:])
     s = None
@@ -762,12 +781,12 @@ def rho_c(instance: CounterexampleInstance, X: Combo,
     A, eq = chain.A, chain.eq
     m, z, mu, nu = _rho_newton(chain, rhs, b1)
     m += 0.0  # no -0.0 in reports
-    cert = _certificate_from_z(z, chain.pairs)
+    cert = _certificate_from_z(z, chain)
     if not verify_certificate(ins, t_operator(ins, X + m), cert, tol=tol):
         raise CertificateError(f"primal certificate fails at m* = {m!r}")
     scale = tol * (1.0 + float(np.sum(np.abs(mu))))
     if (np.any(mu < -tol) or abs(float(mu @ b1) - 1.0) > scale
-            or np.any(A.T @ mu + nu * eq < -scale * np.abs(A).max())
+            or np.any(A.T @ mu + nu * eq < -scale * chain.A_max)
             or -float(mu @ rhs) < m - scale * (1.0 + abs(m))):
         raise CertificateError(f"Farkas certificate fails below m* = {m!r}")
     return m

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import scipy.optimize
 from scipy.optimize import linprog
 
+import exhibit_replay
 import orlicz_lab.counterexample as cex
 from orlicz_lab import closure_lab, duality
 from orlicz_lab.counterexample import (
@@ -45,6 +46,12 @@ SQRT3 = math.sqrt(3.0)
 @pytest.fixture(scope="module")
 def phi():
     return build_sparse_pair(sparse_schedule(bursts=12))
+
+
+@pytest.fixture(scope="module")
+def phi14():
+    """Enough conjugate witnesses for variant L at 5 x 5 x 10."""
+    return build_sparse_pair(sparse_schedule(bursts=14))
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +300,18 @@ class TestTOperator:
             assert [g.hex() for g in got] == \
                 [pairing(rv, block_rv(ins, d)).hex() for d in duals]
 
+    @pytest.mark.parametrize("variant", ["L", "H"])
+    @pytest.mark.parametrize("I, J, N", [(2, 3, 4), (4, 4, 8), (5, 5, 10)])
+    def test_v_is_sorted_by_key(self, phi14, I, J, N, variant):
+        # the diagonal order of variant L's keys is not their sorted order
+        ins = build_instance(phi14, I, J, N, variant=variant)
+        X = Combo(ins, {("W", *k): n + 1.0 for n, k in enumerate(ins.third_keys)})
+        img = t_operator(ins, X)
+        assert [k for k, _ in img.v] == sorted(ins.third_keys)
+        v = img.v_dict()
+        for n, k in enumerate(ins.third_keys):
+            assert v[k] == pytest.approx(n + 1.0, rel=1e-12)
+
     def test_a_position_that_is_not_finite_is_rejected(self, instance):
         # x = 1e308 t_8 overflows; rho_c used to loop on its NaN rows
         ins = instance
@@ -476,6 +495,24 @@ class TestMembership:
         with pytest.raises(CertificateError, match="fails its audit"):
             membership(ins, t_operator(ins, Combo(ins, {("W0",): -1.0})))
 
+    def test_a_greedy_point_with_a_negative_entry_is_a_certificate_error(
+            self, instance, monkeypatch):
+        # lambda* = 1 at z(1,3) = 1/2; z(1,1) = -0.1 leaves lambda = 0.8 >= -a,
+        # and y = z / lambda without its negative entry sums to 1.25
+        ins = instance
+        img = t_operator(ins, Combo(ins, {("Xtail", 3): 2.0, ("W", 1, 3): 0.5}))
+        assert membership(ins, img).lam == 1.0
+        real = cex._greedy
+
+        def tampered(chain, b):
+            z = real(chain, b).copy()
+            z[chain.pairs.index((1, 1))] = -0.1
+            return z
+
+        monkeypatch.setattr(cex, "_greedy", tampered)
+        with pytest.raises(CertificateError, match="row-weighted sum"):
+            membership(ins, img)
+
 
 class TestVerifyCertificate:
     def test_rejects_wrong_lambda(self, instance):
@@ -521,6 +558,64 @@ class TestVerifyCertificate:
             membership(ins, img)
         assert verify_certificate(ins, dataclasses.replace(img, u_tail=math.inf),
                                   cert)
+
+    def test_rejects_a_row_weighted_sum_off_one(self, instance):
+        # every row has room for z(1,1) = 1, so only sum_i 2^i y_i decides
+        ins = instance
+        v = tuple((k, 10.0) for k in sorted(ins.third_keys))
+        img = TImage(u=(10.0,) * ins.N, a=0.0, v=v, variant="L")
+        assert verify_certificate(
+            ins, img, MembershipCertificate(1.0, (((1, 1), 0.5),)))
+        assert not verify_certificate(
+            ins, img, MembershipCertificate(1.0, (((1, 1), 1.0),)))
+
+    def test_lambda_at_minus_tol_is_accepted_and_one_ulp_below_is_not(
+            self, instance):
+        # a = E[1 Z_0] > 0 and every row has room, so only lam >= -tol decides
+        ins = instance
+        img = t_operator(ins, Combo(ins, {("one",): 1.0}))
+        tol = 1e-7
+        at = MembershipCertificate(-tol, (((1, 1), 0.5),))
+        below = MembershipCertificate(math.nextafter(-tol, -math.inf),
+                                      (((1, 1), 0.5),))
+        assert verify_certificate(ins, img, at, tol=tol)
+        assert not verify_certificate(ins, img, below, tol=tol)
+
+    def test_a_row_at_its_bound_is_accepted_and_one_ulp_above_is_not(
+            self, instance):
+        # with tol = 2^-24 the box bound v(1,1) + tol (1 + lambda) is
+        # exactly 0.5, and z(1,1) = lambda y(1,1) is the row's value
+        ins = instance
+        tol = 2.0 ** -24
+        v = tuple((k, 0.5 - 2.0 * tol if k == (1, 1) else 1.0)
+                  for k in sorted(ins.third_keys))
+        img = TImage(u=(10.0,) * ins.N, a=0.0, v=v, variant="L")
+        at = MembershipCertificate(1.0, (((1, 1), 0.5),))
+        above = MembershipCertificate(1.0, (((1, 1), math.nextafter(0.5, 1.0)),))
+        assert verify_certificate(ins, img, at, tol=tol)
+        assert not verify_certificate(ins, img, above, tol=tol)
+
+
+class TestMalformedImages:
+    @pytest.mark.parametrize("edit", ["missing", "extra", "unsorted"])
+    @pytest.mark.parametrize("variant", ["L", "H"])
+    def test_v_must_hold_the_third_keys_sorted(self, instance, instance_h,
+                                               variant, edit):
+        # missing (4, 4) used to raise a bare KeyError, and an extra (9, 9)
+        # was decided as if it were absent
+        ins = instance if variant == "L" else instance_h
+        img = t_operator(ins, Combo(ins, {("one",): 1.0}))
+        cert = membership(ins, img)
+        v = list(img.v)
+        assert v[-1][0] == max(ins.third_keys)
+        extra = (9, 9) if variant == "L" else (9,)
+        edits = {"missing": v[:-1], "extra": v + [(extra, 1.0)],
+                 "unsorted": v[::-1]}
+        bad = dataclasses.replace(img, v=tuple(edits[edit]))
+        with pytest.raises(InputError, match="third keys"):
+            membership(ins, bad)
+        with pytest.raises(InputError, match="third keys"):
+            verify_certificate(ins, bad, cert)
 
 
 class TestRhoC:
@@ -902,7 +997,7 @@ class TestGreedyAgainstHighs:
         else:
             assert reference is not None
             assert verify_certificate(ins, img, cert)
-            lam = cex._lam(cex._greedy(chain, b), chain.pairs)
+            lam = cex._lam(cex._greedy(chain, b), chain)
             assert lam == pytest.approx(reference, rel=1e-9, abs=1e-12)
         value = rho_c(ins, X)
         assert math.isfinite(value) == (X.tail_coefficient >= 0.0)
@@ -1092,6 +1187,55 @@ class TestLimitCertificate:
         X, cert = self._member(instance)
         with pytest.raises(InputError, match="at least two"):
             limit_certificate(instance, [(X, cert)], X)
+
+    @staticmethod
+    def _two_pair_member(ins, lam):
+        """A position whose certificates at ``lam`` may sit on pair (1, 3)
+        or on pair (1, 4), with ``y = 1/2`` either way."""
+        X = Combo(ins, {("Xtail", 3): 2.0, ("W0",): -0.5,
+                        ("W", 1, 3): 0.5, ("W", 1, 4): 0.5})
+        certs = [MembershipCertificate(lam, (((1, j), 0.5),)) for j in (3, 4)]
+        img = t_operator(ins, X)
+        assert all(verify_certificate(ins, img, c) for c in certs)
+        return X, certs
+
+    def test_a_vanishing_lambda_tail_settles_whatever_y_does(self, instance):
+        # lambda_p = 2^-p halves along the tail, so the limit is the
+        # zero-lambda certificate even though y keeps jumping
+        ins = instance
+        X = Combo(ins, {("Xtail", 3): 2.0, ("W", 1, 3): 0.5, ("W", 1, 4): 0.5})
+        img = t_operator(ins, X)
+        members = [(X, MembershipCertificate(2.0 ** -p, (((1, 3 + p % 2), 0.5),)))
+                   for p in range(1, 9)]
+        assert all(verify_certificate(ins, img, c) for _, c in members)
+        assert limit_certificate(ins, members, X) == cex._ZERO_LAMBDA
+
+    def test_a_y_tail_that_alternates_does_not_settle(self, instance):
+        # lambda holds at 1/2 while y jumps by 1/2 > 1e-3 + lambda/2
+        X, certs = self._two_pair_member(instance, 0.5)
+        members = [(X, certs[p % 2]) for p in range(6)]
+        with pytest.raises(InputError, match="does not settle"):
+            limit_certificate(instance, members, X)
+
+    def test_a_y_tail_at_the_settle_bound_is_accepted(self, instance):
+        # y jumps by exactly 1e-3 + lambda/2 (= 1/2 in floats)
+        lam = 2.0 * (0.5 - 1e-3)
+        assert 1e-3 + 0.5 * lam == 0.5
+        X, certs = self._two_pair_member(instance, lam)
+        members = [(X, certs[p % 2]) for p in range(6)]
+        out = limit_certificate(instance, members, X)
+        assert out == certs[1]
+
+
+class TestExhibitReplay:
+    def test_sessions_are_the_fixture_bit_for_bit(self):
+        # every rho_c, decision and gap_exhibit report of 16 seeded
+        # exhibit sessions, compared by float.hex
+        expected = json.loads(exhibit_replay.FIXTURE.read_text())
+        assert len(expected) == len(exhibit_replay.SEEDS) == 16
+        for seed, got, want in zip(exhibit_replay.SEEDS,
+                                   exhibit_replay.replay(), expected):
+            assert got == want, f"session {seed}"
 
 
 class TestGapExhibit:
