@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (BoundViolation, HypothesisViolation, InputError,
                      NumericFailure)
 from .finite_model import RandomVariable, expectation, nearest_point
-from .norms import luxemburg_norm, modular, phi_inverse
+from .norms import _exceeds, _terms, luxemburg_norm, modular, phi_inverse
 from .orlicz_functions import OrliczFunction
 
 __all__ = [
@@ -38,21 +38,25 @@ def split_with_budget(X: RandomVariable, phi: OrliczFunction, budget: float):
 
     The modular tail is a right-continuous step function of ``k``, so
     the distinct values of ``|X|`` (plus 0) hold the answer.  Each tail
-    is one correctly rounded sum over a subset of nonnegative terms, so
-    it is nonincreasing in the level, and bisection over those levels
-    finds the same smallest level as a linear scan.
+    is compared with the budget as one correctly rounded sum over a
+    subset of nonnegative terms compares, so it is nonincreasing in the
+    level, and bisection over those levels finds the same smallest level
+    as a linear scan; ``math.fsum`` runs only inside Higham's a priori
+    bound (2002, section 4.2) on the pairwise sum (``norms._exceeds``).
     """
     if not budget > 0:
         raise InputError(f"budget must be positive, got {budget!r}")
-    modular(X, phi, 1.0)  # raises NumericFailure when not finite
+    terms = _terms(X.x, X.space.p, phi, 1.0)
     x_abs = np.abs(X.x)
-    terms = X.space.p * np.asarray(phi(x_abs), dtype=float)
     levels = np.unique(np.concatenate(([0.0], x_abs)))
+
+    def within(i: int) -> bool:
+        tail = terms[x_abs > levels[i]]
+        return not _exceeds(tail, float(np.sum(tail)), budget)
+
     # the largest level has tail 0, which fits the budget, so the search
     # leaves it out and ends there when no other level fits
-    fits = bisect.bisect_left(
-        range(len(levels) - 1), True,
-        key=lambda i: math.fsum(terms[x_abs > levels[i]].tolist()) <= budget)
+    fits = bisect.bisect_left(range(len(levels) - 1), True, key=within)
     k = float(levels[fits])
     above = x_abs > k
     Z = X.space.rv(np.where(above, X.x, 0.0))

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, SpaceMismatch
+from .errors import InputError, NumericFailure, SpaceMismatch
 
 __all__ = [
     "FiniteSpace",
@@ -53,7 +54,7 @@ class FiniteSpace:
         object.__setattr__(self, "probabilities", tuple(p.tolist()))
         labels = self.labels
         if labels is None:
-            labels = tuple(map(str, range(len(p))))
+            labels = _default_labels(len(p))
         elif len(labels) != len(p):
             raise InputError("label count must match atom count")
         object.__setattr__(self, "labels", tuple(labels))
@@ -75,6 +76,10 @@ class FiniteSpace:
 
     def constant(self, c: float) -> "RandomVariable":
         return self.rv(np.full(self.n_atoms, float(c)))
+
+
+#: ``("0", "1", ..., str(n - 1))``, made once per atom count
+_default_labels = functools.lru_cache(64)(lambda n: tuple(map(str, range(n))))
 
 
 def uniform_space(n: int) -> FiniteSpace:
@@ -109,6 +114,20 @@ class RandomVariable:
     @property
     def x(self) -> np.ndarray:
         return self._x
+
+    @functools.cached_property
+    def sorted_abs(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(|x|, p, max|x|)`` sorted by ``(|x_i|, p_i)``, made once;
+        NumericFailure names the first atom that is not finite."""
+        bad = np.flatnonzero(~np.isfinite(self.x))
+        if bad.size:
+            raise NumericFailure(f"value {self.values[bad[0]]!r} on atom "
+                                 f"{self.space.labels[bad[0]]} is not finite")
+        x_abs, p = np.abs(self.x), self.space.p
+        order = np.lexsort((p, x_abs))
+        x_abs, p = x_abs[order], p[order]
+        x_abs.flags.writeable = p.flags.writeable = False
+        return x_abs, p, float(x_abs[-1])
 
     def __add__(self, other):
         if isinstance(other, RandomVariable):

@@ -20,13 +20,21 @@ __all__ = [
     "phi_inverse",
 ]
 
-def _finite_abs(X: RandomVariable) -> np.ndarray:
-    """``|X|``; NumericFailure names the first atom that is not finite."""
-    bad = np.flatnonzero(~np.isfinite(X.x))
-    if bad.size:
-        raise NumericFailure(f"value {X.values[bad[0]]!r} on atom "
-                             f"{X.space.labels[bad[0]]} is not finite")
-    return np.abs(X.x)
+def _sum_error(n: int, s: float) -> float:
+    """Bound on ``|s - math.fsum(terms)|`` for ``n`` terms >= 0 summed to
+    ``s`` in any order: ``(n - 1) u s`` to first order, u = 2^-53 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, section 4.2),
+    doubled for rounding, plus the smallest normal float for underflow."""
+    return 2.0 * (n + 1) * 2.0 ** -53 * s + 2.0 ** -1022
+
+
+def _exceeds(terms: np.ndarray, s: float, level: float) -> bool:
+    """``math.fsum(terms) > level`` for ``terms >= 0`` of pairwise sum
+    ``s``: from ``s`` outside the bound on ``s + level`` (which covers the
+    half ulp at ``level``), else, and for ``s`` not finite, by ``fsum``."""
+    if abs(s - level) > _sum_error(len(terms), s + level):
+        return s > level
+    return math.fsum(terms.tolist()) > level
 
 
 def _terms(x: np.ndarray, p: np.ndarray, phi: OrliczFunction,
@@ -77,44 +85,46 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
     Otherwise by Newton's method from the right in ``v = m / lam`` on the
     convex ``E[phi(v |X| / m)]``, along ``phi.rderiv``, started by
     doubling from ``v = 1`` (``newton_from_right``), over the atoms
-    sorted by ``(|x_i|, p_i)``.  Each point's terms are made once:
-    pairwise sums of them (``np.sum``) steer, and one correctly rounded
-    sum each (``math.fsum``, as ``modular`` sums) certifies the two ends
-    of the closed bracket, an end found on the wrong side moving out by
-    half the tolerance.  The value returned is the lower end ``lam`` of
-    that bracket, whatever the order of the atoms: the modular is above
-    1 at ``lam`` and at most 1 at ``lam * (1 + 1e-10)``.  An atom that is
-    not finite raises NumericFailure.
+    sorted by ``(|x_i|, p_i)`` (``X.sorted_abs``).  Each point's terms
+    are made once: pairwise sums of them (``np.sum``) steer, and the cap
+    and the two ends of the closed bracket are decided as one correctly
+    rounded sum (``math.fsum``, as ``modular`` sums) decides them, an end
+    found on the wrong side moving out by half the tolerance; ``fsum``
+    runs only inside Higham's a priori bound (2002, section 4.2) on the
+    pairwise sum (``_exceeds``).  The value returned is the lower end
+    ``lam`` of that bracket, whatever the order of the atoms: the modular
+    is above 1 at ``lam`` and at most 1 at ``lam * (1 + 1e-10)``.  An
+    atom that is not finite raises NumericFailure.
     """
-    x_abs = _finite_abs(X)
-    if not np.any(x_abs > 0):
+    x_abs, p, m = X.sorted_abs
+    if m == 0.0:
         return 0.0
-    p = X.space.p
     exact = phi.luxemburg_closed_form(x_abs, p)
     if exact is not None:
         return exact
-    m = float(np.max(x_abs))
-    order = np.lexsort((p, x_abs))
-    x_abs, p = x_abs[order], p[order]
     x_unit = x_abs / m
-    terms = functools.cache(lambda v: _terms_raw(x_abs, p, phi, m / v))
+
+    @functools.cache
+    def at(v: float) -> tuple[np.ndarray, float]:
+        terms = _terms_raw(x_abs, p, phi, m / v)
+        return terms, float(np.sum(terms))
 
     def excess(v: float) -> float:
-        return float(np.sum(terms(v))) - 1.0
+        return at(v)[1] - 1.0
 
-    def certified(v: float) -> float:
-        return math.fsum(terms(v).tolist()) - 1.0
+    def above(v: float) -> bool:
+        return _exceeds(*at(v), 1.0)
 
     def slope(v: float) -> float:
         with np.errstate(invalid="ignore"):
             return float(np.sum(p * (x_unit * phi.rderiv(x_unit * v))))
 
     cap = phi.domain_cap
-    if cap is not None and certified(cap) <= 0.0:
+    if cap is not None and not above(cap):
         return m / cap  # below m / cap the largest atom leaves the domain
     lo, hi = double_until(lambda v: excess(v) > 0.0, 1.0,
                           "luxemburg_norm: bracket not found")
-    lo, hi = newton_from_right(excess, slope, lo, hi, 1e-10, certified)
+    lo, hi = newton_from_right(excess, slope, lo, hi, 1e-10, above)
     if not math.isfinite(m / lo):
         raise NumericFailure("luxemburg_norm: norm beyond the double range")
     return m / hi
@@ -144,24 +154,31 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction) -> float:
     ``(1 + E[psi(k|Y|)]) / k`` at its minimiser ``k = mu``, one
     evaluation (the limit ``E|Y| psi'(inf)`` when ``mu = inf``): the two
     differ there by ``(1 - E[phi(X)]) / mu`` plus Young's defect, and
-    must agree within 1e-6 relative.  The atoms are first sorted by
-    ``(|y_i|, p_i)``, so the value does not depend on their order, and
-    both run on ``|Y| / max|y_i|``, so it does not depend on the scale
-    of Y.  An atom that is not finite raises NumericFailure.
+    must agree within 1e-6 relative: on the correctly rounded sum of
+    ``E[psi(mu|Y|)]``, unless the whole interval that Higham's bound
+    (2002, section 4.2; ``_sum_error``) puts around its pairwise sum
+    passes.  The atoms are first sorted by ``(|y_i|, p_i)``, so the value
+    does not depend on their order, and both run on ``|Y| / max|y_i|``,
+    so it does not depend on the scale of Y.  An atom that is not finite
+    raises NumericFailure.
     """
-    y_abs = _finite_abs(Y)
-    if not np.any(y_abs > 0):
+    y_abs, p, m = Y.sorted_abs
+    if m == 0.0:
         return 0.0
     psi = conjugate(phi)
-    order = np.lexsort((Y.space.p, y_abs))
-    m = float(np.max(y_abs))
-    y_abs, p = y_abs[order] / m, Y.space.p[order]
+    y_abs = y_abs / m
     definitional, mu = phi.orlicz_definitional(y_abs, p)
     mu = float(mu)
     if mu == math.inf:
         amemiya = math.fsum((p * y_abs).tolist()) * psi.rderiv(math.inf)
     else:
-        amemiya = (1.0 + _modular_raw(mu * y_abs, p, psi, 1.0)) / mu
+        terms = _terms_raw(mu * y_abs, p, psi, 1.0)
+        s = float(np.sum(terms))  # a hair of 2^-40 covers 1 + s and / mu
+        err = _sum_error(len(terms), s) + 2.0 ** -40 * (1.0 + s)
+        if all(math.isclose(definitional, (1.0 + end) / mu, rel_tol=1e-6,
+                            abs_tol=1e-306) for end in (s - err, s + err)):
+            return m * definitional
+        amemiya = (1.0 + math.fsum(terms.tolist())) / mu
     if not math.isclose(definitional, amemiya, rel_tol=1e-6, abs_tol=1e-306):
         raise CrossCheckFailure(
             f"orlicz_norm: definitional {m * definitional!r} vs Amemiya "

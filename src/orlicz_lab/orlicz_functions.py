@@ -97,10 +97,10 @@ def newton_from_right(excess, slope, lo: float, hi: float, rtol: float,
     goes on from the narrower bracket.
 
     ``excess`` and ``slope`` only steer.  Given ``certify``, the excess
-    the bracket is certified by (``excess`` estimating it), the closed
-    bracket's ``hi`` and then its ``lo`` are decided again: an end on the
-    wrong side becomes the other end, the new end half the tolerance
-    beyond it, until ``certify`` agrees."""
+    the bracket is certified by or its sign (``excess`` estimating it),
+    the closed bracket's ``hi`` and then its ``lo`` are decided again: an
+    end on the wrong side becomes the other end, the new end half the
+    tolerance beyond it, until ``certify`` agrees."""
     f_hi = excess(hi)
     landed = False
     for _ in range(_MAX_DOUBLINGS):

@@ -5,10 +5,12 @@ import pytest
 
 from orlicz_lab.closure_lab import (as_extraction, mazur_min_norm,
                                     order_dominator, split_with_budget)
-from orlicz_lab.errors import (BoundViolation, HypothesisViolation, InputError)
+from orlicz_lab.errors import (BoundViolation, HypothesisViolation, InputError,
+                               NumericFailure)
 from orlicz_lab.finite_model import FiniteSpace, uniform_space
 from orlicz_lab.norms import luxemburg_norm, modular
-from orlicz_lab.orlicz_functions import CATALOG, ExpFunction, PowerFunction
+from orlicz_lab.orlicz_functions import (CATALOG, ExpFunction,
+                                         PiecewiseLinearFunction, PowerFunction)
 
 
 def tail(X, phi, level):
@@ -130,6 +132,26 @@ class TestSplitWithBudget:
                 k2 = split_with_budget(X, phi, below)[0]
                 assert k2 == scan_split_level(X, phi, below)
                 assert k2 > level
+
+    def test_phi_is_evaluated_once(self, monkeypatch):
+        phi = PowerFunction(2.0)
+        calls = []
+        real = phi._eval
+        monkeypatch.setattr(phi, "_eval",
+                            lambda t: calls.append(t.shape) or real(t))
+        X = uniform_space(250).rv(np.random.default_rng(10).standard_normal(250))
+        split_with_budget(X, phi, 0.25)
+        assert calls == [(250,)]
+
+    @pytest.mark.parametrize("phi, match", [
+        (PowerFunction(3.0), r"modular overflow at atom 1 \(value -1e\+200\)"),
+        (PiecewiseLinearFunction([], [1.0], domain_cap=3.0),
+         "modular evaluation failed: .*beyond domain cap 3"),
+    ])
+    def test_a_term_that_is_not_finite_is_named(self, phi, match):
+        X = uniform_space(3).rv([1.0, -1e200, 2.0])
+        with pytest.raises(NumericFailure, match=match):
+            split_with_budget(X, phi, 0.5)
 
     def test_budget_validation(self):
         sp = uniform_space(2)

@@ -51,6 +51,13 @@ class TestFiniteSpace:
         assert sp.n_atoms == 4
         assert all(abs(p - 0.25) < 1e-15 for p in sp.probabilities)
 
+    @pytest.mark.parametrize("n", [1, 7, 600])
+    def test_default_labels_are_the_atom_numbers(self, n):
+        p = tuple(np.full(n, 1.0 / n).tolist())
+        named = FiniteSpace(p, tuple(map(str, range(n))))
+        assert FiniteSpace(p) == named and hash(FiniteSpace(p)) == hash(named)
+        assert FiniteSpace(p).labels == named.labels
+
     def test_constant(self):
         sp = uniform_space(3)
         assert list(sp.constant(2.5).values) == [2.5] * 3

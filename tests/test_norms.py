@@ -1,5 +1,6 @@
 import copy
 import decimal
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from orlicz_lab.orlicz_functions import (CATALOG, EntropyConjugateFunction,
                                          double_until, newton_from_right,
                                          sparse_schedule)
 
+import norm_replay
 from bisection_oracle import _NumericConjugate, definitional_by_bisection
 
 
@@ -815,3 +817,166 @@ class TestHolder:
             phi = fns[int(rng.integers(len(fns)))]
             lhs, rhs, holds = holder_check(X, Y, phi)
             assert holds, (lhs, rhs)
+
+
+class TestNormReplay:
+    def test_norms_and_splits_are_the_fixture_bit_for_bit(self):
+        # every Luxemburg and Orlicz norm under the CATALOG functions and
+        # their conjugates, and every split level and tail, by float.hex
+        expected = json.loads(norm_replay.FIXTURE.read_text())
+        assert len(expected) == 175
+        got = norm_replay.replay()
+        assert got.keys() == expected.keys()
+        for key, want in expected.items():
+            assert got[key] == want, key
+
+
+def ulps_from(level, k):
+    """The float ``k`` steps of one ulp from ``level``."""
+    for _ in range(abs(k)):
+        level = math.nextafter(level, math.copysign(math.inf, k))
+    return level
+
+
+@st.composite
+def near_level(draw):
+    """``(terms, level)``: nonnegative terms whose exact sum is within a
+    few ulps of ``level = 2^-e``.  The terms split ``level`` into integer
+    multiples of ``2^-(e + K)``, each at most 2^53 of them, so that they
+    sum to it exactly (up to underflow); jittered terms move by a few
+    ulps each, and subnormal terms may ride along."""
+    n = draw(st.integers(1, 1000))
+    e = draw(st.one_of(st.sampled_from([0, 1, 2, 3, 10, 52, 53]),
+                       st.integers(0, 60), st.integers(1000, 1074)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    K = 53 + n.bit_length()
+    parts = [min(int(v), 2 ** 53)
+             for v in rng.dirichlet(np.ones(n)) * 2.0 ** K]
+    short = 2 ** K - sum(parts)
+    for i in range(n):  # hand out the rest within each part's 2^53
+        give = min(short, 2 ** 53 - parts[i])
+        parts[i] += give
+        short -= give
+    terms = [math.ldexp(v, -(e + K)) for v in parts]
+    if draw(st.booleans()):
+        terms = [ulps_from(t, int(j)) if t > 0.0 else t
+                 for t, j in zip(terms, rng.integers(-3, 4, n))]
+    if draw(st.booleans()):
+        extra = draw(st.sampled_from([5e-324, 2.0 ** -1060, 2.0 ** -1022]))
+        terms += [extra] * draw(st.integers(1, 3))
+    return np.array(terms), math.ldexp(1.0, -e)
+
+
+class TestRoundingFilter:
+    """``norms._exceeds(terms, np.sum(terms), level)`` is exactly
+    ``math.fsum(terms) > level``, and calls ``math.fsum`` only where the
+    pairwise sum is within the rounding bound of ``level``."""
+
+    @settings(max_examples=400)
+    @given(near_level())
+    def test_decides_as_fsum_decides(self, case):
+        # at level 2^-e and up to 4 ulps either side of it, and at the
+        # pairwise and the correctly rounded sum and one ulp either side
+        terms, level = case
+        s, exact = float(np.sum(terms)), math.fsum(terms.tolist())
+        levels = {ulps_from(v, k) for v, ks in ((level, range(-4, 5)),
+                                               (s, (-1, 0, 1)),
+                                               (exact, (-1, 0, 1)))
+                  for k in ks}
+        for v in levels:
+            assert norms._exceeds(terms, s, v) == (exact > v), v
+
+    @pytest.mark.parametrize("terms, level", [
+        ([1.0], 1.0),
+        ([1.0], math.nextafter(1.0, 0.0)),
+        ([0.5, 0.5], 1.0),
+        ([2.0 ** -4] * 8, 0.5),
+        ([5e-324] * 3, 1e-323),
+        ([5e-324] * 3, 1.5e-323),
+        ([1.0, 2.0 ** -53, 2.0 ** -53], 1.0),
+        ([0.0, 0.0], 0.0),
+    ])
+    def test_ties_and_near_ties(self, terms, level):
+        terms = np.array(terms)
+        assert norms._exceeds(terms, float(np.sum(terms)), level) \
+            == (math.fsum(terms.tolist()) > level)
+
+    @pytest.fixture
+    def fsum_calls(self, monkeypatch):
+        calls = []
+        real = math.fsum
+        monkeypatch.setattr(math, "fsum",
+                            lambda xs: calls.append(len(xs)) or real(xs))
+        return calls
+
+    @pytest.mark.parametrize("terms, level, expect", [
+        # the pairwise sum rounds 1 + 2^-52 down to 1: a tie it cannot
+        # decide, which the correctly rounded sum puts above 1
+        ([1.0, 2.0 ** -53, 2.0 ** -53], 1.0, True),
+        ([0.5, 0.5], 1.0, False),
+        ([math.inf, 1.0], 1.0, True),
+        ([math.inf, 1.0], math.inf, False),
+    ])
+    def test_a_tie_falls_back_to_fsum(self, terms, level, expect, fsum_calls):
+        terms = np.array(terms)
+        assert norms._exceeds(terms, float(np.sum(terms)), level) is expect
+        assert fsum_calls == [len(terms)]
+
+    @pytest.mark.parametrize("terms, level, expect", [
+        ([0.25, 0.25], 1.0, False),
+        ([0.75, 0.5], 1.0, True),
+        ([1e-3] * 1000, 1.0 + 1e-9, False),
+        ([1e-3] * 1000, 1.0 - 1e-9, True),
+    ])
+    def test_a_clear_case_does_not_call_fsum(self, terms, level, expect,
+                                             fsum_calls):
+        terms = np.array(terms)
+        assert norms._exceeds(terms, float(np.sum(terms)), level) is expect
+        assert fsum_calls == []
+
+    def test_a_nan_sum_falls_back_to_fsum(self, fsum_calls):
+        assert norms._exceeds(np.array([1.0]), math.nan, 0.5) is True
+        assert fsum_calls == [1]
+
+
+class TestSortedView:
+    """Each variable's atoms are sorted by ``(|x_i|, p_i)`` once, into
+    read-only arrays that every norm of it reads."""
+
+    def draw(self):
+        rng = np.random.default_rng([28, 0])
+        p = rng.dirichlet(np.full(200, 2.0))
+        x = np.round(rng.standard_normal(200), 1)  # ties in |x|
+        return FiniteSpace(tuple(p)).rv(x)
+
+    def test_ten_norms_sort_once(self, monkeypatch):
+        calls = []
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort",
+                            lambda keys: calls.append(1) or real(keys))
+        X = self.draw()
+        for phi in CATALOG.values():
+            luxemburg_norm(X, phi)
+            orlicz_norm(X, phi)
+        assert len(calls) == 1
+
+    def test_the_view_is_read_only(self):
+        X = self.draw()
+        x_abs, p, m = X.sorted_abs
+        assert X.sorted_abs[0] is x_abs
+        for a in (x_abs, p):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 5.0
+        assert m == X.max_abs() and x_abs.tolist() == sorted(x_abs.tolist())
+
+    def test_a_permuted_copy_has_the_same_norms(self):
+        X = self.draw()
+        perm = np.random.default_rng([28, 1]).permutation(X.space.n_atoms)
+        space = FiniteSpace(tuple(X.space.p[perm]),
+                            tuple(X.space.labels[i] for i in perm))
+        Xp = space.rv(X.x[perm])
+        for name, phi in CATALOG.items():
+            for f in (phi, conjugate(phi)):
+                for norm in (luxemburg_norm, orlicz_norm):
+                    assert norm(Xp, f).hex() == norm(X, f).hex(), name
