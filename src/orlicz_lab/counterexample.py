@@ -208,7 +208,8 @@ class CounterexampleInstance:
         return self._atom_of[symbol], self._height_of[symbol]
 
     def _check_invariants(self):
-        units = _pair_rows(self, self._row_primal, self._row_dual).tolist()
+        with np.errstate(over="ignore"):
+            units = _pair_rows(self, self._row_primal, self._row_dual).tolist()
         for (sym_p, sym_d), pr in zip(self._row_pairs, units):
             if abs(pr - 1.0) > 1e-9:
                 raise InputError(f"pairing({sym_p},{sym_d}) = {pr!r}, not 1")
@@ -227,6 +228,13 @@ class CounterexampleInstance:
         ``t_n / (2^n phi(t_n))`` with ``t/phi(t)`` nonincreasing."""
         t = self.t_last
         return (t / float(self.phi(t))) * 2.0 ** (-self.N)
+
+    @functools.cached_property
+    def _one_rows(self) -> np.ndarray:
+        """The capacities of ``T 1``'s rows (``_rows``), read-only."""
+        b1 = _rows(self, t_operator(self, Combo(self, {("one",): 1.0})))[0]
+        b1.flags.writeable = False
+        return b1
 
 
 class Combo:
@@ -282,14 +290,18 @@ class Combo:
 
     @property
     def x(self) -> np.ndarray:
-        ins = self.instance
-        vec = np.full(ins.space.n_atoms, self.constant_part)
         # like a sum of floats, a term overflows to inf without a warning
         with np.errstate(over="ignore"):
-            for k, c in self.coeffs.items():
-                if k != ("one",):
-                    atoms, heights = ins._resolve(k)
-                    vec[atoms] += c * heights
+            return self._vector()
+
+    def _vector(self) -> np.ndarray:
+        """``x``, for a caller that already ignores overflow."""
+        ins = self.instance
+        vec = np.full(ins.space.n_atoms, self.constant_part)
+        for k, c in self.coeffs.items():
+            if k != ("one",):
+                atoms, heights = ins._resolve(k)
+                vec[atoms] += c * heights
         return vec
 
     def as_rv(self) -> RandomVariable:
@@ -316,9 +328,9 @@ class Combo:
 def _pair_rows(instance: CounterexampleInstance, left, right) -> np.ndarray:
     """``(p * left) * right`` on each of T's row atoms: ``pairing``'s one
     nonzero term in its order, ``+ 0.0`` making -0.0 the 0.0 its sum
-    returns; like that sum, it overflows to inf without a warning."""
-    with np.errstate(over="ignore"):
-        return (instance._row_p * left) * right + 0.0
+    returns.  Like that sum, it overflows to inf without a warning: each
+    caller runs it under ``np.errstate(over="ignore")``."""
+    return (instance._row_p * left) * right + 0.0
 
 
 def _pairing_interval(P: Combo, D: Combo):
@@ -363,9 +375,10 @@ def t_operator(instance: CounterexampleInstance, X) -> TImage:
         u_tail = math.inf
     else:
         raise InputError(f"unsupported input {type(X).__name__}")
-    x = X.x
     R = len(ins._row_pairs)
-    rows = _pair_rows(ins, x[:R], ins._row_dual)
+    with np.errstate(over="ignore"):
+        x = X._vector() if isinstance(X, Combo) else X.x
+        rows = _pair_rows(ins, x[:R], ins._row_dual)
     if not (np.isfinite(x).all() and np.isfinite(rows).all()):
         bad = ~np.isfinite(x) | np.append(~np.isfinite(rows), False)
         label = ins.space.labels[int(np.argmax(bad))]
@@ -669,7 +682,9 @@ def weak_approx_select(instance: CounterexampleInstance, targets, eps: float):
         V = V + t.abs()
     V = V * (1.0 / eps)
     # E[X_n V], E[W_0 V] and E[W_key V], in the order of pairing(block, V)
-    rows = _pair_rows(ins, ins._row_primal, V.x[:len(ins._row_pairs)]).tolist()
+    with np.errstate(over="ignore"):
+        rows = _pair_rows(ins, ins._row_primal,
+                          V._vector()[:len(ins._row_pairs)]).tolist()
     block_pair = rows[:ins.N]
     w_max = max(rows[ins.N + 1:])
     s = None
@@ -771,11 +786,10 @@ def rho_c(instance: CounterexampleInstance, X: Combo,
     b0 = _rows(ins, t_operator(ins, X - c1))[0]
     if X.tail_coefficient < 0.0:
         return math.inf
-    b1 = _rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[0]
-    # the last row is the tail row, where T 1 contributes 0; its twin
-    # carries the constant part's (c1 + m)/t_N
+    # T 1's rows, made once per instance; the last is the tail row, where
+    # T 1 contributes 0, and its twin carries the constant part's (c1 + m)/t_N
     b0 = np.append(b0, b0[-1])
-    b1 = np.append(b1, 1.0 / ins.t_last)
+    b1 = np.append(ins._one_rows, 1.0 / ins.t_last)
     rhs = b0 + c1 * b1
     chain = _chain(ins.I, ins.J, ins.N, ins.variant, len(rhs))
     A, eq = chain.A, chain.eq

@@ -62,12 +62,6 @@ def _terms_raw(x_abs: np.ndarray, p: np.ndarray, phi: OrliczFunction,
         return np.array([math.inf])
 
 
-def _modular_raw(x_abs: np.ndarray, p: np.ndarray, phi: OrliczFunction,
-                 lam: float) -> float:
-    """E[phi(|X|/lam)] with overflow / beyond-domain reported as +inf."""
-    return math.fsum(_terms_raw(x_abs, p, phi, lam).tolist())
-
-
 def modular(X: RandomVariable, phi: OrliczFunction, lam: float) -> float:
     """E[phi(|X| / lam)] for lam > 0, as one correctly rounded sum, so the
     value does not depend on the order of the atoms."""

@@ -644,7 +644,10 @@ def delta2_witnesses(phi: OrliczFunction, count: int, t_cap: float = 1e50):
     ``t_n`` is the first point of :func:`_scan_grid` that satisfies both
     inequalities.  The scan stops at the first point where ``phi(t)`` or
     ``phi(2t)`` raises NumericFailure or ``phi(t)`` is not finite.  phi is
-    evaluated on the whole grid at once, so every ``n`` shares one pass.
+    evaluated on the whole grid at once.  ``2**n * phi(t)`` is exact until
+    it overflows, so each point's level, the largest ``n`` it witnesses,
+    comes from the exponents and mantissas of ``phi(t)`` and ``phi(2t)``,
+    and one running maximum of the levels gives every ``t_n``.
     The lower bound ``phi(t_n) >= 3`` keeps downstream block
     probabilities ``1 / (2**n * phi(t_n))`` summable below 1/3.
     Raises :class:`WitnessNotFound` when some ``n`` has no witness below
@@ -654,22 +657,24 @@ def delta2_witnesses(phi: OrliczFunction, count: int, t_cap: float = 1e50):
         raise InputError("count must be >= 1")
     if not 0 < t_cap < math.inf:
         raise InputError("t_cap must be positive and finite")
-    grid = np.array(_scan_grid(phi, t_cap), dtype=float)
+    grid = _scan_grid(phi, t_cap)
     a, b = _evaluable_prefix(phi, grid)
     finite = np.isfinite(a)
     stop = len(a) if finite.all() else int(np.argmin(finite))
     a, b = a[:stop], b[:stop]
-    out = []
-    with np.errstate(over="ignore"):  # 2**n * a overflows for fast growth
-        for n in range(1, count + 1):
-            hits = np.flatnonzero((a >= 3.0) & (b > 2.0 ** n * a))
-            if hits.size == 0:
-                raise WitnessNotFound(
-                    f"{phi.name}: no Delta_2-failure witness for n={n} below cap "
-                    f"{t_cap:g} (function plausibly satisfies Delta_2 up to the cap)"
-                )
-            out.append((n, float(grid[hits[0]])))
-    return out
+    (ma, ea), (mb, eb) = np.frexp(a), np.frexp(b)
+    # 2**n a = m_a 2**(e_a + n) exactly, and finite while e_a + n <= 1024;
+    # a finite b exceeds it while e_a + n < e_b, or = e_b with m_b > m_a
+    level = np.where(np.isinf(b), 1024 - ea, eb - ea - (mb <= ma))
+    level = np.where((a >= 3.0) & (b > a), level, -1)
+    top = int(level.max(initial=0))
+    if count > top:
+        raise WitnessNotFound(
+            f"{phi.name}: no Delta_2-failure witness for n={top + 1} below cap "
+            f"{t_cap:g} (function plausibly satisfies Delta_2 up to the cap)"
+        )
+    first = np.searchsorted(np.maximum.accumulate(level), np.arange(1, count + 1))
+    return list(zip(range(1, count + 1), grid[first].tolist()))
 
 
 def _evaluable_prefix(phi: OrliczFunction, grid):
@@ -695,18 +700,27 @@ def _evaluable_prefix(phi: OrliczFunction, grid):
     return evaluate(k)
 
 
-def _scan_grid(phi: OrliczFunction, t_cap: float):
-    hi = t_cap
+@functools.cache
+def _geometric_table() -> np.ndarray:
+    """``t = 1e-2, t *= 2**0.25, ...`` while ``t`` is finite; read-only."""
+    pts = [1e-2]
+    while math.isfinite(pts[-1]):
+        pts.append(pts[-1] * 2.0 ** 0.25)
+    table = np.array(pts[:-1])
+    table.flags.writeable = False
+    return table
+
+
+def _scan_grid(phi: OrliczFunction, t_cap: float) -> np.ndarray:
+    """The geometric table and phi's breakpoints, sorted, up to ``t_cap``,
+    half phi's domain cap and half the largest double (``2t`` is finite)."""
+    hi = min(t_cap, np.finfo(float).max / 2.0)
     if phi.domain_cap is not None:
         hi = min(hi, phi.domain_cap / 2.0)
-    pts = []
-    t = 1e-2
-    factor = 2.0 ** 0.25
-    while t <= hi:
-        pts.append(t)
-        t *= factor
-    pts.extend(b for b in phi.breakpoints if b <= hi)
-    return sorted(pts)
+    table = _geometric_table()
+    kinks = np.asarray(phi.breakpoints, dtype=float)
+    return np.sort(np.concatenate(
+        (table[:np.searchsorted(table, hi, side="right")], kinks[kinks <= hi])))
 
 
 def young_check(phi: OrliczFunction, t: float, s: float):

@@ -338,6 +338,36 @@ class TestTOperator:
         with pytest.raises(NumericFailure, match="on atom B0"):
             t_operator(ins, X)
 
+    def test_one_errstate_per_call(self, instance, monkeypatch):
+        # the vector and its rows are built under one np.errstate
+        entered = []
+
+        class Counting(np.errstate):
+            def __enter__(self):
+                entered.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(np, "errstate", Counting)
+        X = Combo(instance, {("X", 1): 1.0, ("W0",): -1.0, ("one",): 0.5,
+                             ("Xtail", 3): 2.0})
+        for position in (X, X.as_rv()):
+            entered.clear()
+            t_operator(instance, position)
+            assert len(entered) == 1
+
+    @pytest.mark.parametrize("variant", ["L", "H"])
+    def test_t_of_one_is_made_once_and_read_only(self, instance, instance_h,
+                                                 variant):
+        ins = instance if variant == "L" else instance_h
+        rows = ins._one_rows
+        assert ins._one_rows is rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0] = 0.0
+        fresh = cex._rows(ins, t_operator(ins, Combo(ins, {("one",): 1.0})))[0]
+        assert [r.hex() for r in rows.tolist()] == \
+            [r.hex() for r in fresh.tolist()]
+
 
 class TestMembership:
     def test_zero_is_member_with_canonical_certificate(self, instance):
@@ -758,6 +788,69 @@ class TestRhoC:
                 self._tamper_greedy(mp, edit)
                 with pytest.raises(CertificateError):
                     rho_c(ins, X)
+
+    @pytest.mark.parametrize("variant", ["L", "H"])
+    def test_mu_b1_at_its_bound(self, instance, instance_h, variant,
+                                monkeypatch):
+        # mu and nu scaled by c put mu . b1 at 1 + d; the check
+        # |mu . b1 - 1| > scale, scale = tol (1 + sum|mu|), accepts at the
+        # tol whose scale is exactly d and rejects at the tol one ulp
+        # below it, where d is one ulp past the scale
+        ins = instance if variant == "L" else instance_h
+        X = Combo(ins, {("W0",): -1.0})
+        seen = {}
+        real = cex._rho_newton
+
+        def record(chain, rhs, b1):
+            out = real(chain, rhs, b1)
+            seen.update(b1=b1, mu=out[2])
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cex, "_rho_newton", record)
+            m = rho_c(ins, X)
+
+        def tol_for(scale, s1):
+            t = scale / s1
+            for cand in (t, math.nextafter(t, 0.0), math.nextafter(t, 1.0)):
+                if cand * s1 == scale:
+                    return cand
+            return None
+
+        for k in range(1, 64):
+            c = 1.0 + k * 2.0 ** -32
+            d = abs(float((c * seen["mu"]) @ seen["b1"]) - 1.0)
+            s1 = 1.0 + float(np.sum(np.abs(c * seen["mu"])))
+            at, past = tol_for(d, s1), tol_for(math.nextafter(d, 0.0), s1)
+            if at is not None and past is not None:
+                break
+        else:
+            pytest.fail("no tol puts the scale exactly at d")
+        self._tamper_greedy(monkeypatch,
+                            lambda m, z, mu, nu: (m, z, c * mu, c * nu))
+        assert rho_c(ins, X, tol=at) == m
+        with pytest.raises(CertificateError, match="Farkas"):
+            rho_c(ins, X, tol=past)
+
+    @pytest.mark.parametrize("variant", ["L", "H"])
+    def test_t_operator_runs_twice_per_call(self, phi, variant, monkeypatch):
+        # T 1 is made once per instance, on the first call
+        ins = build_instance(phi, 4, 4, 8, variant=variant)
+        calls = []
+        real = cex.t_operator
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cex, "t_operator", counted)
+        X = Combo(ins, {("W0",): -1.0, ("X", 1): 0.2})
+        first = rho_c(ins, X)
+        assert len(calls) == 3
+        for _ in range(3):
+            calls.clear()
+            assert rho_c(ins, X) == first
+            assert len(calls) == 2
 
     @pytest.mark.parametrize("variant", ["L", "H"])
     def test_perturbed_greedy_primal_point_raises(self, instance, instance_h,

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from orlicz_lab.orlicz_functions import (
     sparse_schedule,
     young_check,
 )
-from orlicz_lab.orlicz_functions import _scan_grid
+from orlicz_lab.orlicz_functions import _geometric_table, _scan_grid
 
 from bisection_oracle import _NumericConjugate
 
@@ -62,6 +64,23 @@ def scalar_scan(phi, count, t_cap=1e50):
             raise WitnessNotFound(f"no witness for n={n}")
         out.append((n, found))
     return out
+
+
+def reference_grid(phi, t_cap):
+    """Reference for _scan_grid: the geometric points made one at a time,
+    then phi's breakpoints, up to the cap, half phi's domain cap and half
+    the largest double."""
+    hi = min(t_cap, sys.float_info.max / 2.0)
+    if phi.domain_cap is not None:
+        hi = min(hi, phi.domain_cap / 2.0)
+    pts = []
+    t = 1e-2
+    factor = 2.0 ** 0.25
+    while t <= hi:
+        pts.append(t)
+        t *= factor
+    pts.extend(b for b in phi.breakpoints if b <= hi)
+    return sorted(pts)
 
 
 def scan_outcome(scan, phi, count, t_cap):
@@ -362,6 +381,108 @@ class TestDelta2Witnesses:
         assert delta2_witnesses(counted, 10) == delta2_witnesses(phi, 10)
         n_grid = len(_scan_grid(phi, 1e50))
         assert calls == [(n_grid,), (n_grid,)]
+
+
+class TwoValues(OrliczFunction):
+    """``a`` at the scan's first point 1e-2 and ``b`` beyond it: with the
+    cap at 1e-2 the scan sees ``phi(t) = a`` and ``phi(2t) = b`` only."""
+
+    name = "two-values"
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def _eval(self, t):
+        return np.where(t <= 1e-2, self.a, self.b)
+
+
+@st.composite
+def level_pairs(draw):
+    """``(a, b)`` with ``b`` within 3 ulps of ``2**n * a`` (of the largest
+    double where that overflows), now and then negated, or ``b`` infinite
+    or nan."""
+    a = draw(st.one_of(st.floats(3.0, 1e300), st.floats(0.0, 3.0),
+                       st.sampled_from([3.0, 4.0, 2.0 ** 1023,
+                                        sys.float_info.max])))
+    special = draw(st.sampled_from([None, None, None, None, math.inf,
+                                    -math.inf, math.nan]))
+    if special is not None:
+        return a, special
+    n = draw(st.integers(-2, 1030))
+    try:
+        b = math.ldexp(a, n)
+    except OverflowError:
+        b = sys.float_info.max
+    k = draw(st.integers(-3, 3))
+    for _ in range(abs(k)):
+        b = math.nextafter(b, math.copysign(math.inf, k))
+    return a, draw(st.sampled_from([b, b, b, -b]))
+
+
+class TestScanGrid:
+    @pytest.mark.parametrize("t_cap", [1e10, 1e50, 1e300])
+    @pytest.mark.parametrize("side", ["phi", "conjugate"])
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_grid_is_the_pointwise_chain(self, name, side, t_cap):
+        phi = CATALOG[name] if side == "phi" else conjugate(CATALOG[name])
+        assert [float(t).hex() for t in _scan_grid(phi, t_cap)] == \
+            [float(t).hex() for t in reference_grid(phi, t_cap)]
+
+    @pytest.mark.parametrize("t_cap", [1e10, 1e50, 1e300])
+    def test_grid_with_domain_cap(self, t_cap):
+        phi = PiecewiseLinearFunction((1.0, 4.0, 50.0, 300.0),
+                                      (0.5, 2.0, 40.0, 900.0, 5e4),
+                                      domain_cap=2e3)
+        grid = _scan_grid(phi, t_cap)
+        assert [float(t).hex() for t in grid] == \
+            [float(t).hex() for t in reference_grid(phi, t_cap)]
+        assert grid[-1] <= 1e3
+
+    def test_the_table_is_made_once_and_read_only(self):
+        table = _geometric_table()
+        assert _geometric_table() is table
+        assert not table.flags.writeable
+        last = float(table[-1])
+        assert math.isfinite(last) and not math.isfinite(last * 2.0 ** 0.25)
+        grid = _scan_grid(ExpFunction(), 1e300)
+        assert grid.flags.writeable and not np.shares_memory(grid, table)
+
+    @settings(max_examples=400)
+    @given(level_pairs())
+    def test_level_is_the_direct_comparison(self, pair):
+        # the largest n with b > 2**n a, comparing in floats one n at a time
+        a, b = pair
+        level = max([n for n in range(1, 1024)
+                     if a >= 3.0 and b > 2.0 ** n * a], default=0)
+        phi = TwoValues(a, b)
+        if level:
+            assert delta2_witnesses(phi, level, t_cap=1e-2) == \
+                [(n, 1e-2) for n in range(1, level + 1)]
+        with pytest.raises(WitnessNotFound, match=f"n={level + 1} "):
+            delta2_witnesses(phi, level + 1, t_cap=1e-2)
+
+    def test_a_huge_count_stops_past_the_largest_level(self):
+        # levels reach 472 below 1e300, so n = 473 fails without a list
+        # of 10**12 bounds being made
+        start = time.perf_counter()
+        with pytest.raises(WitnessNotFound, match="n=473 "):
+            delta2_witnesses(ExpFunction(), 10 ** 12, t_cap=1e300)
+        assert time.perf_counter() - start < 1.0
+
+    def test_no_false_witness_where_2t_overflows(self):
+        # phi is linear at the top, so phi(2t) / phi(t) -> 2; a grid point
+        # past max / 2 evaluated phi at 2t = inf and found n = 2, 3, 4
+        phi = PiecewiseLinearFunction([1.0], [1 / 128, 1 / 64])
+        with pytest.raises(WitnessNotFound, match="n=2 "):
+            delta2_witnesses(phi, 4, t_cap=1e308)
+        assert _scan_grid(phi, 1e308)[-1] <= sys.float_info.max / 2.0
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_no_overflow_warning_at_the_top_of_the_range(self, name):
+        # the suite turns RuntimeWarning into an error
+        for phi in (CATALOG[name], conjugate(CATALOG[name])):
+            for count in (1, 3):
+                scan_outcome(delta2_witnesses, phi, count, 1e308)
 
 
 class TestSparseSchedule:

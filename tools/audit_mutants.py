@@ -14,6 +14,10 @@ file that must kill each mutant:
   ``True``: ``_exceeds`` then decides every comparison from the
   pairwise sum, and ``orlicz_norm`` passes every Amemiya check without
   its correctly rounded sum; the killer is ``tests/test_norms.py``.
+* ``orlicz_functions.py``'s witness scan.  Each ``if`` test in
+  ``delta2_witnesses`` (the count and cap checks, and the test that
+  every requested ``n`` has a witness) is replaced by ``False``; the
+  killer is ``tests/test_orlicz_functions.py``.
 
 One mutant at a time, in a temporary copy of the tree, the sweep runs
 
@@ -60,6 +64,8 @@ TARGETS = (
     Target(Path("src/orlicz_lab/norms.py"), ("_exceeds", "orlicz_norm"),
            "True", "tests/test_norms.py",
            reads=frozenset({"_sum_error", "err"})),
+    Target(Path("src/orlicz_lab/orlicz_functions.py"), ("delta2_witnesses",),
+           "False", "tests/test_orlicz_functions.py"),
 )
 
 
@@ -111,7 +117,7 @@ def main() -> int:
             shutil.copytree(ROOT / part, tree / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tree)
-        print(f"{'module':<18} {'function':<20} {'line':>5}  {'verdict':<8}  "
+        print(f"{'module':<19} {'function':<20} {'line':>5}  {'verdict':<8}  "
               "condition")
         for target in TARGETS:
             source = (ROOT / target.module).read_text()
@@ -127,7 +133,7 @@ def main() -> int:
                 survivors += not killed
                 condition = " ".join(
                     ast.get_source_segment(source, expr).split())
-                print(f"{target.module.name:<18} {name:<20} "
+                print(f"{target.module.name:<19} {name:<20} "
                       f"{expr.lineno:>5}  "
                       f"{'killed' if killed else 'SURVIVED':<8}  "
                       f"{condition} -> {replacement}", flush=True)
