@@ -1,5 +1,22 @@
 """Exception hierarchy shared by all orlicz_lab modules."""
 
+__all__ = [
+    "OrliczLabError",
+    "InputError",
+    "InvalidSchedule",
+    "SpaceMismatch",
+    "NumericFailure",
+    "CrossCheckFailure",
+    "WitnessNotFound",
+    "EmptyScenarioSet",
+    "BracketInvalid",
+    "NotAMember",
+    "TruncationTooSmall",
+    "HypothesisViolation",
+    "BoundViolation",
+    "CertificateError",
+]
+
 
 class OrliczLabError(Exception):
     """Base class for all errors raised by this package."""

@@ -39,6 +39,7 @@ __all__ = [
     "delta2_witnesses",
     "young_check",
     "parse_phi_spec",
+    "phi_spec_string",
     "CATALOG",
 ]
 
@@ -135,10 +136,19 @@ def newton_from_right(excess, slope, lo: float, hi: float, rtol: float,
     return lo, hi
 
 
+def _run_kernel(kernel, t):
+    """``kernel`` on ``t`` as a float array, overflowing to inf without a
+    warning; a float for a scalar ``t``."""
+    with np.errstate(over="ignore"):
+        out = kernel(np.asarray(t, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
 class OrliczFunction:
     """Base class.  Subclasses provide the kernels ``_eval`` (phi),
     ``_rderiv`` (its right derivative) and ``_rderiv_inverse_left``, and
-    those that keep the base multiplier loop ``_rderiv2`` (phi'')."""
+    those that keep the base multiplier loop ``_rderiv2`` (phi''); the
+    public methods run each kernel through :func:`_run_kernel`."""
 
     name = "orlicz"
     #: the ``parse_phi_spec`` text that rebuilds this function; ``None``
@@ -149,25 +159,22 @@ class OrliczFunction:
     #: upper end of the domain; ``None`` means all of [0, inf)
     domain_cap: float | None = None
 
+    def _beyond_cap(self, t) -> bool:
+        """Whether some entry of ``t`` passes the domain cap by more than
+        a relative 1e-12."""
+        return (self.domain_cap is not None
+                and bool(np.any(t > self.domain_cap * (1 + 1e-12))))
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if self.domain_cap is not None and np.any(t > self.domain_cap * (1 + 1e-12)):
+        if self._beyond_cap(t):
             raise NumericFailure(
                 f"{self.name}: evaluation beyond domain cap {self.domain_cap:g}"
             )
-        with np.errstate(over="ignore"):
-            out = self._eval(t)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return _run_kernel(self._eval, t)
 
     def rderiv(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore"):
-            out = self._rderiv(t)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return _run_kernel(self._rderiv, t)
 
     @property
     def analytic_conjugate(self) -> "OrliczFunction | None":
@@ -208,9 +215,8 @@ class OrliczFunction:
             return at(mu)[1]
 
         def slope(mu: float) -> float:
-            with np.errstate(over="ignore"):
-                return float(np.sum(p * mu * y_abs ** 2
-                                    / self._rderiv2(at(mu)[0])))
+            return float(np.sum(p * mu * y_abs ** 2
+                                / _run_kernel(self._rderiv2, at(mu)[0])))
 
         mu0 = math.sqrt(2.0 / math.fsum((p * y_abs ** 2).tolist()))
         lo, hi = double_until(lambda mu: excess(mu) > 0.0, mu0,
@@ -221,10 +227,11 @@ class OrliczFunction:
     def rderiv_inverse_left(self, s):
         """Left endpoint of ``{t : rderiv(t) = s}`` (0 when rderiv(0) >= s),
         entrywise; a scalar ``s`` gives a float.  Raises NumericFailure
-        when some slope is beyond the representable range."""
-        out = self._rderiv_inverse_left(np.asarray(s, dtype=float))
-        if out.ndim == 0:
-            return float(out)
+        when some entry of the result is not finite (a slope beyond the
+        representable range)."""
+        out = _run_kernel(self._rderiv_inverse_left, s)
+        if not np.isfinite(out).all():
+            raise NumericFailure(f"{self.name}: slope beyond representable range")
         return out
 
     def inverse(self, v: float) -> float:
@@ -258,7 +265,15 @@ class PowerFunction(OrliczFunction):
             self.spec = f"power:p={short if float(short) == self.p else repr(self.p)}"
 
     def _eval(self, t):
-        return self.coef * t ** self.p
+        out = self.coef * t ** self.p
+        if self.coef < 1.0 and np.isinf(out).any():
+            # t**p overflowed before coef scaled it back into range: take
+            # it at t / 2**k and fold 2**(k p) >= 1/coef into coef, so that
+            # for integer p phi(2t) / phi(t) stays exactly 2**p there
+            k = math.ceil(-math.log2(self.coef) / self.p)
+            scaled = self.coef * np.exp2(k * self.p) * (t * np.exp2(-k)) ** self.p
+            out = np.where(np.isinf(out), scaled, out)
+        return out
 
     def _rderiv(self, t):
         return self.coef * self.p * t ** (self.p - 1.0)
@@ -366,11 +381,7 @@ class ExpConjugateFunction(OrliczFunction):
         return ExpFunction()
 
     def _rderiv_inverse_left(self, s):
-        with np.errstate(over="ignore"):
-            out = np.where(s > 0, np.exp(s), 0.0)
-        if np.any(~np.isfinite(out)):
-            raise NumericFailure(f"{self.name}: slope beyond representable range")
-        return out
+        return np.where(s > 0, np.exp(s), 0.0)
 
 
 class EntropyFunction(OrliczFunction):
@@ -392,11 +403,7 @@ class EntropyFunction(OrliczFunction):
         return EntropyConjugateFunction()
 
     def _rderiv_inverse_left(self, s):
-        with np.errstate(over="ignore"):
-            out = np.where(s > 0, np.expm1(np.maximum(s, 0.0)), 0.0)
-        if np.any(~np.isfinite(out)):
-            raise NumericFailure(f"{self.name}: slope beyond representable range")
-        return out
+        return np.where(s > 0, np.expm1(np.maximum(s, 0.0)), 0.0)
 
 
 class EntropyConjugateFunction(OrliczFunction):
@@ -508,7 +515,7 @@ class PiecewiseLinearFunction(OrliczFunction):
             # flat zero head: inverse is the end of the flat part
             return float(self._ends[k + 1])
         t = float(self._edges[k] + (v - self._knots[k]) / self.slopes[k])
-        if self.domain_cap is not None and t > self.domain_cap * (1 + 1e-12):
+        if self._beyond_cap(t):
             raise NumericFailure("phi_inverse: value beyond domain cap")
         return t
 
@@ -786,7 +793,7 @@ def phi_spec_string(phi: OrliczFunction) -> str:
     return phi.spec
 
 
-#: The four catalog entries used throughout the tests.
+#: The five catalog entries used throughout the tests.
 CATALOG = {
     "power2": PowerFunction(2.0),
     "power3": PowerFunction(3.0),

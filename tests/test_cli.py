@@ -510,6 +510,62 @@ def test_the_import_prints_the_scipy_optimize_line_the_benchmark_parses():
                      done.stderr, re.M)
 
 
+#: Every public name of the package before it re-exported each module's
+#: ``__all__``; none may go.
+EXPORTED_BEFORE = frozenset("""
+    Block BlockSequence BoundViolation BracketInvalid CATALOG
+    CertificateError Combo ConjugateValue CounterexampleInstance
+    CrossCheckFailure EmptyScenarioSet EntropyFunction ExpFunction
+    FiniteSpace HypothesisViolation InputError InvalidSchedule
+    MembershipCertificate NotAMember NumericFailure OrliczFunction
+    OrliczLabError PiecewiseLinearFunction PiecewiseSlopeSchedule
+    PowerFunction REGIONS RandomVariable RiskMeasure ScenarioSet
+    SpaceMismatch TImage TruncationTooSmall WitnessNotFound acceptance_eval
+    acceptance_measure as_extraction avar_scenarios axiom_suite biconjugate
+    block_luxemburg_norm blocks_from_json blocks_to_json
+    build_disjoint_sequence build_instance build_sparse_pair
+    certificate_from_json certificate_to_json conjugate conjugate_rho
+    conjugate_value delta2_witnesses diagonal_pairs discretize
+    dual_block_orlicz_norm duality_report entropic_measure expectation
+    extract_scenarios fatou_harness gap_exhibit holder_check
+    instance_from_json instance_to_json limit_certificate luxemburg_norm
+    mazur_min_norm membership modular order_convergence_check
+    order_dominator orlicz_norm pairing parse_measure_spec parse_phi_spec
+    phi_inverse phi_spec_string read_positions_csv rho_c scenario_eval
+    scenario_measure scenarios_from_json scenarios_to_json series_modular
+    sparse_schedule split_with_budget t_operator uniform_space
+    verify_certificate weak_approx_select worstcase_scenarios
+    write_positions_csv young_check
+""".split())
+
+
+def test_the_package_exports_each_library_modules_all():
+    # the public names are declared once, in each module's __all__; cli
+    # and __main__ run the command line and stay out of the namespace
+    package = pathlib.Path(orlicz_lab.__file__).resolve().parent
+    listed = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem in ("__init__", "__main__", "cli"):
+            continue
+        defined = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined |= {target.id for target in node.targets
+                            if isinstance(target, ast.Name)}
+        names = getattr(importlib.import_module(f"orlicz_lab.{path.stem}"),
+                        "__all__", ())
+        # each listed name is defined in the module that lists it
+        assert set(names) <= defined, path.name
+        listed |= set(names)
+    public = {name for name, value in vars(orlicz_lab).items()
+              if not name.startswith("_")
+              and not isinstance(value, type(orlicz_lab))}
+    assert public == listed
+    assert EXPORTED_BEFORE <= public
+
+
 def test_no_library_module_has_an_unused_import():
     # every module but the package's __init__, which re-exports, uses
     # each name it imports

@@ -12,6 +12,7 @@ from orlicz_lab.finite_model import FiniteSpace
 from orlicz_lab.norms import orlicz_norm
 from orlicz_lab.orlicz_functions import (
     CATALOG,
+    EntropyConjugateFunction,
     EntropyFunction,
     ExpConjugateFunction,
     ExpFunction,
@@ -31,7 +32,7 @@ from orlicz_lab.orlicz_functions import (
 )
 from orlicz_lab.orlicz_functions import _geometric_table, _scan_grid
 
-from bisection_oracle import _NumericConjugate
+from bisection_oracle import _NumericConjugate, definitional_by_bisection
 
 
 def grid_conjugate(phi, s, t_max=200.0, n=400_001):
@@ -231,6 +232,51 @@ class TestRderivInverseLeft:
             with pytest.raises(NumericFailure):
                 phi.rderiv_inverse_left(s)
 
+    def test_power_slope_past_overflow_raises_numeric_failure(self):
+        # (1e300 / 1.5)**2 overflows: inf, which no t attains
+        phi = PowerFunction(1.5)
+        for s in (1e300, np.array([1.0, 1e300])):
+            with pytest.raises(NumericFailure,
+                               match="slope beyond representable range"):
+                phi.rderiv_inverse_left(s)
+
+    @pytest.mark.parametrize("phi", [ExpFunction(), EntropyConjugateFunction(),
+                                     PowerFunction(2.0), CATALOG["sparse"]],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_a_slope_that_is_not_finite_raises(self, phi, s):
+        for arg in (s, np.array([1.0, s])):
+            with pytest.raises(NumericFailure):
+                phi.rderiv_inverse_left(arg)
+
+
+class TestBaseMultiplierLoop:
+    """A multiplier whose slope inverse overflows counts as past the
+    root (an infinite excess), and the loop goes on below it."""
+
+    @pytest.mark.parametrize("phi", [EntropyFunction(), ExpConjugateFunction()],
+                             ids=lambda f: f.name)
+    def test_an_overflowing_start_counts_as_past_the_root(self, phi,
+                                                          monkeypatch):
+        # E[y**2] = 1e-6, so mu0 = sqrt(2e6) ~ 1414 and e**1414 overflows
+        y_abs, p = np.array([0.0, 1.0]), np.array([1.0 - 1e-6, 1e-6])
+        raised = []
+        real = phi.rderiv_inverse_left
+
+        def spy(s):
+            try:
+                return real(s)
+            except NumericFailure:
+                raised.append(float(np.max(s)))
+                raise
+
+        monkeypatch.setattr(phi, "rderiv_inverse_left", spy)
+        value, mu = phi.orlicz_definitional(y_abs, p)
+        assert raised and raised[0] == pytest.approx(math.sqrt(2e6))
+        monkeypatch.undo()
+        ref, _ = definitional_by_bisection(phi, y_abs, p)
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
 
 class TestNewtonFromRight:
     """A Newton step shorter than half an ulp of ``hi`` rounds onto ``hi``;
@@ -381,6 +427,55 @@ class TestDelta2Witnesses:
         assert delta2_witnesses(counted, 10) == delta2_witnesses(phi, 10)
         n_grid = len(_scan_grid(phi, 1e50))
         assert calls == [(n_grid,), (n_grid,)]
+
+
+class TestPowerPastOverflow:
+    """``coef * t**p`` with ``coef < 1`` is finite past the overflow of
+    ``t**p``; values finite before keep their bits."""
+
+    @pytest.mark.parametrize("t_cap", [1e300, 8.9e307])
+    def test_conjugate_of_power2_has_no_false_witness(self, t_cap):
+        # phi(2t) / phi(t) is exactly 4: a false n = 2 came where t**2
+        # overflowed at 2t but not at t (t = 7.2e153)
+        with pytest.raises(WitnessNotFound, match="n=2 "):
+            delta2_witnesses(conjugate(CATALOG["power2"]), 2, t_cap=t_cap)
+
+    @pytest.mark.parametrize("phi", [PowerFunction(3.0, 0.1),
+                                     conjugate(PowerFunction(1.5))],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("t_cap", [1e300, 8.9e307])
+    def test_no_false_witness_where_one_formula_meets_the_other(self, phi,
+                                                                 t_cap):
+        # phi(t) is coef * t**3 and phi(2t) the rescaled form, and still
+        # phi(2t) / phi(t) is exactly 8 (a false n = 3 came at 4.05e102)
+        assert delta2_witnesses(phi, 2, t_cap=t_cap)
+        with pytest.raises(WitnessNotFound, match="n=3 "):
+            delta2_witnesses(phi, 3, t_cap=t_cap)
+
+    def test_the_value_where_t_squared_overflows(self):
+        psi = conjugate(CATALOG["power2"])
+        assert psi.coef == 0.25
+        assert psi(1.44e154) == pytest.approx(5.184e307, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 7.0])
+    @pytest.mark.parametrize("coef", [1e-3, 0.1, 0.25, 0.9, 1.0, 3.0])
+    def test_finite_values_keep_their_bits(self, p, coef):
+        # the parent formula coef * t**p decides every value it finds
+        # finite, by float.hex; each value below the largest double is
+        # now finite
+        phi = PowerFunction(p, coef)
+        t = np.geomspace(1e-3, 1.7e308, 4001)
+        with np.errstate(over="ignore"):
+            ref = coef * t ** p
+            exact_log = np.log(coef) + p * np.log(t)
+        out = phi(t)
+        kept = np.isfinite(ref)
+        assert ([v.hex() for v in out[kept].tolist()]
+                == [v.hex() for v in ref[kept].tolist()])
+        in_range = exact_log < math.log(np.finfo(float).max) - 1e-9
+        assert np.isfinite(out[in_range]).all()
+        for i in np.flatnonzero(kept)[::400]:  # one point at a time
+            assert phi(float(t[i])) == float(coef * np.asarray(t[i]) ** p)
 
 
 class TwoValues(OrliczFunction):
@@ -607,6 +702,19 @@ class TestLinearConjugate:
         for s in (0.5, 1.0, 7.0):
             assert conjugate_value(psi, s) == c * s
         assert list(conjugate(psi).slopes) == [c]
+
+    @pytest.mark.parametrize("c", [1.0, 0.3])
+    def test_the_cap_slack_is_one_part_in_1e12(self, c):
+        # phi and phi_inverse read the same slack past the cap
+        psi = conjugate(PowerFunction(1.0, c))
+        assert psi(c * (1 + 1e-13)) == 0.0
+        with pytest.raises(NumericFailure, match="evaluation beyond domain cap"):
+            psi(np.array([0.0, c * (1 + 1e-11)]))
+        capped = PiecewiseLinearFunction([1.0], [1.0, 2.0], domain_cap=c + 1.0)
+        top = 1.0 + 2.0 * c
+        assert capped.inverse(top * (1 + 1e-13)) > c + 1.0
+        with pytest.raises(NumericFailure, match="value beyond domain cap"):
+            capped.inverse(top * (1 + 1e-10))
 
     @pytest.mark.parametrize("phi", [PowerFunction(1.0, c)
                                      for c in (1.0, 2.0, 0.3)]

@@ -14,10 +14,17 @@ file that must kill each mutant:
   ``True``: ``_exceeds`` then decides every comparison from the
   pairwise sum, and ``orlicz_norm`` passes every Amemiya check without
   its correctly rounded sum; the killer is ``tests/test_norms.py``.
-* ``orlicz_functions.py``'s witness scan.  Each ``if`` test in
-  ``delta2_witnesses`` (the count and cap checks, and the test that
-  every requested ``n`` has a witness) is replaced by ``False``; the
-  killer is ``tests/test_orlicz_functions.py``.
+* ``orlicz_functions.py``'s witness scan and kernel boundary.  Each
+  ``if`` test in ``delta2_witnesses`` (the count and cap checks, and
+  the test that every requested ``n`` has a witness), in
+  ``OrliczFunction.__call__`` (the domain cap) and
+  ``OrliczFunction.rderiv_inverse_left`` (a result that is not finite),
+  and in ``PowerFunction._eval`` (the rescaled form past the overflow
+  of ``t**p``) is replaced by ``False``; the killer is
+  ``tests/test_orlicz_functions.py``.
+
+A target names a module-level function by its name and a method by
+``Class.method``.
 
 One mutant at a time, in a temporary copy of the tree, the sweep runs
 
@@ -64,7 +71,9 @@ TARGETS = (
     Target(Path("src/orlicz_lab/norms.py"), ("_exceeds", "orlicz_norm"),
            "True", "tests/test_norms.py",
            reads=frozenset({"_sum_error", "err"})),
-    Target(Path("src/orlicz_lab/orlicz_functions.py"), ("delta2_witnesses",),
+    Target(Path("src/orlicz_lab/orlicz_functions.py"),
+           ("delta2_witnesses", "OrliczFunction.__call__",
+            "OrliczFunction.rderiv_inverse_left", "PowerFunction._eval"),
            "False", "tests/test_orlicz_functions.py"),
 )
 
@@ -73,21 +82,32 @@ def _names(expr: ast.expr) -> set:
     return {node.id for node in ast.walk(expr) if isinstance(node, ast.Name)}
 
 
+def functions(tree: ast.Module):
+    """``(name, node)`` of each module-level function and of each method
+    of a module-level class, the method named ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{method.name}", method)
+                        for method in node.body
+                        if isinstance(method, ast.FunctionDef))
+
+
 def mutants(source: str, target: Target):
     """``(function, condition, replacement)`` for each mutant of
     ``target``, in source order."""
-    for node in ast.parse(source).body:
-        if not (isinstance(node, ast.FunctionDef)
-                and node.name in target.functions):
+    for name, node in functions(ast.parse(source)):
+        if name not in target.functions:
             continue
         found = [(inner.test, target.replacement) for inner in ast.walk(node)
                  if isinstance(inner, ast.If)
                  and (not target.reads or _names(inner.test) & target.reads)]
         last = node.body[-1]
-        if node.name == target.verdict and isinstance(last, ast.Return):
+        if name == target.verdict and isinstance(last, ast.Return):
             found.append((last.value, "True"))
         for expr, replacement in sorted(found, key=lambda f: f[0].lineno):
-            yield node.name, expr, replacement
+            yield name, expr, replacement
 
 
 def mutate(source: str, expr: ast.expr, replacement: str) -> str:
@@ -117,7 +137,7 @@ def main() -> int:
             shutil.copytree(ROOT / part, tree / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tree)
-        print(f"{'module':<19} {'function':<20} {'line':>5}  {'verdict':<8}  "
+        print(f"{'module':<19} {'function':<36} {'line':>5}  {'verdict':<8}  "
               "condition")
         for target in TARGETS:
             source = (ROOT / target.module).read_text()
@@ -133,7 +153,7 @@ def main() -> int:
                 survivors += not killed
                 condition = " ".join(
                     ast.get_source_segment(source, expr).split())
-                print(f"{target.module.name:<19} {name:<20} "
+                print(f"{target.module.name:<19} {name:<36} "
                       f"{expr.lineno:>5}  "
                       f"{'killed' if killed else 'SURVIVED':<8}  "
                       f"{condition} -> {replacement}", flush=True)
