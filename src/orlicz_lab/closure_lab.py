@@ -41,18 +41,23 @@ def split_with_budget(X: RandomVariable, phi: OrliczFunction, budget: float):
     is compared with the budget as one correctly rounded sum over a
     subset of nonnegative terms compares, so it is nonincreasing in the
     level, and bisection over those levels finds the same smallest level
-    as a linear scan; ``math.fsum`` runs only inside Higham's a priori
-    bound (2002, section 4.2) on the pairwise sum (``norms._exceeds``).
+    as a linear scan.  The terms are sorted by ``|x_i|`` once, and one
+    reversed running sum gives every level's tail; the correctly rounded
+    tail is summed only inside Higham's a priori bound (2002, section
+    4.2) on that running sum (``norms._exceeds``).
     """
     if not budget > 0:
         raise InputError(f"budget must be positive, got {budget!r}")
-    terms = _terms(X.x, X.space.p, phi, 1.0)
     x_abs = np.abs(X.x)
+    order = np.argsort(x_abs)
+    x_sorted = x_abs[order]
+    terms = _terms(X.x, X.space.p, phi, 1.0)[order]
+    tails = np.cumsum(terms[::-1])[::-1]
     levels = np.unique(np.concatenate(([0.0], x_abs)))
 
     def within(i: int) -> bool:
-        tail = terms[x_abs > levels[i]]
-        return not _exceeds(tail, float(np.sum(tail)), budget)
+        start = int(np.searchsorted(x_sorted, levels[i], side="right"))
+        return not _exceeds(terms[start:], float(tails[start]), budget)
 
     # the largest level has tail 0, which fits the budget, so the search
     # leaves it out and ends there when no other level fits

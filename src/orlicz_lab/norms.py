@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import CrossCheckFailure, NumericFailure
 from .finite_model import RandomVariable, pairing
-from .orlicz_functions import (OrliczFunction, conjugate, double_until,
-                               newton_from_right)
+from .orlicz_functions import (OrliczFunction, _fsum, _sum_error, conjugate,
+                               double_until, newton_from_right)
 
 __all__ = [
     "modular",
@@ -20,21 +20,14 @@ __all__ = [
     "phi_inverse",
 ]
 
-def _sum_error(n: int, s: float) -> float:
-    """Bound on ``|s - math.fsum(terms)|`` for ``n`` terms >= 0 summed to
-    ``s`` in any order: ``(n - 1) u s`` to first order, u = 2^-53 (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, section 4.2),
-    doubled for rounding, plus the smallest normal float for underflow."""
-    return 2.0 * (n + 1) * 2.0 ** -53 * s + 2.0 ** -1022
-
-
 def _exceeds(terms: np.ndarray, s: float, level: float) -> bool:
-    """``math.fsum(terms) > level`` for ``terms >= 0`` of pairwise sum
-    ``s``: from ``s`` outside the bound on ``s + level`` (which covers the
-    half ulp at ``level``), else, and for ``s`` not finite, by ``fsum``."""
+    """``math.fsum(terms) > level`` for ``terms >= 0`` summed in some
+    order to ``s``: from ``s`` outside the bound on ``s + level`` (which
+    covers the half ulp at ``level``), else, and for ``s`` not finite,
+    by the correctly rounded sum (``_fsum``)."""
     if abs(s - level) > _sum_error(len(terms), s + level):
         return s > level
-    return math.fsum(terms.tolist()) > level
+    return _fsum(terms) > level
 
 
 def _terms(x: np.ndarray, p: np.ndarray, phi: OrliczFunction,
@@ -63,11 +56,11 @@ def _terms_raw(x_abs: np.ndarray, p: np.ndarray, phi: OrliczFunction,
 
 
 def modular(X: RandomVariable, phi: OrliczFunction, lam: float) -> float:
-    """E[phi(|X| / lam)] for lam > 0, as one correctly rounded sum, so the
-    value does not depend on the order of the atoms."""
+    """E[phi(|X| / lam)] for lam > 0, as one correctly rounded sum
+    (``_fsum``), so the value does not depend on the order of the atoms."""
     if not lam > 0:
         raise NumericFailure(f"modular requires lam > 0, got {lam!r}")
-    return math.fsum(_terms(X.x, X.space.p, phi, lam).tolist())
+    return _fsum(_terms(X.x, X.space.p, phi, lam))
 
 
 def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
@@ -80,12 +73,12 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
     convex ``E[phi(v |X| / m)]``, along ``phi.rderiv``, started by
     doubling from ``v = 1`` (``newton_from_right``), over the atoms
     sorted by ``(|x_i|, p_i)`` (``X.sorted_abs``).  Each point's terms
-    are made once: pairwise sums of them (``np.sum``) steer, and the cap
-    and the two ends of the closed bracket are decided as one correctly
-    rounded sum (``math.fsum``, as ``modular`` sums) decides them, an end
-    found on the wrong side moving out by half the tolerance; ``fsum``
-    runs only inside Higham's a priori bound (2002, section 4.2) on the
-    pairwise sum (``_exceeds``).  The value returned is the lower end
+    are made once: pairwise sums of them steer, and the cap and the two
+    ends of the closed bracket are decided as one correctly rounded sum
+    (``_fsum``, as ``modular`` sums) decides them, an end found on the
+    wrong side moving out by half the tolerance; that sum is made only
+    inside Higham's a priori bound (2002, section 4.2) on the pairwise
+    sum (``_exceeds``).  The value returned is the lower end
     ``lam`` of that bracket, whatever the order of the atoms: the modular
     is above 1 at ``lam`` and at most 1 at ``lam * (1 + 1e-10)``.  An
     atom that is not finite raises NumericFailure.
@@ -101,7 +94,7 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
     @functools.cache
     def at(v: float) -> tuple[np.ndarray, float]:
         terms = _terms_raw(x_abs, p, phi, m / v)
-        return terms, float(np.sum(terms))
+        return terms, float(terms.sum())
 
     def excess(v: float) -> float:
         return at(v)[1] - 1.0
@@ -111,7 +104,7 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
 
     def slope(v: float) -> float:
         with np.errstate(invalid="ignore"):
-            return float(np.sum(p * (x_unit * phi.rderiv(x_unit * v))))
+            return float((p * (x_unit * phi.rderiv(x_unit * v))).sum())
 
     cap = phi.domain_cap
     if cap is not None and not above(cap):
@@ -148,10 +141,10 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction) -> float:
     ``(1 + E[psi(k|Y|)]) / k`` at its minimiser ``k = mu``, one
     evaluation (the limit ``E|Y| psi'(inf)`` when ``mu = inf``): the two
     differ there by ``(1 - E[phi(X)]) / mu`` plus Young's defect, and
-    must agree within 1e-6 relative: on the correctly rounded sum of
-    ``E[psi(mu|Y|)]``, unless the whole interval that Higham's bound
-    (2002, section 4.2; ``_sum_error``) puts around its pairwise sum
-    passes.  The atoms are first sorted by ``(|y_i|, p_i)``, so the value
+    must agree within 1e-6 relative: on the correctly rounded sum
+    (``_fsum``) of ``E[psi(mu|Y|)]``, unless the whole interval that
+    Higham's bound (2002, section 4.2; ``_sum_error``) puts around its
+    pairwise sum passes.  The atoms are first sorted by ``(|y_i|, p_i)``, so the value
     does not depend on their order, and both run on ``|Y| / max|y_i|``,
     so it does not depend on the scale of Y.  An atom that is not finite
     raises NumericFailure.
@@ -164,15 +157,15 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction) -> float:
     definitional, mu = phi.orlicz_definitional(y_abs, p)
     mu = float(mu)
     if mu == math.inf:
-        amemiya = math.fsum((p * y_abs).tolist()) * psi.rderiv(math.inf)
+        amemiya = _fsum(p * y_abs) * psi.rderiv(math.inf)
     else:
         terms = _terms_raw(mu * y_abs, p, psi, 1.0)
-        s = float(np.sum(terms))  # a hair of 2^-40 covers 1 + s and / mu
+        s = float(terms.sum())  # a hair of 2^-40 covers 1 + s and / mu
         err = _sum_error(len(terms), s) + 2.0 ** -40 * (1.0 + s)
         if all(math.isclose(definitional, (1.0 + end) / mu, rel_tol=1e-6,
                             abs_tol=1e-306) for end in (s - err, s + err)):
             return m * definitional
-        amemiya = (1.0 + math.fsum(terms.tolist())) / mu
+        amemiya = (1.0 + _fsum(terms)) / mu
     if not math.isclose(definitional, amemiya, rel_tol=1e-6, abs_tol=1e-306):
         raise CrossCheckFailure(
             f"orlicz_norm: definitional {m * definitional!r} vs Amemiya "

@@ -48,6 +48,43 @@ _BRACKET_CAP = 1e300
 _MAX_DOUBLINGS = 1100
 #: Most halvings one bisection makes (enough to reach adjacent doubles).
 _MAX_HALVINGS = 2100
+#: Fewest terms for which ``_fsum`` splits before it calls ``math.fsum``.
+_FSUM_SPLIT = 240
+
+
+def _sum_error(n: int, s: float) -> float:
+    """Bound on ``|s - math.fsum(terms)|`` for ``n`` terms >= 0 summed to
+    ``s`` in any order: ``(n - 1) u s`` to first order, u = 2^-53 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, section 4.2),
+    doubled for rounding, plus the smallest normal float for underflow."""
+    return 2.0 * (n + 1) * 2.0 ** -53 * s + 2.0 ** -1022
+
+
+def _fsum(a: np.ndarray) -> float:
+    """``math.fsum(a.tolist())``, the correctly rounded sum of a float array.
+
+    From ``_FSUM_SPLIT`` terms on, ``a`` splits without error at ``sigma =
+    2^e > 2 n max|a|`` (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 30,
+    2008) into high parts, which sum exactly, and low parts within
+    ``u sigma``, whose pairwise sum errs by at most ``_sum_error(n, n u
+    sigma)``.  The float sum ``c`` of the two is returned when its TwoSum
+    residual and that bound stay below half the gap from ``c`` towards
+    zero, its smaller gap, so that ``c`` is the float nearest the exact
+    sum; otherwise, and for tiny, huge or non-finite terms, ``fsum`` sums."""
+    n = a.size
+    if n >= _FSUM_SPLIT:
+        m = float(np.abs(a).max())
+        if 2.0 ** -900 < m < 2.0 ** 900:
+            sigma = math.ldexp(1.0, math.frexp(2 * n * m)[1])
+            high = (a + sigma) - sigma
+            t, r = float(high.sum()), float((a - high).sum())
+            c = t + r
+            z = c - t
+            e = (t - (c - z)) + (r - z)
+            if (abs(e) + _sum_error(n, n * 2.0 ** -53 * sigma)
+                    < 0.5 * abs(c - math.nextafter(c, 0.0))):
+                return c
+    return math.fsum(a.tolist())
 
 
 def double_until(holds, x: float, failure: str) -> tuple[float, float]:
@@ -200,35 +237,38 @@ class OrliczFunction:
         (under entropy and exp* the modular is at least
         ``mu**2 E[y**2] / 2``, so at least 1 there).
         Each ``mu``'s x is made once; the excess is one correctly
-        rounded sum, and the slope, which only picks the Newton point,
-        a pairwise one.  Power, exp and piecewise-linear phi solve for
-        ``mu`` exactly instead."""
+        rounded sum (``_fsum``), and the slope, which only picks the
+        Newton point, a pairwise one.  Power, exp and piecewise-linear phi
+        solve for ``mu`` exactly instead, each summing its value as one
+        correctly rounded sum too."""
         @functools.cache
         def at(mu: float) -> tuple[np.ndarray | None, float]:
             try:
                 x = self.rderiv_inverse_left(mu * y_abs)
             except NumericFailure:  # a slope beyond the double range
                 return None, math.inf
-            return x, math.fsum((p * self(x)).tolist()) - 1.0
+            return x, _fsum(p * self(x)) - 1.0
 
         def excess(mu: float) -> float:
             return at(mu)[1]
 
         def slope(mu: float) -> float:
-            return float(np.sum(p * mu * y_abs ** 2
-                                / _run_kernel(self._rderiv2, at(mu)[0])))
+            return float((p * mu * y_abs ** 2
+                          / _run_kernel(self._rderiv2, at(mu)[0])).sum())
 
-        mu0 = math.sqrt(2.0 / math.fsum((p * y_abs ** 2).tolist()))
+        mu0 = math.sqrt(2.0 / _fsum(p * y_abs ** 2))
         lo, hi = double_until(lambda mu: excess(mu) > 0.0, mu0,
                               "orlicz_norm: multiplier bracket not found")
         mu, _ = newton_from_right(excess, slope, lo, hi, 1e-14)
-        return math.fsum((p * (at(mu)[0] * y_abs)).tolist()), mu
+        return _fsum(p * (at(mu)[0] * y_abs)), mu
 
     def rderiv_inverse_left(self, s):
         """Left endpoint of ``{t : rderiv(t) = s}`` (0 when rderiv(0) >= s),
         entrywise; a scalar ``s`` gives a float.  Raises NumericFailure
-        when some entry of the result is not finite (a slope beyond the
-        representable range)."""
+        when some entry of ``s`` is NaN or some entry of the result is not
+        finite (a slope beyond the representable range)."""
+        if np.isnan(s).any():
+            raise NumericFailure(f"{self.name}: slope is NaN")
         out = _run_kernel(self._rderiv_inverse_left, s)
         if not np.isfinite(out).all():
             raise NumericFailure(f"{self.name}: slope beyond representable range")
@@ -269,9 +309,13 @@ class PowerFunction(OrliczFunction):
         if self.coef < 1.0 and np.isinf(out).any():
             # t**p overflowed before coef scaled it back into range: take
             # it at t / 2**k and fold 2**(k p) >= 1/coef into coef, so that
-            # for integer p phi(2t) / phi(t) stays exactly 2**p there
+            # for integer p phi(2t) / phi(t) stays exactly 2**p there.  Where
+            # 2**(k p) overflows, its power 2**j goes in by ldexp, exactly;
+            # elsewhere j = 0 keeps each value's bits
             k = math.ceil(-math.log2(self.coef) / self.p)
-            scaled = self.coef * np.exp2(k * self.p) * (t * np.exp2(-k)) ** self.p
+            j = max(0, math.floor(k * self.p) - 1023)
+            fold = math.ldexp(self.coef, j) * np.exp2(k * self.p - j)
+            scaled = fold * (t * np.exp2(-k)) ** self.p
             out = np.where(np.isinf(out), scaled, out)
         return out
 
@@ -282,7 +326,7 @@ class PowerFunction(OrliczFunction):
         # coef * E[(|X|/lam)**p] = 1, scaled by m = max|x| so that no
         # power overflows
         m = float(np.max(x_abs))
-        mean = math.fsum((p * (x_abs / m) ** self.p).tolist())
+        mean = _fsum(p * (x_abs / m) ** self.p)
         return m * (self.coef * mean) ** (1.0 / self.p)
 
     def orlicz_definitional(self, y_abs, p):
@@ -296,7 +340,7 @@ class PowerFunction(OrliczFunction):
         if self.p == 1.0:
             return m / c, c / m
         q = self.p / (self.p - 1.0)
-        mean = math.fsum((p * (y_abs / m) ** q).tolist())
+        mean = _fsum(p * (y_abs / m) ** q)
         return (m * c ** (-1.0 / self.p) * mean ** (1.0 - 1.0 / self.p),
                 c * self.p * (c * mean) ** (-1.0 / q) / m)
 
@@ -345,7 +389,7 @@ class ExpFunction(OrliczFunction):
         below = np.concatenate(([0.0], y_abs[:-1]))
         k = np.flatnonzero(mu * below <= 1.0)[-1]
         x = self.rderiv_inverse_left(mu[k] * y_abs)
-        return math.fsum((p * (x * y_abs)).tolist()), mu[k]
+        return _fsum(p * (x * y_abs)), mu[k]
 
     @property
     def analytic_conjugate(self):
@@ -492,21 +536,32 @@ class PiecewiseLinearFunction(OrliczFunction):
         # segment k on atom i costs p_i m_k of the modular and earns
         # p_i y_i, so the pairs fill in order of m_k / y_i (on each atom
         # in segment order) until the modular reaches 1; mu is the ratio
-        # of the pair filled in part (inf when all fill up to the cap)
+        # of the pair filled in part (inf when all fill up to the cap).
+        # The stable order of the pairs at or below the w-th smallest ratio
+        # is the head of the order of all pairs: only a head is sorted, w
+        # growing fourfold from 256 while the head's costs stay within 1
         y, q = y_abs[y_abs > 0], p[y_abs > 0]
         n_seg = len(self.slopes)
-        cost = q[:, None] * (self.slopes * np.diff(self._ends))
-        order = np.argsort((self.slopes / y[:, None]).ravel(), kind="stable")
-        filled = int(np.searchsorted(np.cumsum(cost.ravel()[order]), 1.0,
-                                     side="right"))
+        ratio = (self.slopes / y[:, None]).ravel()
+        unit = self.slopes * np.diff(self._ends)
+        w = 256
+        while True:
+            head = (np.flatnonzero(ratio <= np.partition(ratio, w - 1)[w - 1])
+                    if w < ratio.size else np.arange(ratio.size))
+            order = head[np.argsort(ratio[head], kind="stable")]
+            spent = np.cumsum(q[order // n_seg] * unit[order % n_seg])
+            if spent[-1] > 1.0 or order.size == ratio.size:
+                break
+            w *= 4
+        filled = int(np.searchsorted(spent, 1.0, side="right"))
         x = self._ends[np.bincount(order[:filled] // n_seg, minlength=len(y))]
         mu = math.inf
         if filled < len(order):
             i, k = divmod(int(order[filled]), n_seg)
-            rest = 1.0 - math.fsum((q * self(x)).tolist())
+            rest = 1.0 - _fsum(q * self(x))
             x[i] += max(rest, 0.0) / (q[i] * self.slopes[k])
             mu = self.slopes[k] / y[i]
-        return math.fsum((q * (x * y)).tolist()), mu
+        return _fsum(q * (x * y)), mu
 
     def inverse(self, v):
         # exact on the segment whose knot values bracket v

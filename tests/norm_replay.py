@@ -2,13 +2,19 @@
 written by ``float.hex``, and the fixture that pins them.
 
 The norms run under every ``CATALOG`` function and its conjugate, on
-seeded variables of 1, 2, 7, 200 and 600 atoms at scales 1e-5, 1 and
-1e5; the splits are ``split_with_budget``'s level and tail modular
-``E[1_{|X|>k} phi(|X|)]`` for budgets 2^-1 to 2^-3, under every
-``CATALOG`` function, on the scale-1 variables.  A call that raises is
-recorded by its error type and message.  The fixture was written by the
-library before the norm kernels moved to a rounding-error filter;
-running
+seeded variables of 1, 2, 7, 200, 239, 240, 600 and 1000 atoms at
+scales 1e-5, 1 and 1e5; the splits are ``split_with_budget``'s level
+and tail modular ``E[1_{|X|>k} phi(|X|)]`` for budgets 2^-1 to 2^-3,
+under every ``CATALOG`` function, on the scale-1 variables.  Three
+groups reach the piecewise-linear knapsack and the split harder: the
+Orlicz norm under the piecewise-linear functions (the sparse pair and
+the conjugate of ``t``, whose knapsack fills every pair) on 3000 and
+6000 atoms; both norms under the sparse pair on atoms of few distinct
+magnitudes, so that knapsack ratios tie; and splits of variables whose
+magnitudes repeat.  A call that raises is recorded by its error type
+and message.  The first fixture was written by the library before the
+norm kernels moved to a rounding-error filter, and its extension by the
+library before the knapsack sorted only the pairs it fills; running
 
     PYTHONPATH=src python tests/norm_replay.py
 
@@ -24,12 +30,14 @@ from orlicz_lab.closure_lab import split_with_budget
 from orlicz_lab.errors import OrliczLabError
 from orlicz_lab.finite_model import FiniteSpace
 from orlicz_lab.norms import luxemburg_norm, modular, orlicz_norm
-from orlicz_lab.orlicz_functions import CATALOG, conjugate
+from orlicz_lab.orlicz_functions import CATALOG, PowerFunction, conjugate
 
 FIXTURE = pathlib.Path(__file__).with_name("norm_replay.json")
-ATOMS = (1, 2, 7, 200, 600)
+ATOMS = (1, 2, 7, 200, 239, 240, 600, 1000)
 SCALES = (1e-5, 1.0, 1e5)
 BUDGETS = (0.5, 0.25, 0.125)
+KNAPSACK_ATOMS = (3000, 6000)
+TIED_ATOMS = (250, 600, 3000)
 
 
 def functions():
@@ -39,10 +47,21 @@ def functions():
         yield name + "*", conjugate(phi)
 
 
-def variable(n: int, scale: float, seed: int):
+def piecewise_linear():
+    """``(name, phi)`` for the sparse pair and the conjugate of ``t``."""
+    sparse = CATALOG["sparse"]
+    yield "sparse", sparse
+    yield "sparse*", conjugate(sparse)
+    yield "linear*", conjugate(PowerFunction(1.0))
+
+
+def variable(n: int, scale: float, seed: int, digits: int | None = None):
+    """Seeded atoms; with ``digits``, rounded to that many decimals, so
+    that magnitudes repeat."""
     rng = np.random.default_rng([2028, n, seed])
     space = FiniteSpace(tuple(rng.dirichlet(np.full(n, 2.0))))
-    return space.rv(scale * rng.standard_normal(n))
+    x = scale * rng.standard_normal(n)
+    return space.rv(x if digits is None else np.round(x, digits))
 
 
 def outcome(call, *args):
@@ -73,6 +92,20 @@ def replay() -> dict:
         X = variable(n, 1.0, 2)
         for name, phi in CATALOG.items():
             out[f"split {n} {name}"] = [split(X, phi, b) for b in BUDGETS]
+    for n in KNAPSACK_ATOMS:
+        Y = variable(n, 1.0, 3)
+        for name, phi in piecewise_linear():
+            out[f"knapsack {n} {name}"] = outcome(orlicz_norm, Y, phi)
+    for n in TIED_ATOMS:
+        for digits in (0, 1):
+            X, Y = variable(n, 1.0, 4, digits), variable(n, 1.0, 5, digits)
+            for name, phi in piecewise_linear():
+                out[f"tied {n} {digits} {name}"] = [
+                    outcome(luxemburg_norm, X, phi),
+                    outcome(orlicz_norm, Y, phi)]
+            for name, phi in CATALOG.items():
+                out[f"split tied {n} {digits} {name}"] = [
+                    split(X, phi, b) for b in BUDGETS]
     return out
 
 

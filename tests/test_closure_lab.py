@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orlicz_lab.closure_lab import (as_extraction, mazur_min_norm,
                                     order_dominator, split_with_budget)
@@ -11,6 +12,8 @@ from orlicz_lab.finite_model import FiniteSpace, uniform_space
 from orlicz_lab.norms import luxemburg_norm, modular
 from orlicz_lab.orlicz_functions import (CATALOG, ExpFunction,
                                          PiecewiseLinearFunction, PowerFunction)
+
+from kernel_references import split_by_masked_bisection
 
 
 def tail(X, phi, level):
@@ -132,6 +135,34 @@ class TestSplitWithBudget:
                 k2 = split_with_budget(X, phi, below)[0]
                 assert k2 == scan_split_level(X, phi, below)
                 assert k2 > level
+
+    @settings(max_examples=200)
+    @given(name=st.sampled_from(sorted(CATALOG)),
+           n=st.one_of(st.integers(1, 30), st.integers(200, 1000)),
+           digits=st.sampled_from([None, 0, 1]),
+           budget=st.sampled_from([1e-4, 1e-2, 0.125, 0.5, 1.0, 4.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_is_the_masked_bisection(self, name, n, digits, budget, seed):
+        # rounded atoms repeat their magnitudes, so levels hold ties
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        if digits is not None:
+            x = np.round(x, digits)
+        X = FiniteSpace(tuple(rng.dirichlet(np.ones(n)))).rv(x)
+        phi = CATALOG[name]
+        k, Z, W = split_with_budget(X, phi, budget)
+        assert k == split_by_masked_bisection(X, phi, budget)
+        assert np.array_equal(Z.x, np.where(np.abs(X.x) > k, X.x, 0.0))
+        assert np.array_equal(W.x, np.where(np.abs(X.x) > k, 0.0, X.x))
+
+    def test_a_running_tail_on_the_budget_is_summed_exactly(self):
+        # the tail at level 0 is 1 + 2^-52; summed from the largest atom
+        # down it rounds to 1, the budget, which only the correctly rounded
+        # tail puts above it: the split moves past level 0
+        X = FiniteSpace((0.5, 0.25, 0.25)).rv([2.0, 2.0 ** -51, -2.0 ** -51])
+        k, Z, _ = split_with_budget(X, PowerFunction(1.0), 1.0)
+        assert k == 2.0 ** -51
+        assert list(Z.values) == [2.0, 0.0, 0.0]
 
     def test_phi_is_evaluated_once(self, monkeypatch):
         phi = PowerFunction(2.0)

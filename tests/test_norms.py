@@ -22,9 +22,11 @@ from orlicz_lab.orlicz_functions import (CATALOG, EntropyConjugateFunction,
                                          build_sparse_pair, conjugate,
                                          double_until, newton_from_right,
                                          sparse_schedule)
+from orlicz_lab.orlicz_functions import _FSUM_SPLIT, _fsum
 
 import norm_replay
 from bisection_oracle import _NumericConjugate, definitional_by_bisection
+from kernel_references import knapsack_by_full_sort
 
 
 def two_atom_space(p):
@@ -830,7 +832,7 @@ class TestNormReplay:
         # every Luxemburg and Orlicz norm under the CATALOG functions and
         # their conjugates, and every split level and tail, by float.hex
         expected = json.loads(norm_replay.FIXTURE.read_text())
-        assert len(expected) == 175
+        assert len(expected) == 334
         got = norm_replay.replay()
         assert got.keys() == expected.keys()
         for key, want in expected.items():
@@ -873,6 +875,16 @@ def near_level(draw):
     return np.array(terms), math.ldexp(1.0, -e)
 
 
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """The length of each list that ``math.fsum`` sums."""
+    calls = []
+    real = math.fsum
+    monkeypatch.setattr(math, "fsum",
+                        lambda xs: calls.append(len(xs)) or real(xs))
+    return calls
+
+
 class TestRoundingFilter:
     """``norms._exceeds(terms, np.sum(terms), level)`` is exactly
     ``math.fsum(terms) > level``, and calls ``math.fsum`` only where the
@@ -907,14 +919,6 @@ class TestRoundingFilter:
         assert norms._exceeds(terms, float(np.sum(terms)), level) \
             == (math.fsum(terms.tolist()) > level)
 
-    @pytest.fixture
-    def fsum_calls(self, monkeypatch):
-        calls = []
-        real = math.fsum
-        monkeypatch.setattr(math, "fsum",
-                            lambda xs: calls.append(len(xs)) or real(xs))
-        return calls
-
     @pytest.mark.parametrize("terms, level, expect", [
         # the pairwise sum rounds 1 + 2^-52 down to 1: a tie it cannot
         # decide, which the correctly rounded sum puts above 1
@@ -943,6 +947,153 @@ class TestRoundingFilter:
     def test_a_nan_sum_falls_back_to_fsum(self, fsum_calls):
         assert norms._exceeds(np.array([1.0]), math.nan, 0.5) is True
         assert fsum_calls == [1]
+
+
+def fsum_outcome(call, a):
+    """``call(a)``'s float.hex, or the type of the error it raised."""
+    try:
+        return call(a).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def sum_terms(draw):
+    """A float array on either side of ``_FSUM_SPLIT`` terms: signed
+    terms of wide range; two large terms that cancel, so that the sum
+    is far below the largest term; nonnegative terms whose exact sum is
+    at or a few ulps from a power of two (``near_level``); a term with
+    half an ulp of it beside pairs that cancel exactly, a tie that a
+    tiny term may break; subnormals, alone or beside normal terms;
+    zeros of either sign; and inf, NaN or terms near the overflow,
+    which ``_fsum`` leaves to ``math.fsum``."""
+    kind = draw(st.sampled_from(["wide", "cancel", "level", "tie",
+                                 "subnormal", "zeros", "special"]))
+    if kind == "level":
+        return draw(near_level())[0]
+    n = draw(st.one_of(st.integers(1, 30),
+                       st.integers(_FSUM_SPLIT - 2, _FSUM_SPLIT + 2),
+                       st.integers(_FSUM_SPLIT, 3000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 2.0 ** int(rng.integers(-60, 60))
+    if kind == "wide":
+        a = rng.standard_normal(n) * 2.0 ** rng.integers(-60, 60, n)
+    elif kind == "cancel":
+        a = np.concatenate(([scale, -scale], rng.standard_normal(n)
+                            * scale * 2.0 ** rng.integers(-60, -20, n)))[:n]
+    elif kind == "tie":
+        x = float(rng.standard_normal()) * scale
+        v = rng.standard_normal(n // 2) * scale
+        a = np.concatenate(([x, math.ulp(x) / 2], v, -v))[:n]
+        if draw(st.booleans()):
+            a[-1] = draw(st.sampled_from([1.0, -1.0])) * math.ulp(x) / 2 ** 20
+    elif kind == "subnormal":
+        a = rng.integers(-2 ** 20, 2 ** 20, n) * 5e-324
+        if draw(st.booleans()):
+            a[0] = rng.standard_normal()
+    elif kind == "zeros":
+        a = rng.choice([0.0, -0.0], n)
+        if draw(st.booleans()):
+            a[0] = rng.standard_normal()
+    else:
+        a = rng.standard_normal(n) * scale
+        a[rng.integers(n)] = draw(st.sampled_from(
+            [math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 2.0 ** 900]))
+    return rng.permutation(a) if draw(st.booleans()) else a
+
+
+class TestCorrectlyRoundedSum:
+    """``_fsum(a)`` is ``math.fsum(a.tolist())`` bit for bit, and from
+    ``_FSUM_SPLIT`` terms on it needs ``math.fsum`` only where the
+    error-free split cannot tell the correctly rounded sum."""
+
+    @settings(max_examples=600)
+    @given(sum_terms())
+    def test_equals_math_fsum(self, a):
+        assert fsum_outcome(_fsum, a) == \
+            fsum_outcome(lambda b: math.fsum(b.tolist()), a)
+
+    def test_a_sum_past_the_tie_below_a_power_of_two(self):
+        # the high parts sum to 2^20 - 1 and the low parts to 1 - 2^-34:
+        # -2^-90 is lost in them, in any order, so the two sums round to
+        # 2^20 at the tie 2^20 - 2^-34, half the gap below 2^20, while
+        # the exact sum lies past it; within half math.ulp(2^20) of the
+        # split's sum, but not within half the gap below it
+        a = np.array([2.0 ** 44, -2.0 ** 44, 2.0 ** 20, 0.75,
+                      -0.75 - 2.0 ** -34, -2.0 ** -90] + [0.0] * 234)
+        assert _fsum(a) == math.fsum(a.tolist()) \
+            == math.nextafter(2.0 ** 20, 0.0)
+
+    def test_a_low_sum_that_rounds_past_a_tie(self):
+        # the exact sum is the tie 2^20 - 1/4 + 2^-34, which rounds to
+        # the even 2^20 - 1/4; the low parts' pairwise sum rounds
+        # -1/2 - 2^-54 to even, so the split's sum lands a hair past the
+        # tie, with a residual below half an ulp, but not below it
+        # plus the bound on the low parts' rounding
+        a = np.array([2.0 ** 44, -2.0 ** 44, 2.0 ** 20,
+                      float.fromhex("0x1.0000000100001p-2"),
+                      float.fromhex("-0x1.0000000000001p-2"), -0.25]
+                     + [0.0] * 234)
+        assert _fsum(a) == math.fsum(a.tolist()) == 2.0 ** 20 - 0.25
+
+    def test_a_long_sum_is_split(self, fsum_calls):
+        rng = np.random.default_rng([31, 0])
+        for n in (_FSUM_SPLIT, 600, 3000):
+            terms = rng.dirichlet(np.ones(n)) * rng.random(n)
+            _fsum(terms)
+        assert fsum_calls == []
+        _fsum(terms[:_FSUM_SPLIT - 1])
+        assert fsum_calls == [_FSUM_SPLIT - 1]
+
+
+def knapsack_phi():
+    """The piecewise-linear functions whose knapsack is checked: the
+    sparse pair, the conjugate of ``t`` (every pair fills, ``mu = inf``)
+    and ``CAP_BINDS``."""
+    sparse = CATALOG["sparse"]
+    return {"sparse": sparse, "sparse*": conjugate(sparse),
+            "linear*": conjugate(PowerFunction(1.0)), "capped": CAP_BINDS}
+
+
+class TestKnapsackHead:
+    """The piecewise-linear knapsack sorts only the head of its pairs
+    that it fills, and finds the full sort's value and multiplier bit for
+    bit."""
+
+    @settings(max_examples=150)
+    @given(name=st.sampled_from(sorted(knapsack_phi())),
+           n=st.one_of(st.integers(1, 40), st.integers(200, 3000)),
+           digits=st.sampled_from([None, 0, 1]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_is_the_full_sort(self, name, n, digits, seed):
+        # rounded atoms repeat their magnitudes, so ratios tie
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if digits is not None:
+            y = np.round(y / np.max(np.abs(y)) * 4.0, digits)
+        assume(np.any(y != 0.0))
+        Y = FiniteSpace(tuple(rng.dirichlet(np.full(n, 2.0)))).rv(y)
+        y_abs, p, m = Y.sorted_abs
+        phi = knapsack_phi()[name]
+        got = phi.orlicz_definitional(y_abs / m, p)
+        want = knapsack_by_full_sort(phi, y_abs / m, p)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    @pytest.mark.parametrize("n, heads", [(600, [256]),
+                                          (3000, [256, 1024])])
+    def test_sorts_a_head_widened_fourfold(self, n, heads, monkeypatch):
+        # at 600 atoms the fill (about 150 of 7800 pairs) fits the first
+        # head; at 3000 (about 780) the second
+        sizes = []
+        real = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, **kw:
+                            sizes.append(len(a)) or real(a, **kw))
+        rng = np.random.default_rng([31, n])
+        Y = FiniteSpace(tuple(rng.dirichlet(np.full(n, 2.0)))).rv(
+            rng.standard_normal(n))
+        y_abs, p, m = Y.sorted_abs
+        CATALOG["sparse"].orlicz_definitional(y_abs / m, p)
+        assert sizes == heads
 
 
 class TestSortedView:

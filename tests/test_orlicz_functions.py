@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 import time
@@ -250,6 +251,17 @@ class TestRderivInverseLeft:
                 phi.rderiv_inverse_left(arg)
 
 
+    @pytest.mark.parametrize("phi", [PowerFunction(1.0),
+                                     conjugate(PowerFunction(1.0)),
+                                     conjugate(CATALOG["sparse"])],
+                             ids=lambda f: f.name)
+    def test_a_nan_slope_raises(self, phi):
+        # the linear function answered 0.0 and the capped ones their cap
+        for arg in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(NumericFailure, match="slope is NaN"):
+                phi.rderiv_inverse_left(arg)
+
+
 class TestBaseMultiplierLoop:
     """A multiplier whose slope inverse overflows counts as past the
     root (an infinite excess), and the loop goes on below it."""
@@ -458,7 +470,8 @@ class TestPowerPastOverflow:
         assert psi(1.44e154) == pytest.approx(5.184e307, rel=1e-15)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 7.0])
-    @pytest.mark.parametrize("coef", [1e-3, 0.1, 0.25, 0.9, 1.0, 3.0])
+    @pytest.mark.parametrize("coef", [1e-310, 1e-300, 1e-3, 0.1, 0.25, 0.9,
+                                      1.0, 3.0])
     def test_finite_values_keep_their_bits(self, p, coef):
         # the parent formula coef * t**p decides every value it finds
         # finite, by float.hex; each value below the largest double is
@@ -476,6 +489,25 @@ class TestPowerPastOverflow:
         assert np.isfinite(out[in_range]).all()
         for i in np.flatnonzero(kept)[::400]:  # one point at a time
             assert phi(float(t[i])) == float(coef * np.asarray(t[i]) ** p)
+
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0])
+    @pytest.mark.parametrize("coef", [5e-324, 1e-310, 1e-300, 1e-100])
+    def test_a_tiny_coefficient_against_decimal(self, p, coef):
+        # 2**(k p) >= 1 / coef overflowed for coef below about 2**-1023,
+        # and PowerFunction(2.0, 1e-310)(1e300) was inf
+        phi = PowerFunction(p, coef)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            for t in np.geomspace(1e-3, 1.7e308, 301).tolist():
+                exact = decimal.Decimal(coef) * decimal.Decimal(t) ** \
+                    decimal.Decimal(p)
+                if exact > decimal.Decimal(sys.float_info.max) or \
+                        exact < decimal.Decimal(2.0 ** -1000):
+                    continue
+                assert phi(t) == pytest.approx(float(exact), rel=1e-14), t
+                if p.is_integer() and 2.0 * t < 1.7e308 and \
+                        math.isfinite(phi(2.0 * t)):
+                    assert phi(2.0 * t) == 2.0 ** p * phi(t)
 
 
 class TwoValues(OrliczFunction):

@@ -18,10 +18,24 @@ file that must kill each mutant:
   ``if`` test in ``delta2_witnesses`` (the count and cap checks, and
   the test that every requested ``n`` has a witness), in
   ``OrliczFunction.__call__`` (the domain cap) and
-  ``OrliczFunction.rderiv_inverse_left`` (a result that is not finite),
-  and in ``PowerFunction._eval`` (the rescaled form past the overflow
-  of ``t**p``) is replaced by ``False``; the killer is
-  ``tests/test_orlicz_functions.py``.
+  ``OrliczFunction.rderiv_inverse_left`` (a NaN slope, and a result
+  that is not finite), and in ``PowerFunction._eval`` (the rescaled
+  form past the overflow of ``t**p``) is replaced by ``False``; the
+  killer is ``tests/test_orlicz_functions.py``.
+* The piecewise-linear knapsack's head.  The test that ends the
+  widening of the sorted head (the costs pass 1, or every pair is in
+  it) is replaced by ``True``, so that the first head is taken as if
+  it held the whole fill; the killer is ``tests/test_norms.py``.
+
+Three more mutants edit a piece of source text (``EDITS``):
+
+* ``_fsum``'s acceptance test loses the bound on the low parts'
+  rounding, or compares with half ``math.ulp(c)`` instead of half the
+  gap below ``c``, which is half as wide at a power of two; the killer
+  is ``tests/test_norms.py``.
+* ``split_with_budget`` decides each tail from its running sum alone,
+  without the rounding filter's fallback to the correctly rounded sum;
+  the killer is ``tests/test_closure_lab.py``.
 
 A target names a module-level function by its name and a method by
 ``Class.method``.
@@ -75,6 +89,30 @@ TARGETS = (
            ("delta2_witnesses", "OrliczFunction.__call__",
             "OrliczFunction.rderiv_inverse_left", "PowerFunction._eval"),
            "False", "tests/test_orlicz_functions.py"),
+    Target(Path("src/orlicz_lab/orlicz_functions.py"),
+           ("PiecewiseLinearFunction.orlicz_definitional",), "True",
+           "tests/test_norms.py", reads=frozenset({"spent"})),
+)
+
+
+class Edit(NamedTuple):
+    module: Path
+    function: str
+    old: str  # text found once in the function's source
+    new: str
+    tests: str
+
+
+EDITS = (
+    Edit(Path("src/orlicz_lab/orlicz_functions.py"), "_fsum",
+         "abs(e) + _sum_error(n, n * 2.0 ** -53 * sigma)", "abs(e)",
+         "tests/test_norms.py"),
+    Edit(Path("src/orlicz_lab/orlicz_functions.py"), "_fsum",
+         "0.5 * abs(c - math.nextafter(c, 0.0))", "0.5 * math.ulp(c)",
+         "tests/test_norms.py"),
+    Edit(Path("src/orlicz_lab/closure_lab.py"), "split_with_budget",
+         "_exceeds(terms[start:], float(tails[start]), budget)",
+         "float(tails[start]) > budget", "tests/test_closure_lab.py"),
 )
 
 
@@ -120,6 +158,19 @@ def mutate(source: str, expr: ast.expr, replacement: str) -> str:
     return "".join(lines[:first] + [head + replacement + tail] + lines[last + 1:])
 
 
+def edited(source: str, edit: Edit) -> tuple[str, int]:
+    """``source`` with ``edit`` made, and the line it is made on."""
+    node = dict(functions(ast.parse(source)))[edit.function]
+    lines = source.splitlines(keepends=True)
+    head = "".join(lines[:node.lineno - 1])
+    body = "".join(lines[node.lineno - 1:node.end_lineno])
+    if body.count(edit.old) != 1:
+        raise ValueError(f"{edit.old!r} is not once in {edit.function}")
+    line = node.lineno + body[:body.index(edit.old)].count("\n")
+    return (head + body.replace(edit.old, edit.new)
+            + "".join(lines[node.end_lineno:])), line
+
+
 def run(tree: Path, tests: str) -> bool:
     """True when the tests in ``tests`` pass on ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -137,27 +188,36 @@ def main() -> int:
             shutil.copytree(ROOT / part, tree / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tree)
-        print(f"{'module':<19} {'function':<36} {'line':>5}  {'verdict':<8}  "
+        print(f"{'module':<19} {'function':<44} {'line':>5}  {'verdict':<8}  "
               "condition")
+        for tests in sorted({t.tests for t in TARGETS + EDITS}):
+            if not run(tree, tests):
+                print(f"{tests} fails unmutated; no sweep", file=sys.stderr)
+                return 2
+
+        def sweep(module, name, line, mutated, tests, change):
+            nonlocal total, survivors
+            (tree / module).write_text(mutated)
+            killed = not run(tree, tests)
+            (tree / module).write_text((ROOT / module).read_text())
+            total += 1
+            survivors += not killed
+            print(f"{module.name:<19} {name:<44} {line:>5}  "
+                  f"{'killed' if killed else 'SURVIVED':<8}  {change}",
+                  flush=True)
+
         for target in TARGETS:
             source = (ROOT / target.module).read_text()
-            if not run(tree, target.tests):
-                print(f"{target.tests} fails unmutated; no sweep",
-                      file=sys.stderr)
-                return 2
             for name, expr, replacement in mutants(source, target):
-                (tree / target.module).write_text(
-                    mutate(source, expr, replacement))
-                killed = not run(tree, target.tests)
-                total += 1
-                survivors += not killed
                 condition = " ".join(
                     ast.get_source_segment(source, expr).split())
-                print(f"{target.module.name:<19} {name:<36} "
-                      f"{expr.lineno:>5}  "
-                      f"{'killed' if killed else 'SURVIVED':<8}  "
-                      f"{condition} -> {replacement}", flush=True)
-            (tree / target.module).write_text(source)
+                sweep(target.module, name, expr.lineno,
+                      mutate(source, expr, replacement), target.tests,
+                      f"{condition} -> {replacement}")
+        for edit in EDITS:
+            mutated, line = edited((ROOT / edit.module).read_text(), edit)
+            sweep(edit.module, edit.function, line, mutated, edit.tests,
+                  f"{edit.old} -> {edit.new}")
     print(f"{total - survivors} of {total} mutants killed")
     return 1 if survivors else 0
 
