@@ -9,7 +9,6 @@ __all__ = [
     "CrossCheckFailure",
     "WitnessNotFound",
     "EmptyScenarioSet",
-    "BracketInvalid",
     "NotAMember",
     "TruncationTooSmall",
     "HypothesisViolation",
@@ -48,10 +47,6 @@ class WitnessNotFound(OrliczLabError):
 
 class EmptyScenarioSet(InputError):
     """A scenario evaluation was requested with no densities."""
-
-
-class BracketInvalid(OrliczLabError):
-    """A bisection bracket does not satisfy the required endpoint conditions."""
 
 
 class NotAMember(OrliczLabError):

@@ -32,27 +32,48 @@ def _exceeds(terms: np.ndarray, s: float, level: float) -> bool:
 
 def _terms(x: np.ndarray, p: np.ndarray, phi: OrliczFunction,
            lam: float) -> np.ndarray:
-    """``p_i phi(|x_i|/lam)``; NumericFailure names the first atom whose
-    term is not finite."""
+    """``p_i phi(|x_i|/lam)``, whose correctly rounded sum is finite.
+    Their pairwise sum decides: below 2^1023 the correctly rounded sum
+    cannot overflow; otherwise NumericFailure names the first atom whose
+    term is not finite, or says that the correctly rounded sum
+    overflows."""
     try:
-        vals = np.asarray(phi(np.abs(x) / lam), dtype=float)
+        vals = phi(np.abs(x) / lam)
     except NumericFailure as exc:
         raise NumericFailure(f"modular evaluation failed: {exc}") from exc
+    terms = p * vals
+    with np.errstate(over="ignore"):
+        s = float(terms.sum())
+    if s < 2.0 ** 1023:
+        return terms
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise NumericFailure(
             f"modular overflow at atom {int(bad[0])} (value {float(x[bad[0]])!r})"
         )
-    return p * vals
-
-
-def _terms_raw(x_abs: np.ndarray, p: np.ndarray, phi: OrliczFunction,
-               lam: float) -> np.ndarray:
-    """``_terms``, with overflow / beyond-domain reported as one +inf."""
     try:
-        return _terms(x_abs, p, phi, lam)
+        math.fsum(terms.tolist())
+    except OverflowError:
+        raise NumericFailure("modular: the sum of the terms overflows "
+                             "the double range") from None
+    return terms
+
+
+def _probe(t: np.ndarray, p: np.ndarray,
+           phi: OrliczFunction) -> tuple[np.ndarray, float]:
+    """``(p_i phi(t_i), their pairwise sum)`` for magnitudes ``t``; one
+    +inf term and +inf when phi raises NumericFailure or the sum is not
+    finite.  No kernel gives -inf, and inf and NaN carry into the sum,
+    so a finite sum has every term finite."""
+    try:
+        terms = p * phi(t)
     except NumericFailure:
-        return np.array([math.inf])
+        return np.array([math.inf]), math.inf
+    with np.errstate(over="ignore"):
+        s = float(terms.sum())
+    if math.isfinite(s):
+        return terms, s
+    return np.array([math.inf]), math.inf
 
 
 def modular(X: RandomVariable, phi: OrliczFunction, lam: float) -> float:
@@ -73,15 +94,17 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
     convex ``E[phi(v |X| / m)]``, along ``phi.rderiv``, started by
     doubling from ``v = 1`` (``newton_from_right``), over the atoms
     sorted by ``(|x_i|, p_i)`` (``X.sorted_abs``).  Each point's terms
-    are made once: pairwise sums of them steer, and the cap and the two
-    ends of the closed bracket are decided as one correctly rounded sum
-    (``_fsum``, as ``modular`` sums) decides them, an end found on the
-    wrong side moving out by half the tolerance; that sum is made only
-    inside Higham's a priori bound (2002, section 4.2) on the pairwise
-    sum (``_exceeds``).  The value returned is the lower end
-    ``lam`` of that bracket, whatever the order of the atoms: the modular
-    is above 1 at ``lam`` and at most 1 at ``lam * (1 + 1e-10)``.  An
-    atom that is not finite raises NumericFailure.
+    are made once, in one pass with their pairwise sum, which is +inf
+    where phi overflows or leaves its domain (``_probe``): those sums
+    steer, and the cap and the two ends of the closed bracket are
+    decided as one correctly rounded sum (``_fsum``, as ``modular``
+    sums) decides them, an end found on the wrong side moving out by
+    half the tolerance; that sum is made only inside Higham's a priori
+    bound (2002, section 4.2) on the pairwise sum (``_exceeds``).  The
+    value returned is the lower end ``lam`` of that bracket, whatever
+    the order of the atoms: the modular is above 1 at ``lam`` and at
+    most 1 at ``lam * (1 + 1e-10)``.  An atom that is not finite raises
+    NumericFailure.
     """
     x_abs, p, m = X.sorted_abs
     if m == 0.0:
@@ -93,8 +116,7 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
 
     @functools.cache
     def at(v: float) -> tuple[np.ndarray, float]:
-        terms = _terms_raw(x_abs, p, phi, m / v)
-        return terms, float(terms.sum())
+        return _probe(x_abs / (m / v), p, phi)
 
     def excess(v: float) -> float:
         return at(v)[1] - 1.0
@@ -103,8 +125,9 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
         return _exceeds(*at(v), 1.0)
 
     def slope(v: float) -> float:
-        with np.errstate(invalid="ignore"):
-            return float((p * (x_unit * phi.rderiv(x_unit * v))).sum())
+        # x_unit * v <= 1e300 and phi' is finite at 0, so each term is
+        # 0 * finite or positive * (finite or inf): never NaN
+        return float((p * (x_unit * phi.rderiv(x_unit * v))).sum())
 
     cap = phi.domain_cap
     if cap is not None and not above(cap):
@@ -144,10 +167,11 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction) -> float:
     must agree within 1e-6 relative: on the correctly rounded sum
     (``_fsum``) of ``E[psi(mu|Y|)]``, unless the whole interval that
     Higham's bound (2002, section 4.2; ``_sum_error``) puts around its
-    pairwise sum passes.  The atoms are first sorted by ``(|y_i|, p_i)``, so the value
-    does not depend on their order, and both run on ``|Y| / max|y_i|``,
-    so it does not depend on the scale of Y.  An atom that is not finite
-    raises NumericFailure.
+    pairwise sum passes; the terms and that sum are made in one pass
+    (``_probe``).  The atoms are first sorted by ``(|y_i|, p_i)``, so
+    the value does not depend on their order, and both run on
+    ``|Y| / max|y_i|``, so it does not depend on the scale of Y.  An
+    atom that is not finite raises NumericFailure.
     """
     y_abs, p, m = Y.sorted_abs
     if m == 0.0:
@@ -159,8 +183,8 @@ def orlicz_norm(Y: RandomVariable, phi: OrliczFunction) -> float:
     if mu == math.inf:
         amemiya = _fsum(p * y_abs) * psi.rderiv(math.inf)
     else:
-        terms = _terms_raw(mu * y_abs, p, psi, 1.0)
-        s = float(terms.sum())  # a hair of 2^-40 covers 1 + s and / mu
+        terms, s = _probe(mu * y_abs, p, psi)
+        # a hair of 2^-40 covers 1 + s and / mu
         err = _sum_error(len(terms), s) + 2.0 ** -40 * (1.0 + s)
         if all(math.isclose(definitional, (1.0 + end) / mu, rel_tol=1e-6,
                             abs_tol=1e-306) for end in (s - err, s + err)):

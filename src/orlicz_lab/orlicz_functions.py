@@ -46,8 +46,6 @@ __all__ = [
 _BRACKET_CAP = 1e300
 #: Most doublings (or safeguarded Newton steps) one bracket search makes.
 _MAX_DOUBLINGS = 1100
-#: Most halvings one bisection makes (enough to reach adjacent doubles).
-_MAX_HALVINGS = 2100
 #: Fewest terms for which ``_fsum`` splits before it calls ``math.fsum``.
 _FSUM_SPLIT = 240
 
@@ -100,21 +98,6 @@ def double_until(holds, x: float, failure: str) -> tuple[float, float]:
         if x > _BRACKET_CAP:
             break
     raise NumericFailure(failure)
-
-
-def bisect(holds, lo: float, hi: float, narrow) -> tuple[float, float]:
-    """Bracket ``(lo, hi)`` of the monotone predicate ``holds``, false at
-    ``lo`` and true at ``hi``, halved until ``narrow(lo, hi)`` is true:
-    the midpoint replaces ``hi`` where ``holds``, else ``lo``."""
-    for _ in range(_MAX_HALVINGS):
-        if narrow(lo, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 def newton_from_right(excess, slope, lo: float, hi: float, rtol: float,
@@ -252,11 +235,13 @@ class OrliczFunction:
         def excess(mu: float) -> float:
             return at(mu)[1]
 
+        y2 = y_abs ** 2
+
         def slope(mu: float) -> float:
-            return float((p * mu * y_abs ** 2
+            return float((p * mu * y2
                           / _run_kernel(self._rderiv2, at(mu)[0])).sum())
 
-        mu0 = math.sqrt(2.0 / _fsum(p * y_abs ** 2))
+        mu0 = math.sqrt(2.0 / _fsum(p * y2))
         lo, hi = double_until(lambda mu: excess(mu) > 0.0, mu0,
                               "orlicz_norm: multiplier bracket not found")
         mu, _ = newton_from_right(excess, slope, lo, hi, 1e-14)
@@ -447,7 +432,7 @@ class EntropyFunction(OrliczFunction):
         return EntropyConjugateFunction()
 
     def _rderiv_inverse_left(self, s):
-        return np.where(s > 0, np.expm1(np.maximum(s, 0.0)), 0.0)
+        return np.expm1(np.maximum(s, 0.0))  # +0.0 at s = -0.0 too
 
 
 class EntropyConjugateFunction(OrliczFunction):

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketInvalid, EmptyScenarioSet, InputError
+from .errors import EmptyScenarioSet, InputError
 from .finite_model import (FiniteSpace, RandomVariable, expectation,
                            nearest_point, pairing)
-from .orlicz_functions import _split_spec, bisect, double_until
+from .orlicz_functions import _split_spec
 
 __all__ = [
     "ScenarioSet",
@@ -31,8 +31,6 @@ __all__ = [
     "RiskMeasure",
     "scenario_eval",
     "scenario_measure",
-    "acceptance_eval",
-    "acceptance_measure",
     "axiom_suite",
     "fatou_harness",
     "avar_scenarios",
@@ -213,39 +211,6 @@ def scenario_eval(Q: ScenarioSet, X: RandomVariable) -> float:
 
 def scenario_measure(Q: ScenarioSet, name: str = "scenario") -> RiskMeasure:
     return RiskMeasure(lambda X: scenario_eval(Q, X), name, scenarios=Q)
-
-
-def acceptance_eval(member, X: RandomVariable, bracket, tol: float = 1e-8) -> float:
-    """``inf{m : X + m*1 in C}`` by bisection on a monotone membership
-    predicate; ``bracket = (m_lo, m_hi)`` must satisfy
-    ``member(X + m_hi) and not member(X + m_lo)``."""
-    m_lo, m_hi = float(bracket[0]), float(bracket[1])
-    if m_lo >= m_hi:
-        raise BracketInvalid("need m_lo < m_hi")
-    if not member(X + m_hi):
-        raise BracketInvalid(f"X + {m_hi}*1 is not in C (upper bracket invalid)")
-    if member(X + m_lo):
-        raise BracketInvalid(f"X + {m_lo}*1 is in C (lower bracket invalid)")
-    m_lo, m_hi = bisect(lambda m: member(X + m), m_lo, m_hi,
-                        lambda lo, hi: hi - lo <= tol * max(1.0, abs(hi)))
-    return 0.5 * (m_lo + m_hi)
-
-
-def acceptance_measure(member, name: str = "acceptance") -> RiskMeasure:
-    """Risk measure from an acceptance set, with automatic bracket
-    widening by doubling from ``(-1, 1)``: the upper end is the first of
-    ``1, 2, 4, ...`` with ``X + m*1`` in C, the lower the first of
-    ``-1, -2, -4, ...`` with it outside.  NumericFailure when either
-    passes 1e300 (``X + m*1`` never enters C, or is always in it)."""
-
-    def evaluate(X: RandomVariable) -> float:
-        _, hi = double_until(lambda h: member(X + h), 1.0,
-                             "no upper bracket: X + m*1 never enters C")
-        _, lo = double_until(lambda l: not member(X - l), 1.0,
-                             "no lower bracket: X + m*1 always in C")
-        return acceptance_eval(member, X, (-lo, hi))
-
-    return RiskMeasure(evaluate, name)
 
 
 def axiom_suite(rho, samples):

@@ -1,22 +1,47 @@
-"""Bisection references for the Orlicz-function solvers.
+"""Bisection references for the Orlicz-function solvers and risk measures.
 
 ``definitional_by_bisection`` finds the definitional Orlicz value by
 bisecting on the multiplier, and ``_NumericConjugate`` is the conjugate
 of any phi by bisecting on its right derivative.  Both only assume that
 phi is convex and increasing, so they check the library's exact forms
-and Newton loops without sharing their steps.
+and Newton loops without sharing their steps.  ``acceptance_measure``
+is the risk measure of an acceptance set, by bisection on its
+membership predicate: a generic reference for the scenario measures'
+exact values, and a measure with no dual representation on record.
 """
 
 import math
 
 import numpy as np
 
-from orlicz_lab.errors import NumericFailure
-from orlicz_lab.orlicz_functions import OrliczFunction
+from orlicz_lab.errors import NumericFailure, OrliczLabError
+from orlicz_lab.finite_model import RandomVariable
+from orlicz_lab.orlicz_functions import OrliczFunction, double_until
+from orlicz_lab.risk_measures import RiskMeasure
 
 #: Width at which a slope inverse stops: absolute plus relative.
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
+
+
+class BracketInvalid(OrliczLabError):
+    """A bisection bracket does not satisfy the required endpoint conditions."""
+
+
+def bisect(holds, lo: float, hi: float, narrow) -> tuple[float, float]:
+    """Bracket ``(lo, hi)`` of the monotone predicate ``holds``, false at
+    ``lo`` and true at ``hi``, halved until ``narrow(lo, hi)`` is true
+    (at most 2100 times, enough to reach adjacent doubles): the midpoint
+    replaces ``hi`` where ``holds``, else ``lo``."""
+    for _ in range(2100):
+        if narrow(lo, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def bracket_and_bisect(holds, narrow, failure):
@@ -30,15 +55,7 @@ def bracket_and_bisect(holds, narrow, failure):
         lo, hi = hi, 2.0 * hi
         if hi > 1e300:
             raise NumericFailure(failure)
-    for _ in range(2100):
-        if narrow(lo, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    return bisect(holds, lo, hi, narrow)
 
 
 def definitional_by_bisection(phi, y_abs, p):
@@ -120,3 +137,36 @@ class _NumericConjugate(OrliczFunction):
     @property
     def analytic_conjugate(self):
         return _NumericConjugate(self)
+
+
+def acceptance_eval(member, X: RandomVariable, bracket, tol: float = 1e-8) -> float:
+    """``inf{m : X + m*1 in C}`` by bisection on a monotone membership
+    predicate; ``bracket = (m_lo, m_hi)`` must satisfy
+    ``member(X + m_hi) and not member(X + m_lo)``."""
+    m_lo, m_hi = float(bracket[0]), float(bracket[1])
+    if m_lo >= m_hi:
+        raise BracketInvalid("need m_lo < m_hi")
+    if not member(X + m_hi):
+        raise BracketInvalid(f"X + {m_hi}*1 is not in C (upper bracket invalid)")
+    if member(X + m_lo):
+        raise BracketInvalid(f"X + {m_lo}*1 is in C (lower bracket invalid)")
+    m_lo, m_hi = bisect(lambda m: member(X + m), m_lo, m_hi,
+                        lambda lo, hi: hi - lo <= tol * max(1.0, abs(hi)))
+    return 0.5 * (m_lo + m_hi)
+
+
+def acceptance_measure(member, name: str = "acceptance") -> RiskMeasure:
+    """Risk measure from an acceptance set, with automatic bracket
+    widening by doubling from ``(-1, 1)``: the upper end is the first of
+    ``1, 2, 4, ...`` with ``X + m*1`` in C, the lower the first of
+    ``-1, -2, -4, ...`` with it outside.  NumericFailure when either
+    passes 1e300 (``X + m*1`` never enters C, or is always in it)."""
+
+    def evaluate(X: RandomVariable) -> float:
+        _, hi = double_until(lambda h: member(X + h), 1.0,
+                             "no upper bracket: X + m*1 never enters C")
+        _, lo = double_until(lambda l: not member(X - l), 1.0,
+                             "no lower bracket: X + m*1 always in C")
+        return acceptance_eval(member, X, (-lo, hi))
+
+    return RiskMeasure(evaluate, name)

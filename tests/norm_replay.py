@@ -11,10 +11,15 @@ Orlicz norm under the piecewise-linear functions (the sparse pair and
 the conjugate of ``t``, whose knapsack fills every pair) on 3000 and
 6000 atoms; both norms under the sparse pair on atoms of few distinct
 magnitudes, so that knapsack ratios tie; and splits of variables whose
-magnitudes repeat.  A call that raises is recorded by its error type
-and message.  The first fixture was written by the library before the
-norm kernels moved to a rounding-error filter, and its extension by the
-library before the knapsack sorted only the pairs it fills; running
+magnitudes repeat.  Two more groups take Newton's probes off the
+finite path: under ``t`` capped at 1.5 the Luxemburg bracket's doubling
+leaves the domain, so that phi raises, and under exp an atom of
+probability 1e-300 makes the doubling overflow ``e^t``.  A call that
+raises is recorded by its error type and message.  The first fixture
+was written by the library before the norm kernels moved to a
+rounding-error filter, its first extension by the library before the
+knapsack sorted only the pairs it fills, and its second by the library
+before the probes decided finiteness from their sums; running
 
     PYTHONPATH=src python tests/norm_replay.py
 
@@ -30,7 +35,8 @@ from orlicz_lab.closure_lab import split_with_budget
 from orlicz_lab.errors import OrliczLabError
 from orlicz_lab.finite_model import FiniteSpace
 from orlicz_lab.norms import luxemburg_norm, modular, orlicz_norm
-from orlicz_lab.orlicz_functions import CATALOG, PowerFunction, conjugate
+from orlicz_lab.orlicz_functions import (CATALOG, PiecewiseLinearFunction,
+                                         PowerFunction, conjugate)
 
 FIXTURE = pathlib.Path(__file__).with_name("norm_replay.json")
 ATOMS = (1, 2, 7, 200, 239, 240, 600, 1000)
@@ -53,6 +59,17 @@ def piecewise_linear():
     yield "sparse", sparse
     yield "sparse*", conjugate(sparse)
     yield "linear*", conjugate(PowerFunction(1.0))
+
+
+def off_the_finite_path():
+    """``(name, X, phi)`` whose Luxemburg probes meet phi raising past its
+    domain cap, or a term that overflows to inf."""
+    capped = PiecewiseLinearFunction([], [1.0], domain_cap=1.5)
+    for n in (1, 7, 600):
+        X = variable(n, 1.0, 6)
+        yield f"capped {n}", X.space.rv(np.abs(X.x) + 1.0), capped
+        space = FiniteSpace((1e-300,) + tuple(np.full(n, 1.0 / n)))
+        yield f"rare {n}", space.rv(np.append(1.0, 1e-3 * X.x)), CATALOG["exp"]
 
 
 def variable(n: int, scale: float, seed: int, digits: int | None = None):
@@ -106,6 +123,9 @@ def replay() -> dict:
             for name, phi in CATALOG.items():
                 out[f"split tied {n} {digits} {name}"] = [
                     split(X, phi, b) for b in BUDGETS]
+    for name, X, phi in off_the_finite_path():
+        out[f"edge {name}"] = [outcome(luxemburg_norm, X, phi),
+                               outcome(orlicz_norm, X, phi)]
     return out
 
 

@@ -140,14 +140,19 @@ class TestSplitWithBudget:
     @given(name=st.sampled_from(sorted(CATALOG)),
            n=st.one_of(st.integers(1, 30), st.integers(200, 1000)),
            digits=st.sampled_from([None, 0, 1]),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]),
            budget=st.sampled_from([1e-4, 1e-2, 0.125, 0.5, 1.0, 4.0]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_is_the_masked_bisection(self, name, n, digits, budget, seed):
-        # rounded atoms repeat their magnitudes, so levels hold ties
+    def test_is_the_masked_bisection(self, name, n, digits, zeros, budget,
+                                     seed):
+        # rounded atoms repeat their magnitudes, so levels hold ties, and
+        # a share of the atoms (all of them at 1.0) sits on level 0, as
+        # zeros of either sign
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n)
         if digits is not None:
             x = np.round(x, digits)
+        x = np.where(rng.random(n) < zeros, rng.choice([0.0, -0.0], n), x)
         X = FiniteSpace(tuple(rng.dirichlet(np.ones(n)))).rv(x)
         phi = CATALOG[name]
         k, Z, W = split_with_budget(X, phi, budget)

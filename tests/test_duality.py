@@ -17,12 +17,13 @@ from orlicz_lab.errors import CertificateError, InputError
 from orlicz_lab.finite_model import FiniteSpace, pairing, uniform_space
 from orlicz_lab.risk_measures import (
     ScenarioSet,
-    acceptance_measure,
     avar_scenarios,
     entropic_measure,
     scenario_eval,
     scenario_measure,
 )
+
+from bisection_oracle import acceptance_measure
 
 
 def entropic_supergradient(theta):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from orlicz_lab import norms
 from orlicz_lab.block_sequences import (Block, block_luxemburg_norm,
                                         dual_block_orlicz_norm)
+from orlicz_lab.closure_lab import split_with_budget
 from orlicz_lab.errors import CrossCheckFailure, NumericFailure
 from orlicz_lab.finite_model import FiniteSpace, uniform_space
 from orlicz_lab.norms import (holder_check, luxemburg_norm, modular,
@@ -26,7 +27,8 @@ from orlicz_lab.orlicz_functions import _FSUM_SPLIT, _fsum
 
 import norm_replay
 from bisection_oracle import _NumericConjugate, definitional_by_bisection
-from kernel_references import knapsack_by_full_sort
+from kernel_references import (knapsack_by_full_sort, probe_by_finiteness_scan,
+                               terms_by_finiteness_scan)
 
 
 def two_atom_space(p):
@@ -57,6 +59,22 @@ class TestModular:
         X = two_atom_space(0.5).rv([1e200, 0.0])
         with pytest.raises(NumericFailure, match="atom 0"):
             modular(X, PowerFunction(3.0), 1.0)
+
+    def test_a_sum_past_the_double_range_is_a_numeric_failure(self):
+        # every term is finite, but FiniteSpace allows sum(p) = 1 + 1e-12
+        # and the terms sum past the largest double: math.fsum raised a
+        # bare OverflowError here, and the split's running sum warned
+        X = FiniteSpace((0.5 + 1e-13,) * 2).rv([1.7976931348623157e308] * 2)
+        match = "modular: the sum of the terms overflows the double range"
+        with pytest.raises(NumericFailure, match=match):
+            modular(X, PowerFunction(1.0), 1.0)
+        with pytest.raises(NumericFailure, match=match):
+            split_with_budget(X, PowerFunction(1.0), 0.5)
+
+    def test_a_sum_just_inside_the_double_range_is_summed(self):
+        # the terms sum to the largest double, above 2^1023
+        X = uniform_space(2).rv([1.7976931348623157e308] * 2)
+        assert modular(X, PowerFunction(1.0), 1.0) == 1.7976931348623157e308
 
 
 def decimal_phi(phi):
@@ -278,7 +296,7 @@ class TestSumProperties:
 def modular_raw(x_abs, p, phi, lam):
     """Reference modular: ``E[phi(|X|/lam)]`` as one correctly rounded
     sum, with overflow / beyond-domain reported as +inf."""
-    return math.fsum(norms._terms_raw(x_abs, p, phi, lam).tolist())
+    return math.fsum(probe_by_finiteness_scan(x_abs, p, phi, lam)[0].tolist())
 
 
 def amemiya_objective(k, y_abs, p, psi):
@@ -832,11 +850,128 @@ class TestNormReplay:
         # every Luxemburg and Orlicz norm under the CATALOG functions and
         # their conjugates, and every split level and tail, by float.hex
         expected = json.loads(norm_replay.FIXTURE.read_text())
-        assert len(expected) == 334
+        assert len(expected) == 340
         got = norm_replay.replay()
         assert got.keys() == expected.keys()
         for key, want in expected.items():
             assert got[key] == want, key
+
+    def test_the_fixture_reaches_every_branch_of_the_probe(self, monkeypatch):
+        # each probe's terms are all finite, or phi raises, or some term
+        # is inf (no kernel gives -inf, so nothing else makes the sum
+        # not finite on these inputs)
+        real, seen = norms._probe, set()
+
+        def spy(t, p, phi):
+            terms, s = real(t, p, phi)
+            try:
+                vals = phi(t)
+            except NumericFailure:
+                seen.add("raises")
+            else:
+                seen.add("finite" if np.isfinite(vals).all() else "inf")
+            return terms, s
+
+        monkeypatch.setattr(norms, "_probe", spy)
+        norm_replay.replay()
+        assert seen == {"finite", "raises", "inf"}
+
+
+#: The functions the probe properties draw: the catalog and its
+#: conjugates (exp* and entropy give NaN at inf), t, and t capped at 1
+#: (the conjugate of t) and at 1.5.
+PROBE_FUNCTIONS = (*CATALOG.values(), *map(conjugate, CATALOG.values()),
+                   PowerFunction(1.0), conjugate(PowerFunction(1.0)),
+                   PiecewiseLinearFunction([], [1.0], domain_cap=1.5))
+
+
+@st.composite
+def probe_draws(draw):
+    """``(x, p, phi, lam)``: signed atoms on up to 300 atoms whose
+    probabilities sum to 1 or a hair above, under one of
+    ``PROBE_FUNCTIONS``, at ``lam`` 1, 0.5 or 3.  Among ordinary values
+    they may hold zeros of either sign, ties, values where phi
+    overflows, inf (where exp* and entropy give NaN), values just past a
+    domain cap, or the largest double on every atom, whose terms under
+    t are finite and sum past it."""
+    phi = draw(st.sampled_from(PROBE_FUNCTIONS))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = rng.dirichlet(np.ones(n)) * draw(st.sampled_from([1.0, 1.0 + 1e-13]))
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 2, n)
+    some = rng.random(n) < 0.3
+    kind = draw(st.sampled_from(["plain", "zeros", "ties", "overflow", "inf",
+                                 "past cap", "largest"]))
+    if kind == "zeros":
+        x[some] = rng.choice([0.0, -0.0], n)[some]
+    elif kind == "ties":
+        x = np.round(x, 0)
+    elif kind == "overflow":
+        x[some] = 10.0 ** rng.integers(100, 309, n)[some]
+    elif kind == "inf":
+        x[rng.integers(n)] = math.inf
+    elif kind == "past cap":
+        past = 1.0 + 2.0 ** rng.integers(-45, -30, n)
+        x[some] = rng.choice([1.0, 1.5]) * past[some]
+    elif kind == "largest":
+        x[:] = 1.7976931348623157e308
+    x *= rng.choice([-1.0, 1.0], n)
+    return x, p, phi, draw(st.sampled_from([1.0, 0.5, 3.0]))
+
+
+class TestProbe:
+    """``norms._probe`` and ``norms._terms`` decide from their sum what
+    the scan for terms that are not finite decided before it
+    (``kernel_references``), bit for bit."""
+
+    # |x| / lam may overflow, and exp* and entropy warn where they give
+    # NaN at inf, alike on both sides: the norms' callers meet neither
+    # (their atoms are finite and their points at most 1e300)
+    @settings(max_examples=400)
+    @given(probe_draws())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_the_probe_is_the_scan(self, draw):
+        x, p, phi, lam = draw
+        t = np.abs(x)
+        terms, s = norms._probe(t / lam, p, phi)
+        want_terms, want_s = probe_by_finiteness_scan(t, p, phi, lam)
+        if want_s == math.inf:  # both take the inf path
+            assert s == math.inf and [v.hex() for v in terms.tolist()] \
+                == [math.inf.hex()]
+        else:
+            assert s.hex() == want_s.hex()
+            assert [v.hex() for v in terms.tolist()] \
+                == [v.hex() for v in want_terms.tolist()]
+
+    def test_a_sum_past_the_double_range_takes_the_inf_path(self):
+        # finite terms whose pairwise sum overflows, without numpy's
+        # overflow warning (an error under this suite's filter)
+        t, p = np.full(2, 1.7976931348623157e308), np.full(2, 0.5 + 1e-13)
+        terms, s = norms._probe(t, p, PowerFunction(1.0))
+        assert s == math.inf and terms.tolist() == [math.inf]
+
+    @settings(max_examples=400)
+    @given(probe_draws())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_the_terms_are_the_scan(self, draw):
+        x, p, phi, lam = draw
+        try:
+            want = terms_by_finiteness_scan(x, p, phi, lam)
+        except NumericFailure as exc:
+            with pytest.raises(NumericFailure) as got:
+                norms._terms(x, p, phi, lam)
+            assert str(got.value) == str(exc)
+            return
+        try:
+            math.fsum(want.tolist())
+        except OverflowError:  # the one change: a typed error
+            with pytest.raises(NumericFailure,
+                               match="sum of the terms overflows"):
+                norms._terms(x, p, phi, lam)
+            return
+        got = norms._terms(x, p, phi, lam)
+        assert [v.hex() for v in got.tolist()] \
+            == [v.hex() for v in want.tolist()]
 
 
 def ulps_from(level, k):

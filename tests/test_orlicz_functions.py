@@ -34,6 +34,7 @@ from orlicz_lab.orlicz_functions import (
 from orlicz_lab.orlicz_functions import _geometric_table, _scan_grid
 
 from bisection_oracle import _NumericConjugate, definitional_by_bisection
+from kernel_references import entropy_slope_inverse_by_where
 
 
 def grid_conjugate(phi, s, t_max=200.0, n=400_001):
@@ -260,6 +261,21 @@ class TestRderivInverseLeft:
         for arg in (math.nan, np.array([0.5, math.nan])):
             with pytest.raises(NumericFailure, match="slope is NaN"):
                 phi.rderiv_inverse_left(arg)
+
+    def test_entropy_maps_every_slope_at_most_0_to_plus_0(self):
+        # np.maximum(s, 0.0) gives +0.0 at s = -0.0 (its second operand),
+        # so no np.where is needed for it; on every array length up to
+        # 1000, which numpy's vector loops and their tails both see
+        phi = EntropyFunction()
+        rng = np.random.default_rng([32, 0])
+        values = np.array([0.0, -0.0, -1.0, -5e-324, -math.inf, 2.0 ** -60,
+                           0.5, 30.0])
+        for n in range(1, 1001):
+            s = rng.choice(values, n)
+            assert phi._rderiv_inverse_left(s).tobytes() \
+                == entropy_slope_inverse_by_where(s).tobytes()
+        for s in (-0.0, 0.0, -1.0):
+            assert math.copysign(1.0, phi.rderiv_inverse_left(s)) == 1.0
 
 
 class TestBaseMultiplierLoop:

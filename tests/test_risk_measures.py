@@ -7,14 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orlicz_lab.duality import conjugate_rho
-from orlicz_lab.errors import (BracketInvalid, EmptyScenarioSet, InputError,
-                               NumericFailure)
+from orlicz_lab.errors import EmptyScenarioSet, InputError, NumericFailure
 from orlicz_lab.finite_model import FiniteSpace, pairing, uniform_space
 from orlicz_lab.risk_measures import (
     RiskMeasure,
     ScenarioSet,
-    acceptance_eval,
-    acceptance_measure,
     avar_scenarios,
     axiom_suite,
     entropic_measure,
@@ -26,6 +23,8 @@ from orlicz_lab.risk_measures import (
     scenarios_to_json,
     worstcase_scenarios,
 )
+
+from bisection_oracle import BracketInvalid, acceptance_eval, acceptance_measure
 
 
 def avar_oracle(X, alpha):

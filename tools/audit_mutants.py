@@ -27,15 +27,21 @@ file that must kill each mutant:
   it) is replaced by ``True``, so that the first head is taken as if
   it held the whole fill; the killer is ``tests/test_norms.py``.
 
-Three more mutants edit a piece of source text (``EDITS``):
+Six more mutants edit a piece of source text (``EDITS``):
 
 * ``_fsum``'s acceptance test loses the bound on the low parts'
   rounding, or compares with half ``math.ulp(c)`` instead of half the
   gap below ``c``, which is half as wide at a power of two; the killer
   is ``tests/test_norms.py``.
+* ``norms._probe`` takes every sum for finite, so that terms that are
+  not finite leave it as they are; and ``norms._terms`` never looks for
+  the atom whose term is not finite.  The killer is
+  ``tests/test_norms.py``.
 * ``split_with_budget`` decides each tail from its running sum alone,
-  without the rounding filter's fallback to the correctly rounded sum;
-  the killer is ``tests/test_closure_lab.py``.
+  without the rounding filter's fallback to the correctly rounded sum,
+  or starts each level's tail at the first atom on the level
+  (``side="left"``), not past the last; the killer is
+  ``tests/test_closure_lab.py``.
 
 A target names a module-level function by its name and a method by
 ``Class.method``.
@@ -110,9 +116,15 @@ EDITS = (
     Edit(Path("src/orlicz_lab/orlicz_functions.py"), "_fsum",
          "0.5 * abs(c - math.nextafter(c, 0.0))", "0.5 * math.ulp(c)",
          "tests/test_norms.py"),
+    Edit(Path("src/orlicz_lab/norms.py"), "_probe", "if math.isfinite(s):",
+         "if True:", "tests/test_norms.py"),
+    Edit(Path("src/orlicz_lab/norms.py"), "_terms", "if bad.size:",
+         "if False:", "tests/test_norms.py"),
     Edit(Path("src/orlicz_lab/closure_lab.py"), "split_with_budget",
          "_exceeds(terms[start:], float(tails[start]), budget)",
          "float(tails[start]) > budget", "tests/test_closure_lab.py"),
+    Edit(Path("src/orlicz_lab/closure_lab.py"), "split_with_budget",
+         'side="right"', 'side="left"', "tests/test_closure_lab.py"),
 )
 
 
