@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError
 from .finite_model import FiniteSpace
 from .norms import phi_inverse
-from .orlicz_functions import OrliczFunction, delta2_witnesses
+from .orlicz_functions import OrliczFunction, _sum_in_order, delta2_witnesses
 
 __all__ = [
     "REGIONS",
@@ -58,7 +58,6 @@ class BlockSequence:
 
     def __post_init__(self):
         lo, hi = REGIONS[self.region]
-        mass = 0.0
         prev_hi = lo
         for b in self.blocks:
             if b.lo < prev_hi - 1e-15 or b.hi > hi + 1e-15 or b.hi <= b.lo:
@@ -69,8 +68,7 @@ class BlockSequence:
             if b.probability > (b.hi - b.lo) + 1e-15:
                 raise InputError("block probability exceeds its slot length")
             prev_hi = b.hi
-            mass += b.probability
-        if mass > (hi - lo) + 1e-12:
+        if _sum_in_order(b.probability for b in self.blocks) > (hi - lo) + 1e-12:
             raise InputError("blocks overflow the region mass")
 
     def __len__(self):
@@ -136,30 +134,22 @@ def build_disjoint_sequence(phi: OrliczFunction, count: int, region: str = "omeg
             BlockSequence(region, tuple(y_blocks)))
 
 
-def series_modular(blocks: BlockSequence, phi: OrliczFunction, lam: float,
-                   N: int | None = None):
+def series_modular(blocks: BlockSequence, phi: OrliczFunction, lam: float):
     """Truncated series modular with a certified geometric tail bound.
 
-    ``value = sum_{n<=N} p_n phi(t_n / lam)``, summed left to right
-    from one phi evaluation on all N heights; for ``lam >= 1`` the tail
-    beyond N is bounded by ``sum_{n>N} p_n phi(t_n) = 2**-N`` by
-    monotonicity of phi, so ``value <= true series <= value + 2**-N``.
+    ``value = sum_{n<=N} p_n phi(t_n / lam)`` over the N blocks, summed
+    in order from one phi evaluation on all N heights; for ``lam >= 1``
+    the tail beyond N is bounded by ``sum_{n>N} p_n phi(t_n) = 2**-N``
+    by monotonicity of phi, so ``value <= true series <= value + 2**-N``.
     """
     if lam < 1.0:
         raise InputError("series tail bound is certified only for lam >= 1")
     if not blocks.blocks:
         return 0.0, 0.0
-    if N is None:
-        N = len(blocks.blocks)
-    if N < 1 or N > len(blocks.blocks):
-        raise InputError(f"truncation N={N} outside available blocks")
-    head = blocks.blocks[:N]
-    phi_t = phi(np.array([b.height for b in head]) / lam).tolist()
-    value = 0.0
-    for b, phi_b in zip(head, phi_t):
-        value += b.probability * phi_b
-    last_index = blocks.blocks[N - 1].index
-    return value, 2.0 ** (-last_index)
+    phi_t = phi(np.array([b.height for b in blocks.blocks]) / lam).tolist()
+    value = _sum_in_order(b.probability * phi_b
+                          for b, phi_b in zip(blocks.blocks, phi_t))
+    return value, 2.0 ** (-blocks.blocks[-1].index)
 
 
 def block_luxemburg_norm(block: Block, phi: OrliczFunction) -> float:
@@ -189,11 +179,11 @@ def discretize(*sequences: BlockSequence):
         if a2 < b1 - 1e-15:
             raise InputError("sequences overlap; cannot discretize jointly")
     probs = [prob_of[iv] for iv in intervals]
-    rest = 1.0 - sum(probs)
+    rest = 1.0 - _sum_in_order(probs)
     if rest < -1e-12:
         raise InputError("intervals overflow [0, 1]")
     atom_probs = probs + [rest] if rest > 1e-15 else probs
-    total = sum(atom_probs)
+    total = _sum_in_order(atom_probs)
     space = FiniteSpace(tuple(p / total for p in atom_probs))
     lookup = {iv: k for k, iv in enumerate(intervals)}
     out = []

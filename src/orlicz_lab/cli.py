@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto library modules and emit deterministic
-JSON reports (sorted keys, correctly rounded sums).  Exit codes: 0
+JSON reports (sorted keys; sums in order or correctly rounded).  Exit codes: 0
 success, 2 not-a-member/infeasible (with the certificate in the JSON
 error payload on stderr) or a usage error, 3 invalid input or a phi
 without the Delta_2-failure witnesses a construction needs

@@ -19,7 +19,7 @@ from .errors import (BoundViolation, HypothesisViolation, InputError,
                      NumericFailure)
 from .finite_model import RandomVariable, expectation, nearest_point
 from .norms import _exceeds, _terms, luxemburg_norm, modular, phi_inverse
-from .orlicz_functions import OrliczFunction
+from .orlicz_functions import OrliczFunction, _sum_in_order
 
 __all__ = [
     "split_with_budget",
@@ -97,8 +97,9 @@ def mazur_min_norm(candidates, phi: OrliczFunction, target: float):
     if margin > 0.0:
         try:
             reach = phi_inverse(phi, 1.0 / float(np.min(p)))
-        except NumericFailure:  # phi stays below 1/min p up to its cap
-            reach = phi.domain_cap
+        except NumericFailure:
+            # phi stays below 1/min p up to its cap, or 1/min p is inf
+            reach = math.inf if phi.domain_cap is None else phi.domain_cap
         reach += 1e-12 * (1.0 + reach)  # past phi.inverse's 1e-12 error
         lower = margin / math.sqrt(float(p @ (x * x))) / reach
     return {"found": value <= target, "weights": tuple(float(c) for c in w),
@@ -136,7 +137,7 @@ def order_dominator(Z_list, W_list, phi: OrliczFunction):
         sum_w = sum_w + W.abs()
     x_tilde = sup_z + sum_w
     sup_modular = modular(sup_z, phi, 1.0)
-    geo = sum(2.0 ** (-n) for n in range(1, len(Z_list) + 1))
+    geo = _sum_in_order(2.0 ** (-n) for n in range(1, len(Z_list) + 1))
     if sup_modular > geo + 1e-12:
         # sup of finitely many nonnegatives: phi(sup) = sup phi <= sum phi
         raise BoundViolation(

@@ -1,4 +1,4 @@
-"""Finite probability spaces, random variables and convergence predicates."""
+"""Finite probability spaces, random variables, pairings and CSV I/O."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericFailure, SpaceMismatch
+from .orlicz_functions import _sum_in_order
 
 __all__ = [
     "FiniteSpace",
@@ -18,13 +19,9 @@ __all__ = [
     "expectation",
     "pairing",
     "nearest_point",
-    "order_convergence_check",
     "read_positions_csv",
     "write_positions_csv",
 ]
-
-#: largest final atomwise error ``order_convergence_check`` calls converged
-_CONVERGED_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -165,19 +162,14 @@ def _same_space(X: RandomVariable, Y: RandomVariable):
 
 def expectation(X: RandomVariable) -> float:
     """Sum p_i x_i in fixed atom order (bitwise reproducible)."""
-    total = 0.0
-    for p, x in zip(X.space.probabilities, X.values):
-        total += p * x
-    return total
+    return _sum_in_order(p * x for p, x in zip(X.space.probabilities, X.values))
 
 
 def pairing(X: RandomVariable, Y: RandomVariable) -> float:
     """Bilinear pairing E[XY], summed in fixed atom order."""
     _same_space(X, Y)
-    total = 0.0
-    for p, x, y in zip(X.space.probabilities, X.values, Y.values):
-        total += p * x * y
-    return total
+    return _sum_in_order(p * x * y for p, x, y
+                         in zip(X.space.probabilities, X.values, Y.values))
 
 
 def nearest_point(points, p):
@@ -242,24 +234,6 @@ def nearest_point(points, p):
     return w, x, float(np.min(P @ (p * x))) - floor
 
 
-def order_convergence_check(sequence, X: RandomVariable):
-    """Report on a.s. convergence (atomwise, exact on finite spaces),
-    order boundedness, and the dominating variable ``sup_n |X_n|``."""
-    if not sequence:
-        raise InputError("empty sequence")
-    for Xn in sequence:
-        _same_space(Xn, X)
-    tail = np.abs(sequence[-1].x - X.x)
-    converges = bool(np.all(tail <= _CONVERGED_TOL))
-    dominator = X.space.rv(np.max([np.abs(Xn.x) for Xn in sequence], axis=0))
-    return {
-        "converges_as": converges,
-        "final_error": float(np.max(tail)),
-        "order_bounded": True,  # pointwise sup always finite on finite spaces
-        "dominator": dominator,
-    }
-
-
 def read_positions_csv(path) -> RandomVariable:
     """Positions CSV with header ``atom,probability,value``.
 
@@ -284,7 +258,7 @@ def read_positions_csv(path) -> RandomVariable:
                 raise InputError(f"{path}: non-finite value in row {row!r}")
     if not labels:
         raise InputError(f"{path}: no data rows")
-    total = sum(probs)
+    total = _sum_in_order(probs)
     if abs(total - 1.0) > 1e-9:
         raise InputError(f"{path}: probabilities sum to {total!r}, not 1")
     probs = [p / total for p in probs]

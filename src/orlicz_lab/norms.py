@@ -36,13 +36,14 @@ def _terms(x: np.ndarray, p: np.ndarray, phi: OrliczFunction,
     Their pairwise sum decides: below 2^1023 the correctly rounded sum
     cannot overflow; otherwise NumericFailure names the first atom whose
     term is not finite, or says that the correctly rounded sum
-    overflows."""
-    try:
-        vals = phi(np.abs(x) / lam)
-    except NumericFailure as exc:
-        raise NumericFailure(f"modular evaluation failed: {exc}") from exc
-    terms = p * vals
-    with np.errstate(over="ignore"):
+    overflows.  ``|x_i|/lam`` and phi overflow to inf, and exp* and
+    entropy give NaN at inf, without a warning: the sum decides."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            vals = phi(np.abs(x) / lam)
+        except NumericFailure as exc:
+            raise NumericFailure(f"modular evaluation failed: {exc}") from exc
+        terms = p * vals
         s = float(terms.sum())
     if s < 2.0 ** 1023:
         return terms
@@ -52,7 +53,7 @@ def _terms(x: np.ndarray, p: np.ndarray, phi: OrliczFunction,
             f"modular overflow at atom {int(bad[0])} (value {float(x[bad[0]])!r})"
         )
     try:
-        math.fsum(terms.tolist())
+        _fsum(terms)
     except OverflowError:
         raise NumericFailure("modular: the sum of the terms overflows "
                              "the double range") from None

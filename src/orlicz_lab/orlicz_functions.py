@@ -85,6 +85,22 @@ def _fsum(a: np.ndarray) -> float:
     return math.fsum(a.tolist())
 
 
+def _sum_in_order(terms) -> float:
+    """The float sum of ``terms`` added one after another from 0.0, as
+    Python 3.11's builtin ``sum`` adds floats (from 3.12 on it
+    compensates, so a report summed by it would depend on the version).
+
+    The lab sums floats by three rules: in order (here) for the numbers
+    a report prints; correctly rounded (``_fsum``) for the sums a
+    certified decision reads; numpy's pairwise ``.sum()`` only where a
+    sum steers within Higham's bound (``_sum_error``) towards a decision
+    that ``_fsum`` takes: the norm probes and Newton slopes."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def double_until(holds, x: float, failure: str) -> tuple[float, float]:
     """``(before, at)``: ``at`` is the first of ``x, 2x, 4x, ...`` at which
     the monotone predicate ``holds`` is true, ``before`` the point tried

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EmptyScenarioSet, InputError
 from .finite_model import (FiniteSpace, RandomVariable, expectation,
                            nearest_point, pairing)
-from .orlicz_functions import _split_spec
+from .orlicz_functions import _fsum, _split_spec, _sum_in_order
 
 __all__ = [
     "ScenarioSet",
@@ -117,7 +117,7 @@ class CappedScenarioSet(ScenarioSet):
         blocks = []
         for r in range(n + 1):
             for S in itertools.combinations(range(n), r):
-                mass = cap * sum(probs[i] for i in S)
+                mass = cap * _sum_in_order(probs[i] for i in S)
                 if mass > 1.0 + 1e-12:
                     continue
                 vec = np.zeros(n)
@@ -138,12 +138,12 @@ class CappedScenarioSet(ScenarioSet):
     def support(self, X: RandomVariable) -> float:
         """``sigma_Q(X) = max_{Y in Q} E[XY]``: in a stable sort of X from
         the largest value down, each atom takes its mass ``p_i * cap``
-        until the total reaches 1; the terms are summed with ``fsum``."""
+        until the total reaches 1; the terms are summed with ``_fsum``."""
         order = np.argsort(-X.x, kind="stable")
         room = self.space.p[order] * self.cap
         before = np.cumsum(room) - room
         take = np.clip(1.0 - before, 0.0, room)
-        return math.fsum((take * X.x[order]).tolist())
+        return _fsum(take * X.x[order])
 
     def violated_bound(self, t: np.ndarray):
         """None when ``t`` lies in Q, up to the tolerances ``ScenarioSet``
@@ -310,7 +310,7 @@ def entropic_measure(theta: float = 1.0) -> RiskMeasure:
     not positively homogeneous.  Its penalty is theta times the relative
     entropy, ``alpha(Q) = theta * E[Q log Q]`` on the density simplex
     (the Donsker-Varadhan formula; Föllmer & Schied, *Stochastic
-    Finance*, ch. 4), summed with ``fsum`` over the atoms where ``Q > 0``
+    Finance*, ch. 4), summed with ``_fsum`` over the atoms where ``Q > 0``
     (``0 log 0 = 0``)."""
     if not 0 < theta < math.inf:
         raise InputError("theta must be positive and finite")
@@ -323,7 +323,7 @@ def entropic_measure(theta: float = 1.0) -> RiskMeasure:
     def penalty(Q: RandomVariable) -> float:
         q = Q.x
         on = q > 0.0
-        return theta * math.fsum((Q.space.p[on] * q[on] * np.log(q[on])).tolist())
+        return theta * _fsum(Q.space.p[on] * q[on] * np.log(q[on]))
 
     return RiskMeasure(evaluate, f"entropic(theta={theta:g})", penalty=penalty)
 

@@ -81,8 +81,13 @@ class TestBuildDisjointSequence:
         assert value == pytest.approx(sum(2.0 ** -b.index for b in xs.blocks),
                                       rel=1e-12)
         assert value + tail <= 1.0 + 1e-12
-        _, tail5 = series_modular(xs, phi, 1.0, N=5)
+        _, tail5 = series_modular(BlockSequence(xs.region, xs.blocks[:5]),
+                                  phi, 1.0)
         assert tail5 == 2.0 ** -xs.blocks[4].index
+
+    def test_series_modular_of_no_blocks_is_zero(self):
+        empty = BlockSequence("omega1", ())
+        assert series_modular(empty, ExpFunction(), 1.0) == (0.0, 0.0)
 
     def test_series_modular_requires_lam_at_least_one(self):
         phi = ExpFunction()

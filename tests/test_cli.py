@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 import importlib.util
 import json
@@ -533,8 +534,8 @@ EXPORTED_BEFORE = frozenset("""
     dual_block_orlicz_norm duality_report entropic_measure expectation
     extract_scenarios fatou_harness gap_exhibit holder_check
     instance_from_json instance_to_json limit_certificate luxemburg_norm
-    mazur_min_norm membership modular order_convergence_check
-    order_dominator orlicz_norm pairing parse_measure_spec parse_phi_spec
+    mazur_min_norm membership modular order_dominator orlicz_norm pairing
+    parse_measure_spec parse_phi_spec
     phi_inverse phi_spec_string read_positions_csv rho_c scenario_eval
     scenario_measure scenarios_from_json scenarios_to_json series_modular
     sparse_schedule split_with_budget t_operator uniform_space
@@ -611,7 +612,7 @@ def resolve(node, namespace):
     """The object a name or dotted attribute refers to in ``namespace``,
     or None."""
     if isinstance(node, ast.Name):
-        return namespace.get(node.id)
+        return namespace.get(node.id, vars(builtins).get(node.id))
     if isinstance(node, ast.Attribute):
         return getattr(resolve(node.value, namespace), node.attr, None)
     return None
@@ -678,3 +679,37 @@ def test_no_library_module_bisects():
 def test_the_bisection_test_finds_the_reference_bisection():
     source = pathlib.Path(bisection_oracle.__file__).read_text()
     assert len(bisection_steps(ast.parse(source))) == 1
+
+
+def sums(node, namespace, where="<module>"):
+    """``(function, how)`` for each call of builtin ``sum`` or
+    ``math.fsum`` under ``node``, and each loop whose one statement adds
+    to a name, under the name of the innermost function holding it."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, ast.FunctionDef) else where
+        if (isinstance(child, ast.Call)
+                and resolve(child.func, namespace) in (sum, math.fsum)):
+            yield inner, ast.unparse(child.func)
+        elif (isinstance(child, ast.For) and len(child.body) == 1
+              and isinstance(child.body[0], ast.AugAssign)
+              and isinstance(child.body[0].op, ast.Add)
+              and isinstance(child.body[0].target, ast.Name)):
+            yield inner, "loop"
+        yield from sums(child, namespace, inner)
+
+
+def test_each_summation_rule_is_written_once():
+    # a report's sums go in order through _sum_in_order, as 3.11's
+    # builtin sum adds floats (from 3.12 on it compensates); a certified
+    # decision's go through the correctly rounded _fsum
+    found = {(path.name, *site) for path, tree, namespace in library_modules()
+             for site in sums(tree, namespace)}
+    assert found == {("orlicz_functions.py", "_fsum", "math.fsum"),
+                     ("orlicz_functions.py", "_sum_in_order", "loop")}
+
+
+def test_the_summation_test_finds_each_way_of_summing():
+    source = ("def f(a):\n    t = 0.0\n    for x in a:\n        t += x\n"
+              "    return sum(a) + math.fsum(a)\n")
+    assert sorted(sums(ast.parse(source), {"math": math})) \
+        == [("f", "loop"), ("f", "math.fsum"), ("f", "sum")]

@@ -202,6 +202,21 @@ class TestSplitWithBudget:
 
 
 class TestMazurMinNorm:
+    def test_the_lower_bound_reaches_only_to_the_domain_cap(self):
+        # t capped at 1.5 stays below 1/min p = 2 up to its cap, so the
+        # bound divides by the cap, where phi^-1(2) does not exist
+        phi = PiecewiseLinearFunction([], [1.0], domain_cap=1.5)
+        report = mazur_min_norm([uniform_space(2).rv([1.0, 1.0])], phi, 0.0)
+        assert report["lower_bound"] == pytest.approx(1.0 / 1.5, rel=1e-11)
+        assert report["lower_bound"] <= report["value"]
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_a_subnormal_atom_leaves_the_lower_bound_at_0(self, name):
+        # 1/min p is inf, so phi^-1 of it is too; this raised TypeError
+        sp = FiniteSpace((1.0 - 1e-310, 1e-310))
+        report = mazur_min_norm([sp.rv([1.0, 1.0])], CATALOG[name], 0.0)
+        assert report["lower_bound"] == 0.0 and report["value"] > 0.0
+
     def test_opposite_pair_reaches_zero(self):
         sp = uniform_space(2)
         W = sp.rv([1.0, -2.0])
@@ -330,6 +345,15 @@ class TestOrderDominator:
     def test_needs_input(self):
         with pytest.raises(InputError):
             order_dominator([], [], PowerFunction(2.0))
+
+    def test_w_alone_is_dominated_by_its_sum(self):
+        sp = uniform_space(2)
+        x_tilde, checks = order_dominator(
+            [], [sp.constant(0.25), sp.constant(0.125)], PowerFunction(2.0))
+        assert x_tilde.values == (0.375, 0.375)
+        # the empty bound sums to the float 0.0
+        assert checks["sup_modular_bound"].hex() == (0.0).hex()
+        assert checks["sup_modular"] == 0.0 and checks["markov_table"] == []
 
 
 class TestAsExtraction:

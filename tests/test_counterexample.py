@@ -188,6 +188,17 @@ class TestCombo:
         atom = ins._atom_of[("X", 1)]
         assert C.x[atom] == 3.0 * ins._height_of[("X", 1)]
 
+    def test_negation(self, instance):
+        A = Combo(instance, {("W0",): 2.0, ("Xtail", 3): -0.5, ("one",): 1.0})
+        assert (-A).coeffs == {("W0",): -2.0, ("Xtail", 3): 0.5, ("one",): -1.0}
+
+    def test_combos_of_two_instances_do_not_mix(self, instance, instance_h):
+        A, B = Combo(instance, {("W0",): 1.0}), Combo(instance_h, {("W0",): 1.0})
+        with pytest.raises(InputError, match="different instances"):
+            A + B
+        with pytest.raises(InputError, match="different instance"):
+            t_operator(instance, B)
+
     def test_abs_round_trip(self, instance, instance_h):
         ins = instance
         A = Combo(ins, {("W0",): -1.0, ("Y", 2): 0.5, ("one",): -0.25})
@@ -646,6 +657,16 @@ class TestMalformedImages:
             membership(ins, bad)
         with pytest.raises(InputError, match="third keys"):
             verify_certificate(ins, bad, cert)
+
+    def test_an_image_of_the_other_variant_is_rejected(self, instance,
+                                                      instance_h):
+        img = t_operator(instance_h, Combo(instance_h, {("one",): 1.0}))
+        with pytest.raises(InputError, match="do not match the truncation"):
+            membership(instance, img)
+
+    def test_t_takes_only_combos_and_positions(self, instance):
+        with pytest.raises(InputError, match="unsupported input float"):
+            t_operator(instance, 1.0)
 
 
 class TestRhoC:
@@ -1218,6 +1239,12 @@ class TestWeakApproxSelect:
         with pytest.raises(TruncationTooSmall):
             weak_approx_select(instance, targets(instance), 1e-12)
 
+    def test_a_target_on_the_last_block_leaves_no_r(self, instance):
+        # E[X_8 Y_8] / eps = 100 sits in every tail the selector can take
+        ins = instance
+        with pytest.raises(TruncationTooSmall, match="no r <= 4"):
+            weak_approx_select(ins, [Combo(ins, {("Y", ins.N): 1.0})], 1e-2)
+
     def test_validation(self, instance, instance_h):
         for eps in (-1.0, math.inf, math.nan):
             with pytest.raises(InputError):
@@ -1318,6 +1345,20 @@ class TestLimitCertificate:
         members = [(X, certs[p % 2]) for p in range(6)]
         out = limit_certificate(instance, members, X)
         assert out == certs[1]
+
+    def test_a_settled_tail_does_not_loosen_the_final_check(self, instance):
+        # L + E and L + E/2 approach L = -W0, which is not in C; y jumps
+        # by 1/2 along the tail, within the settle bound, and the limit
+        # is verified at _CERT_TOL, not at 4 times that jump
+        ins = instance
+        minus_w0 = Combo(ins, {("W0",): -1.0})
+        E = Combo(ins, {("W", 1, 1): 1.0, ("W", 1, 2): 1.0, ("Xtail", 1): 4.0})
+        certs = [MembershipCertificate(1.0, (((1, j), 0.5),)) for j in (1, 2)]
+        members = [(minus_w0 + c * E, cert) for c in (1.0, 0.5) for cert in certs]
+        assert all(verify_certificate(ins, t_operator(ins, U), cert)
+                   for U, cert in members)
+        with pytest.raises(NotAMember, match="against the limit image"):
+            limit_certificate(ins, members, minus_w0)
 
 
 class TestExhibitReplay:

@@ -340,6 +340,19 @@ class TestBiconjugate:
         with pytest.raises(InputError):
             biconjugate(entropic_measure(), sp.constant(0.0), [])
 
+    def test_skips_probes_of_infinite_conjugate(self):
+        # -1 is no density, so the probe 1 has rho*(1) = +inf
+        sp = uniform_space(4)
+        Q = avar_scenarios(sp, 0.5)
+        rho = scenario_measure(Q)
+        X = sp.rv([1.0, -1.0, 2.0, 0.0])
+        probes = [-Y for Y in Q.densities]
+        outside = sp.constant(1.0)
+        assert biconjugate(rho, X, probes + [outside]) \
+            == biconjugate(rho, X, probes)
+        with pytest.raises(InputError, match="all probes have infinite"):
+            biconjugate(rho, X, [outside])
+
 
 class TestExtractScenarios:
     def test_recovers_generating_set(self):

@@ -14,14 +14,11 @@ from orlicz_lab.finite_model import (
     _same_space,
     expectation,
     nearest_point,
-    order_convergence_check,
     pairing,
     read_positions_csv,
     uniform_space,
     write_positions_csv,
 )
-from orlicz_lab.norms import luxemburg_norm
-from orlicz_lab.orlicz_functions import PowerFunction
 
 
 class TestFiniteSpace:
@@ -45,6 +42,14 @@ class TestFiniteSpace:
     def test_uniform_needs_an_atom(self, n):
         with pytest.raises(InputError, match="at least one atom"):
             uniform_space(n)
+
+    def test_needs_an_atom(self):
+        with pytest.raises(InputError, match="nonempty probability vector"):
+            FiniteSpace(())
+
+    def test_needs_a_label_per_atom(self):
+        with pytest.raises(InputError, match="label count"):
+            FiniteSpace((0.5, 0.5), ("a",))
 
     def test_uniform(self):
         sp = uniform_space(4)
@@ -207,29 +212,6 @@ class TestNearestPoint:
         assert 0.5 - 1e-14 < margin < 0.5
 
 
-class TestOrderConvergence:
-    def test_converging_family(self):
-        sp = uniform_space(3)
-        X = sp.rv([1.0, 2.0, 3.0])
-        family = [X + 2.0 ** (-n) for n in range(1, 40)]
-        report = order_convergence_check(family, X)
-        assert report["converges_as"]
-        assert report["order_bounded"]
-        assert report["final_error"] < 1e-9
-
-    def test_dominator_norm(self):
-        sp = uniform_space(2)
-        X = sp.rv([1.0, 1.0])
-        report = order_convergence_check([X, X], X)
-        dominator_norm = luxemburg_norm(report["dominator"], PowerFunction(2.0))
-        assert abs(dominator_norm - 1.0) < 1e-8
-
-    def test_empty_sequence(self):
-        sp = uniform_space(2)
-        with pytest.raises(InputError):
-            order_convergence_check([], sp.constant(0.0))
-
-
 class TestPositionsCsv:
     def test_round_trip(self, tmp_path):
         sp = FiniteSpace((0.25, 0.75), ("a", "b"))
@@ -245,6 +227,12 @@ class TestPositionsCsv:
         path = tmp_path / "bad.csv"
         path.write_text("atom,prob,value\na,1.0,2.0\n")
         with pytest.raises(InputError):
+            read_positions_csv(path)
+
+    def test_needs_a_data_row(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("atom,probability,value\n")
+        with pytest.raises(InputError, match="no data rows"):
             read_positions_csv(path)
 
     def test_probability_sum_validation(self, tmp_path):

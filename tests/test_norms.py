@@ -71,6 +71,23 @@ class TestModular:
         with pytest.raises(NumericFailure, match=match):
             split_with_budget(X, PowerFunction(1.0), 0.5)
 
+    # |x|/lam overflows under t^2, and exp* and entropy give NaN at inf;
+    # the typed error comes without numpy's warning, an error here
+    @pytest.mark.parametrize("x, phi, lam", [
+        ([1.0, math.inf], EntropyFunction(), 1.0),
+        ([1.0, math.inf], ExpConjugateFunction(), 1.0),
+        ([1.0, 1.7e308], PowerFunction(2.0), 0.5)],
+        ids=["entropy at inf", "exp* at inf", "t^2 past the range"])
+    def test_an_atom_past_the_range_is_named_without_a_warning(self, x, phi,
+                                                                lam):
+        with pytest.raises(NumericFailure, match="modular overflow at atom 1"):
+            modular(uniform_space(2).rv(x), phi, lam)
+
+    def test_the_split_names_that_atom_without_a_warning(self):
+        X = uniform_space(2).rv([1.0, math.inf])
+        with pytest.raises(NumericFailure, match="modular overflow at atom 1"):
+            split_with_budget(X, EntropyFunction(), 0.5)
+
     def test_a_sum_just_inside_the_double_range_is_summed(self):
         # the terms sum to the largest double, above 2^1023
         X = uniform_space(2).rv([1.7976931348623157e308] * 2)
@@ -924,9 +941,9 @@ class TestProbe:
     the scan for terms that are not finite decided before it
     (``kernel_references``), bit for bit."""
 
-    # |x| / lam may overflow, and exp* and entropy warn where they give
-    # NaN at inf, alike on both sides: the norms' callers meet neither
-    # (their atoms are finite and their points at most 1e300)
+    # the probe may be given |x| / lam = inf, where exp* and entropy warn
+    # as they give NaN, alike on both sides: the norms' callers never
+    # give it one (their atoms are finite and their points at most 1e300)
     @settings(max_examples=400)
     @given(probe_draws())
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -952,11 +969,12 @@ class TestProbe:
 
     @settings(max_examples=400)
     @given(probe_draws())
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_the_terms_are_the_scan(self, draw):
+        # the library's terms come out under the suite's warning filter
         x, p, phi, lam = draw
         try:
-            want = terms_by_finiteness_scan(x, p, phi, lam)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = terms_by_finiteness_scan(x, p, phi, lam)
         except NumericFailure as exc:
             with pytest.raises(NumericFailure) as got:
                 norms._terms(x, p, phi, lam)

@@ -108,6 +108,16 @@ class TestCatalogBasics:
         assert float(phi(0.0)) == 0.0
         assert float(phi(3.0)) == 9.0
 
+    def test_power_right_derivative(self):
+        assert PowerFunction(3.0).rderiv(2.0) == 12.0
+        assert PowerFunction(2.0, 0.5).rderiv(np.array([0.0, 1.0, 3.0])).tolist() \
+            == [0.0, 1.0, 3.0]
+
+    @pytest.mark.parametrize("coef", [0.0, -1.0, math.inf, math.nan])
+    def test_power_coefficient_must_be_positive_and_finite(self, coef):
+        with pytest.raises(InputError, match="coefficient"):
+            PowerFunction(2.0, coef)
+
     def test_exp_values(self):
         phi = ExpFunction()
         assert float(phi(0.0)) == 0.0
@@ -168,6 +178,11 @@ class TestConjugation:
     def test_negative_argument_rejected(self):
         with pytest.raises(InputError):
             conjugate_value(PowerFunction(2.0), -1.0)
+
+    @pytest.mark.parametrize("t, s", [(-1.0, 1.0), (1.0, -1.0)])
+    def test_young_check_rejects_a_negative_argument(self, t, s):
+        with pytest.raises(InputError, match="nonnegative"):
+            young_check(PowerFunction(2.0), t, s)
 
     def test_young_inequality_random(self):
         rng = np.random.default_rng(7)
@@ -641,6 +656,24 @@ class TestSparseSchedule:
         with pytest.raises(InvalidSchedule):
             sparse_schedule(bursts=40)
 
+    def test_a_last_kink_value_past_the_double_range_is_rejected(self):
+        # 2^676 and 2^351 are finite, their product is not
+        with pytest.raises(InvalidSchedule, match="overflows double precision"):
+            sparse_schedule(bursts=26)
+
+    def test_needs_a_burst(self):
+        with pytest.raises(InvalidSchedule, match="at least one burst"):
+            sparse_schedule(bursts=0)
+
+    @pytest.mark.parametrize("breakpoints, slopes, match", [
+        ((1.0,), (1.0,), "need len"),
+        ((1.0,), (0.0, 1.0), "first slope"),
+        ((1.0,), (2.0, 2.0), "strictly increasing"),
+        ((0.0,), (1.0, 2.0), "breakpoints")])
+    def test_rejects_a_bad_schedule(self, breakpoints, slopes, match):
+        with pytest.raises(InvalidSchedule, match=match):
+            PiecewiseSlopeSchedule(breakpoints, slopes)
+
     @pytest.mark.parametrize("ratio", [math.inf, math.nan])
     def test_non_finite_ratio_is_rejected_before_the_schedule_is_built(self,
                                                                        ratio):
@@ -656,6 +689,15 @@ class TestSparseSchedule:
     def test_pl_requires_monotone_slopes(self):
         with pytest.raises(InputError):
             PiecewiseLinearFunction((1.0, 2.0), (2.0, 1.0))
+
+    @pytest.mark.parametrize("breakpoints, slopes, match", [
+        ((2.0, 1.0), (1.0, 2.0, 3.0), "breakpoints"),
+        ((0.0,), (1.0, 2.0), "breakpoints"),
+        ((1.0,), (2.0, 1.0), "slopes"),
+        ((1.0,), (-1.0, 2.0), "slopes")])
+    def test_pl_rejects_a_bad_schedule(self, breakpoints, slopes, match):
+        with pytest.raises(InvalidSchedule, match=match):
+            PiecewiseLinearFunction(breakpoints, slopes)
 
 
 class TestPiecewiseLinearArrays:
@@ -710,7 +752,8 @@ class TestSpecParsing:
     @pytest.mark.parametrize("text", ["power:p=2,q=3", "power:2", "exp:x=1",
                                       "entropy:p=2", "sparse:bursts=3,size=2",
                                       "power:p=nan", "power:p=inf",
-                                      "sparse:bursts=40", "sparse:bursts=2.5"])
+                                      "sparse:bursts=40", "sparse:bursts=2.5",
+                                      "power"])
     def test_rejects_malformed_specs(self, text):
         with pytest.raises(InputError):
             parse_phi_spec(text)

@@ -379,6 +379,8 @@ class TestParseMeasureSpec:
             parse_measure_spec("avar:beta=0.5", sp)
         with pytest.raises(InputError):
             parse_measure_spec("mystery", sp)
+        with pytest.raises(InputError, match="avar needs alpha"):
+            parse_measure_spec("avar", sp)
 
     @pytest.mark.parametrize("text", ["avar:0.5", "avar:alpha=0.5,beta=2",
                                       "worstcase:x=1", "entropic:theta=2,x=1",

@@ -27,7 +27,7 @@ file that must kill each mutant:
   it) is replaced by ``True``, so that the first head is taken as if
   it held the whole fill; the killer is ``tests/test_norms.py``.
 
-Six more mutants edit a piece of source text (``EDITS``):
+Seven more mutants edit a piece of source text (``EDITS``):
 
 * ``_fsum``'s acceptance test loses the bound on the low parts'
   rounding, or compares with half ``math.ulp(c)`` instead of half the
@@ -42,6 +42,9 @@ Six more mutants edit a piece of source text (``EDITS``):
   or starts each level's tail at the first atom on the level
   (``side="left"``), not past the last; the killer is
   ``tests/test_closure_lab.py``.
+* ``limit_certificate`` verifies a settled limit at four times the
+  jump of its tail (at least ``_CERT_TOL``), not at ``_CERT_TOL``;
+  the killer is ``tests/test_counterexample.py``.
 
 A target names a module-level function by its name and a method by
 ``Class.method``.
@@ -125,6 +128,10 @@ EDITS = (
          "float(tails[start]) > budget", "tests/test_closure_lab.py"),
     Edit(Path("src/orlicz_lab/closure_lab.py"), "split_with_budget",
          'side="right"', 'side="left"', "tests/test_closure_lab.py"),
+    Edit(Path("src/orlicz_lab/counterexample.py"), "limit_certificate",
+         "tol=_CERT_TOL)",
+         "tol=_CERT_TOL if vanishing else max(_CERT_TOL, 4.0 * settle))",
+         "tests/test_counterexample.py"),
 )
 
 
