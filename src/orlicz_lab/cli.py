@@ -5,7 +5,8 @@ JSON reports (sorted keys; sums in order or correctly rounded).  Exit codes: 0
 success, 2 not-a-member/infeasible (with the certificate in the JSON
 error payload on stderr) or a usage error, 3 invalid input or a phi
 without the Delta_2-failure witnesses a construction needs
-(``witness-not-found``), 4 numeric failure.
+(``witness-not-found``), 4 numeric failure.  A report spells +inf
+``"inf"`` and never holds NaN or -inf (that is a numeric failure).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import InputError, NotAMember, OrliczLabError, WitnessNotFound
+from .errors import (InputError, NotAMember, NumericFailure, OrliczLabError,
+                     WitnessNotFound)
 from . import block_sequences as bs
 from . import closure_lab as cl
 from . import counterexample as cex
@@ -30,8 +32,22 @@ from .orlicz_functions import (conjugate, conjugate_value, delta2_witnesses,
 __all__ = ["main", "run"]
 
 
+def _strict(value):
+    """``value`` with every +inf spelled ``"inf"``; NumericFailure for any
+    other float that is not finite, so that a report is strict JSON."""
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        if value == math.inf:
+            return "inf"
+        raise NumericFailure(f"a report value is {value!r}")
+    return value
+
+
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_strict(report), sort_keys=True, indent=2) + "\n"
     if output:
         Path(output).write_text(text)
     else:
@@ -80,9 +96,8 @@ def _cmd_conjugate(args) -> dict:
         raise InputError(f"--grid: {exc}") from None
     if not all(map(math.isfinite, grid)):
         raise InputError(f"--grid points must be finite: {args.grid}")
-    values = [conjugate_value(phi, s) for s in grid]
     return {"phi": phi_spec_string(phi), "grid": grid,
-            "values": [v if math.isfinite(v) else "inf" for v in values]}
+            "values": [conjugate_value(phi, s) for s in grid]}
 
 
 def _cmd_delta2(args) -> dict:
@@ -148,8 +163,7 @@ def _cmd_cex_member(args) -> dict:
 def _cmd_cex_rho(args) -> dict:
     instance = cex.instance_from_json(Path(args.instance).read_text())
     X = _parse_combo(instance, json.loads(Path(args.combo).read_text()))
-    value = cex.rho_c(instance, X)
-    return {"rho_c": value if math.isfinite(value) else "inf"}
+    return {"rho_c": cex.rho_c(instance, X)}
 
 
 def _cmd_cex_approx(args) -> dict:

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import CrossCheckFailure, NumericFailure
 from .finite_model import RandomVariable, pairing
 from .orlicz_functions import (OrliczFunction, _fsum, _sum_error, conjugate,
-                               double_until, newton_from_right)
+                               newton_from_right)
 
 __all__ = [
     "modular",
@@ -117,7 +117,10 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
 
     @functools.cache
     def at(v: float) -> tuple[np.ndarray, float]:
-        return _probe(x_abs / (m / v), p, phi)
+        scale = m / v
+        if scale == 0.0:  # underflowed: x_abs / scale is inf, or 0/0
+            return np.array([math.inf]), math.inf
+        return _probe(x_abs / scale, p, phi)
 
     def excess(v: float) -> float:
         return at(v)[1] - 1.0
@@ -133,9 +136,8 @@ def luxemburg_norm(X: RandomVariable, phi: OrliczFunction) -> float:
     cap = phi.domain_cap
     if cap is not None and not above(cap):
         return m / cap  # below m / cap the largest atom leaves the domain
-    lo, hi = double_until(lambda v: excess(v) > 0.0, 1.0,
-                          "luxemburg_norm: bracket not found")
-    lo, hi = newton_from_right(excess, slope, lo, hi, 1e-10, above)
+    lo, hi = newton_from_right(excess, slope, 1.0, 1e-10,
+                               "luxemburg_norm: bracket not found", above)
     if not math.isfinite(m / lo):
         raise NumericFailure("luxemburg_norm: norm beyond the double range")
     return m / hi

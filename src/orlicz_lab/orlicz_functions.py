@@ -101,26 +101,14 @@ def _sum_in_order(terms) -> float:
     return total
 
 
-def double_until(holds, x: float, failure: str) -> tuple[float, float]:
-    """``(before, at)``: ``at`` is the first of ``x, 2x, 4x, ...`` at which
-    the monotone predicate ``holds`` is true, ``before`` the point tried
-    just before it (0.0 when ``at`` is ``x``).  Raises NumericFailure
-    with the message ``failure`` once the point passes 1e300."""
-    before = 0.0
-    for _ in range(_MAX_DOUBLINGS):
-        if holds(x):
-            return before, x
-        before, x = x, 2.0 * x
-        if x > _BRACKET_CAP:
-            break
-    raise NumericFailure(failure)
-
-
-def newton_from_right(excess, slope, lo: float, hi: float, rtol: float,
+def newton_from_right(excess, slope, x: float, rtol: float, failure: str,
                       certify=None) -> tuple[float, float]:
     """Root bracket ``(lo, hi)`` of a convex nondecreasing ``excess``, with
-    ``excess(lo) <= 0 < excess(hi)`` and ``hi - lo <= rtol * lo``, from a
-    first bracket of the same kind.
+    ``excess(lo) <= 0 < excess(hi)`` and ``hi - lo <= rtol * lo``.  The
+    first bracket ends at the first of ``x, 2x, 4x, ...`` where the excess
+    is positive and starts at the point tried before it (0.0 at ``x``);
+    a point past 1e300 or not a number, or ``_MAX_DOUBLINGS`` of them (a
+    start of 0), raise NumericFailure with the message ``failure``.
 
     Newton steps along the right derivative ``slope`` from ``hi`` never
     pass the root of a convex function, so each one moves ``hi``.  A step
@@ -138,7 +126,11 @@ def newton_from_right(excess, slope, lo: float, hi: float, rtol: float,
     the closed bracket's ``hi`` and then its ``lo`` are decided again: an
     end on the wrong side becomes the other end, the new end half the
     tolerance beyond it, until ``certify`` agrees."""
-    f_hi = excess(hi)
+    lo, hi, n = 0.0, x, 0
+    while not (f_hi := excess(hi)) > 0.0:
+        lo, hi, n = hi, 2.0 * hi, n + 1
+        if not (hi <= _BRACKET_CAP and n < _MAX_DOUBLINGS):
+            raise NumericFailure(failure)
     landed = False
     for _ in range(_MAX_DOUBLINGS):
         if hi - lo <= rtol * lo:
@@ -258,9 +250,8 @@ class OrliczFunction:
                           / _run_kernel(self._rderiv2, at(mu)[0])).sum())
 
         mu0 = math.sqrt(2.0 / _fsum(p * y2))
-        lo, hi = double_until(lambda mu: excess(mu) > 0.0, mu0,
-                              "orlicz_norm: multiplier bracket not found")
-        mu, _ = newton_from_right(excess, slope, lo, hi, 1e-14)
+        mu, _ = newton_from_right(excess, slope, mu0, 1e-14,
+                                  "orlicz_norm: multiplier bracket not found")
         return _fsum(p * (at(mu)[0] * y_abs)), mu
 
     def rderiv_inverse_left(self, s):
@@ -281,10 +272,8 @@ class OrliczFunction:
         from the bracket that doubling from 1 finds, to relative width
         1e-12.  Returns the bracket's upper end, where ``self`` exceeds
         ``v``."""
-        excess = functools.cache(lambda t: float(self(t)) - v)
-        lo, hi = double_until(lambda t: excess(t) > 0.0, 1.0,
-                              "phi_inverse: bracket not found")
-        return newton_from_right(excess, self.rderiv, lo, hi, 1e-12)[1]
+        return newton_from_right(lambda t: float(self(t)) - v, self.rderiv,
+                                 1.0, 1e-12, "phi_inverse: bracket not found")[1]
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
@@ -312,11 +301,18 @@ class PowerFunction(OrliczFunction):
             # it at t / 2**k and fold 2**(k p) >= 1/coef into coef, so that
             # for integer p phi(2t) / phi(t) stays exactly 2**p there.  Where
             # 2**(k p) overflows, its power 2**j goes in by ldexp, exactly;
-            # elsewhere j = 0 keeps each value's bits
+            # elsewhere j = 0 keeps each value's bits.  Where coef 2**j
+            # itself overflows (p near 1e10), the value is taken through
+            # its base-2 logarithm, within 1e-12 relative
             k = math.ceil(-math.log2(self.coef) / self.p)
             j = max(0, math.floor(k * self.p) - 1023)
-            fold = math.ldexp(self.coef, j) * np.exp2(k * self.p - j)
-            scaled = fold * (t * np.exp2(-k)) ** self.p
+            try:
+                fold = math.ldexp(self.coef, j) * np.exp2(k * self.p - j)
+                scaled = fold * (t * np.exp2(-k)) ** self.p
+            except OverflowError:
+                with np.errstate(divide="ignore"):
+                    scaled = np.exp2(math.log2(self.coef)
+                                     + self.p * np.log2(t))
             out = np.where(np.isinf(out), scaled, out)
         return out
 
@@ -543,7 +539,8 @@ class PiecewiseLinearFunction(OrliczFunction):
         # growing fourfold from 256 while the head's costs stay within 1
         y, q = y_abs[y_abs > 0], p[y_abs > 0]
         n_seg = len(self.slopes)
-        ratio = (self.slopes / y[:, None]).ravel()
+        with np.errstate(over="ignore"):  # a ratio past the range is inf
+            ratio = (self.slopes / y[:, None]).ravel()
         unit = self.slopes * np.diff(self._ends)
         w = 256
         while True:

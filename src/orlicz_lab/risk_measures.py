@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyScenarioSet, InputError
+from .errors import EmptyScenarioSet, InputError, NumericFailure
 from .finite_model import (FiniteSpace, RandomVariable, expectation,
                            nearest_point, pairing)
 from .orlicz_functions import _fsum, _split_spec, _sum_in_order
@@ -96,6 +96,8 @@ class CappedScenarioSet(ScenarioSet):
     12 atoms) and keeps them."""
 
     def __init__(self, space: FiniteSpace, cap: float):
+        if not 1.0 <= cap < math.inf:
+            raise InputError(f"scenario cap must be finite and >= 1, got {cap!r}")
         self.space = space
         self.cap = cap
 
@@ -290,8 +292,9 @@ def avar_scenarios(space: FiniteSpace, alpha: float) -> CappedScenarioSet:
     ``-X``, the mean of the worst ``alpha`` share of the loss (Acerbi &
     Tasche 2002), found by one sort.  The vertices are enumerated only
     when ``densities`` is read, which is limited to 12 atoms."""
-    if not 0 < alpha <= 1:
-        raise InputError("alpha must be in (0, 1]")
+    if not (0 < alpha <= 1 and 1.0 / alpha < math.inf):
+        raise InputError(f"alpha must be in (0, 1] with 1/alpha finite, "
+                         f"got {alpha!r}")
     return CappedScenarioSet(space, 1.0 / alpha)
 
 
@@ -316,9 +319,16 @@ def entropic_measure(theta: float = 1.0) -> RiskMeasure:
         raise InputError("theta must be positive and finite")
 
     def evaluate(X: RandomVariable) -> float:
-        z = -X.x / theta
-        zmax = float(np.max(z))
-        return theta * (zmax + math.log(float(np.sum(X.space.p * np.exp(z - zmax)))))
+        # an entry of -X/theta or z - zmax past the range below is -inf,
+        # whose exp is 0; past it above, zmax is not finite
+        with np.errstate(over="ignore"):
+            z = -X.x / theta
+            zmax = float(np.max(z))
+            if not math.isfinite(zmax):
+                raise NumericFailure(f"entropic: -X/theta passes the double "
+                                     f"range at theta={theta!r}")
+            total = float(np.sum(X.space.p * np.exp(z - zmax)))
+        return theta * (zmax + math.log(total))
 
     def penalty(Q: RandomVariable) -> float:
         q = Q.x

@@ -16,7 +16,7 @@ import numpy as np
 
 from orlicz_lab.errors import NumericFailure, OrliczLabError
 from orlicz_lab.finite_model import RandomVariable
-from orlicz_lab.orlicz_functions import OrliczFunction, double_until
+from orlicz_lab.orlicz_functions import OrliczFunction
 from orlicz_lab.risk_measures import RiskMeasure
 
 #: Width at which a slope inverse stops: absolute plus relative.
@@ -26,6 +26,21 @@ REL_TOL = 1e-10
 
 class BracketInvalid(OrliczLabError):
     """A bisection bracket does not satisfy the required endpoint conditions."""
+
+
+def double_until(holds, x: float, failure: str) -> tuple[float, float]:
+    """``(before, at)``: ``at`` is the first of ``x, 2x, 4x, ...`` at which
+    the monotone predicate ``holds`` is true, ``before`` the point tried
+    just before it (0.0 when ``at`` is ``x``).  Raises NumericFailure
+    with the message ``failure`` once the point passes 1e300."""
+    before = 0.0
+    for _ in range(1100):
+        if holds(x):
+            return before, x
+        before, x = x, 2.0 * x
+        if x > 1e300:
+            break
+    raise NumericFailure(failure)
 
 
 def bisect(holds, lo: float, hi: float, narrow) -> tuple[float, float]:

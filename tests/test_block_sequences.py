@@ -167,6 +167,24 @@ class TestDiscretize:
         with pytest.raises(InputError):
             discretize(a, b)
 
+    def test_slack_summed_over_three_regions_overflows(self):
+        # each of 1100 blocks per third starts 0.8e-15 before the last
+        # one ends and exceeds its slot by as much: every slot, region
+        # and overlap check passes within its 1e-15 or 1e-12, but the
+        # thirds together hold about 1 + 2.6e-12
+        def crowded(region, n=1100, over=0.8e-15):
+            lo, hi = REGIONS[region]
+            width, blocks, end = (hi - lo) / n, [], lo
+            for k in range(n):
+                start = end - over if k else lo
+                blocks.append(Block(k + 1, 1.0, width + over, start,
+                                    start + width))
+                end = start + width
+            return BlockSequence(region, tuple(blocks))
+
+        with pytest.raises(InputError, match=r"overflow \[0, 1\]"):
+            discretize(*(crowded(region) for region in REGIONS))
+
 
 class TestJson:
     def test_round_trip(self):

@@ -1,7 +1,9 @@
 import ast
 import builtins
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -9,9 +11,11 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orlicz_lab
 from orlicz_lab import cli
@@ -432,6 +436,92 @@ class TestClosure:
                                          "--levels", "1074"])
         assert code == 0
         assert report["step1_splits"][-1]["budget"] == 2.0 ** -1074 > 0.0
+
+
+    def test_an_infinite_markov_bound_prints_inf(self, capsys, tmp_path):
+        # phi(0.01) and phi(0.1) are 0.0 under p = 1e300, so their Markov
+        # bounds 2**-n / phi(eps) are inf: they printed "bound": Infinity,
+        # which is not JSON
+        path = tmp_path / "zeros.csv"
+        path.write_text("atom,probability,value\na,0.5,0\nb,0.5,0\n")
+        code = run(["closure", "--phi", "power:p=1e300", "--input",
+                    str(path), "--levels", "1"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        bounds = [row["bound"] for row in
+                  report["step3_dominator"]["markov_table"]]
+        assert bounds == ["inf", "inf", 0.5]
+
+
+def reject(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictReports:
+    """A report spells +inf "inf", and any other float that is not finite
+    is a numeric failure (exit 4) that prints nothing on stdout."""
+
+    @pytest.mark.parametrize("value, code", [
+        (math.inf, 0), (-math.inf, 4), (math.nan, 4), (1.5, 0)])
+    def test_a_value_that_is_not_finite(self, capsys, monkeypatch, pos_csv,
+                                        value, code):
+        monkeypatch.setattr(cli.norms, "luxemburg_norm", lambda X, phi: value)
+        assert run(["norm", "--phi", "exp", "--input", pos_csv]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"] == "numeric-failure"
+        else:
+            report = json.loads(captured.out, parse_constant=reject)
+            assert report["value"] == ("inf" if value == math.inf else value)
+
+
+MAGNITUDES = [0.0, 5e-324, 1e-310, 1e-300, 1e-8, 1.0, 1e8, 1e300, 1.7e308]
+PHIS = ["power:p=2", "power:p=1", "power:p=1e300", "power:p=1.0000000001",
+        "exp", "entropy", "sparse", "sparse:bursts=25"]
+MEASURES = ["avar:alpha=1", "avar:alpha=1e-320", "worstcase",
+            "entropic:theta=1e300", "entropic:theta=1e-320"]
+
+
+@st.composite
+def extreme_commands(draw):
+    """``(atoms, argv)``: 1 to 5 atoms at the edges of the double range,
+    either sign, and a command on them (``conjugate`` reads none)."""
+    atoms = draw(st.lists(st.sampled_from(MAGNITUDES), min_size=1,
+                          max_size=5))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=len(atoms),
+                          max_size=len(atoms)))
+    phi, measure = draw(st.sampled_from(PHIS)), draw(st.sampled_from(MEASURES))
+    argv = draw(st.sampled_from([
+        ["norm", "--phi", phi, "--which", "luxemburg"],
+        ["norm", "--phi", phi, "--which", "orlicz"],
+        ["closure", "--phi", phi, "--levels", "3"],
+        ["risk", "eval", "--measure", measure],
+        ["dual", "--measure", measure],
+        ["conjugate", "--phi", phi, "--grid", "0,1e300,1.7e308"]]))
+    return [a * s for a, s in zip(atoms, signs)], argv
+
+
+@settings(max_examples=300)
+@given(extreme_commands())
+def test_every_report_is_strict_json(tmp_path_factory, command):
+    # a sweep of such commands found NaN and Infinity on stdout, exit 1
+    # with an OverflowError, and numpy warnings escaping the kernels
+    atoms, argv = command
+    if argv[0] != "conjugate":
+        path = tmp_path_factory.getbasetemp() / "extreme.csv"
+        write_positions_csv(path, FiniteSpace((1.0 / len(atoms),)
+                                              * len(atoms)).rv(atoms))
+        argv = argv + ["--input", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    assert code in (0, 2, 3, 4), argv
+    for text in (out.getvalue(), err.getvalue()):
+        if text:
+            json.loads(text, parse_constant=reject)
 
 
 class TestParser:

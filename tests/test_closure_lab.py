@@ -374,6 +374,18 @@ class TestAsExtraction:
         with pytest.raises(HypothesisViolation):
             as_extraction(seq, X)
 
+    def test_slack_summed_over_a_tail_is_rejected(self):
+        # X_m is the indicator of an atom of mass 2^-m + 0.99e-12: each
+        # E|X_m| passes 2^-m within its 1e-12, but the 49 disjoint
+        # indicators from m = 2 on sum to 0.5 + 4.9e-11
+        probs = [2.0 ** -m + 0.99e-12 for m in range(2, 51)]
+        sp = FiniteSpace(tuple(probs) + (1.0 - math.fsum(probs),))
+        seq = [sp.constant(0.0)] + [sp.rv(np.eye(len(probs) + 1)[k])
+                                    for k in range(len(probs))]
+        with pytest.raises(HypothesisViolation,
+                           match="capped tail from 2"):
+            as_extraction(seq, sp.constant(0.0))
+
     def test_empty_sequence(self):
         sp = uniform_space(2)
         with pytest.raises(InputError):

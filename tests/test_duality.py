@@ -16,6 +16,7 @@ from orlicz_lab.duality import (
 from orlicz_lab.errors import CertificateError, InputError
 from orlicz_lab.finite_model import FiniteSpace, pairing, uniform_space
 from orlicz_lab.risk_measures import (
+    RiskMeasure,
     ScenarioSet,
     avar_scenarios,
     entropic_measure,
@@ -388,7 +389,36 @@ class TestExtractScenarios:
         assert report["n_survivors"] == 0
 
 
+    @pytest.mark.parametrize("candidate, match", [
+        ([2.0, -0.5], "not monotone"), ([2.0, 2.0], "not cash additive")])
+    def test_a_zero_conjugate_off_the_densities_is_rejected(self, candidate,
+                                                            match):
+        # every candidate lies in a set that claims every point, so its
+        # conjugate is 0; a density is nonnegative with unit expectation
+        sp = uniform_space(2)
+        rho = scenario_measure(Everything((sp.constant(1.0),)))
+        with pytest.raises(InputError, match=match):
+            extract_scenarios(rho, [sp.rv(candidate)])
+
+
+class Everything(ScenarioSet):
+    """A scenario set whose hull claims every point."""
+
+    def violated_bound(self, t):
+        return None
+
+
 class TestDualityReport:
+    def test_a_biconjugate_above_rho_is_rejected(self):
+        # rho ignores the scenarios it carries: rho** is their maximum,
+        # far above the constant -10
+        sp = uniform_space(3)
+        Q = avar_scenarios(sp, 0.5)
+        rho = RiskMeasure(lambda X: -10.0, "low", scenarios=Q)
+        with pytest.raises(InputError, match="weak duality violated"):
+            duality_report(rho, [sp.rv([1.0, -1.0, 0.0])],
+                           [-Y for Y in Q.densities])
+
     def test_report_shape_and_json(self):
         sp = uniform_space(3)
         Q = avar_scenarios(sp, 0.5)

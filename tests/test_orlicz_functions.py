@@ -335,7 +335,8 @@ class TestNewtonFromRight:
             calls.append(x)
             return (x * x - 1.0) + 1e-20
 
-        lo, hi = newton_from_right(excess, lambda x: 2.0 * x, 0.0, 1.0, 1e-14)
+        lo, hi = newton_from_right(excess, lambda x: 2.0 * x, 1.0, 1e-14,
+                                   "no bracket")
         assert len(calls) <= 12
         assert excess(lo) <= 0.0 < excess(hi)
         assert hi - lo <= 1e-14 * lo
@@ -346,8 +347,8 @@ class TestNewtonFromRight:
         # -3e-11 hi lands below 1, at 1e-10 and 2e-10 lo lands above it
         # (two and four half-tolerance moves), and at 1e-13 both ends hold
         lo, hi = newton_from_right(lambda x: x * x - (1.0 + shift) ** 2,
-                                   lambda x: 2.0 * x, 0.5, 2.0, 1e-10,
-                                   lambda x: x - 1.0)
+                                   lambda x: 2.0 * x, 2.0, 1e-10,
+                                   "no bracket", lambda x: x - 1.0)
         assert lo <= 1.0 < hi
         assert hi - lo <= 1e-10 * lo
 
@@ -368,6 +369,51 @@ class TestNewtonFromRight:
         # the bisection's value, within the multiplier's 1e-14 width
         assert value == pytest.approx(float.fromhex("0x1.fd89b6e14b2e7p+0"),
                                       rel=1e-14, abs=0.0)
+
+    def test_phi_below_v_everywhere_has_no_bracket(self):
+        # the doubling from 1 passes 1e300 with phi still below 2
+        with pytest.raises(NumericFailure,
+                           match="^phi_inverse: bracket not found$"):
+            Saturating().inverse(2.0)
+
+    def test_a_root_past_1e300_is_not_bracketed(self):
+        # entropy reaches 1e306 near t = 1.5e303: without the stop past
+        # 1e300 the doubling brackets it at 2**1008
+        with pytest.raises(NumericFailure,
+                           match="^phi_inverse: bracket not found$"):
+            EntropyFunction().inverse(1e306)
+
+    @pytest.mark.parametrize("start", [0.0, math.nan])
+    def test_a_start_that_never_grows_ends(self, start):
+        calls = []
+
+        def excess(x):
+            calls.append(x)
+            return x - 1.0
+
+        with pytest.raises(NumericFailure, match="^no bracket$"):
+            newton_from_right(excess, lambda x: 1.0, start, 1e-12,
+                              "no bracket")
+        assert len(calls) <= 1100
+
+    def test_a_root_at_zero_never_closes_the_bracket(self):
+        # width rtol * lo is 0 while lo is 0: the bisection reaches the
+        # smallest subnormal and stops after _MAX_DOUBLINGS points
+        with pytest.raises(NumericFailure, match="bracket did not close"):
+            newton_from_right(lambda x: x, lambda x: 1.0, 1.0, 1e-12,
+                              "no bracket")
+
+
+class Saturating(OrliczFunction):
+    """``min(t, 1)``: a test phi that never reaches 2."""
+
+    name = "saturating"
+
+    def _eval(self, t):
+        return np.minimum(t, 1.0)
+
+    def _rderiv(self, t):
+        return np.where(t < 1.0, 1.0, 0.0)
 
 
 class TestDelta2Witnesses:
@@ -539,6 +585,31 @@ class TestPowerPastOverflow:
                 if p.is_integer() and 2.0 * t < 1.7e308 and \
                         math.isfinite(phi(2.0 * t)):
                     assert phi(2.0 * t) == 2.0 ** p * phi(t)
+
+
+    @pytest.mark.parametrize("p", [1.0000000001, 1.0000001])
+    def test_a_fold_past_the_double_range(self, p):
+        # the conjugate's exponent q is about 1e10 (1e7) and its coef
+        # about 3.7e-11, so coef * 2**(k q) itself passes the range:
+        # math.ldexp raised OverflowError from conjugate_value,
+        # young_check and `orlicz-lab conjugate`
+        assert conjugate_value(PowerFunction(p), 1e300) == math.inf
+        assert young_check(PowerFunction(p), 2.0, 1e300)[2]
+        psi = conjugate(PowerFunction(p))
+        lo, hi = (math.exp(v / psi.p) for v in (
+            math.log(sys.float_info.max),
+            math.log(sys.float_info.max) - math.log(psi.coef)))
+        t = np.concatenate(([0.0, 1.0, 1e300],
+                            np.linspace(lo * (1 + 1e-12), hi * (1 - 1e-12),
+                                        21)))
+        out = psi(t)  # 0 beside the values past t**q must not warn
+        assert out[:2].tolist() == [0.0, psi.coef]
+        assert out[2] == math.inf
+        with decimal.localcontext(decimal.Context(prec=60)):
+            for ti, vi in zip(t[3:].tolist(), out[3:].tolist()):
+                exact = (decimal.Decimal(psi.coef)
+                         * decimal.Decimal(ti) ** decimal.Decimal(psi.p))
+                assert vi == pytest.approx(float(exact), rel=1e-12), ti
 
 
 class TwoValues(OrliczFunction):

@@ -10,6 +10,7 @@ from orlicz_lab.duality import conjugate_rho
 from orlicz_lab.errors import EmptyScenarioSet, InputError, NumericFailure
 from orlicz_lab.finite_model import FiniteSpace, pairing, uniform_space
 from orlicz_lab.risk_measures import (
+    CappedScenarioSet,
     RiskMeasure,
     ScenarioSet,
     avar_scenarios,
@@ -152,6 +153,26 @@ class TestAvar:
             assert scenario_eval(Q, X) == pytest.approx(
                 avar_oracle(X, alpha), abs=1e-9)
 
+    @pytest.mark.parametrize("cap", [0.5, 1.0 - 1e-16, math.inf, math.nan])
+    def test_a_cap_below_one_or_not_finite_is_rejected(self, cap):
+        # a cap below 1 holds no density (E[Y] <= cap < 1), yet the
+        # support of uniform_space(4) at [0.5, 0.25, 0.125, 0.0625] was
+        # 0.3125; an infinite cap gave NaN
+        with pytest.raises(InputError, match="cap must be finite and >= 1"):
+            CappedScenarioSet(uniform_space(4), cap)
+
+    def test_the_smallest_cap_is_one(self):
+        X = uniform_space(4).rv([0.5, 0.25, 0.125, 0.0625])
+        assert CappedScenarioSet(uniform_space(4), 1.0).support(X) \
+            == pytest.approx(0.234375, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [1e-320, 5e-324])
+    def test_an_alpha_whose_inverse_overflows_is_rejected(self, alpha):
+        # 1/alpha is inf, and the sort took inf - inf: the value was NaN,
+        # with a numpy warning
+        with pytest.raises(InputError, match="alpha"):
+            avar_scenarios(uniform_space(3), alpha)
+
     def test_alpha_one_is_expected_loss(self):
         sp = uniform_space(3)
         Q = avar_scenarios(sp, 1.0)
@@ -231,6 +252,22 @@ class TestEntropic:
     def test_theta_validation(self):
         with pytest.raises(InputError):
             entropic_measure(0.0)
+
+    @pytest.mark.parametrize("theta, atoms", [
+        (1e-320, [1.0, -1.0]), (1e-320, [0.5, 2.0]), (1e-300, [1e308, -1e308])])
+    def test_minus_x_over_theta_past_the_range_names_theta(self, theta,
+                                                          atoms):
+        # the largest -x/theta was +inf (or every one -inf), and
+        # z - zmax took inf - inf: the value was NaN, with a numpy warning
+        X = uniform_space(2).rv(atoms)
+        with pytest.raises(NumericFailure, match="theta=1e-3"):
+            entropic_measure(theta)(X)
+
+    def test_a_term_that_underflows_keeps_the_value(self):
+        # z - zmax overflows to -inf at the atom 1.7e308 and exp gives 0:
+        # the value is the loss at the other atom, without a warning
+        X = uniform_space(2).rv([1.7e308, -1.7e308])
+        assert entropic_measure(1.0)(X) == 1.7e308 - math.log(2.0)
 
 
 class TestAcceptance:
@@ -324,6 +361,15 @@ class TestAxiomSuite:
         some = [v for k, v in report.items()
                 if isinstance(v, dict) and v["violations"]]
         assert some
+
+    def test_an_infinite_value_is_not_shifted_or_scaled(self):
+        # -min X where min X >= -1, +inf below: at [-2, 0] the value is
+        # inf, and inf - m or inf * lam says nothing about X + m or lam X
+        sp = uniform_space(2)
+        rho = RiskMeasure(lambda X: -float(np.min(X.x))
+                          if np.min(X.x) >= -1.0 else math.inf, "floor")
+        report = axiom_suite(rho, [sp.rv([-2.0, 0.0]), sp.rv([0.5, 1.0])])
+        assert report["passed"]
 
     def test_needs_two_samples(self):
         sp = uniform_space(2)

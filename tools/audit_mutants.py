@@ -27,7 +27,7 @@ file that must kill each mutant:
   it) is replaced by ``True``, so that the first head is taken as if
   it held the whole fill; the killer is ``tests/test_norms.py``.
 
-Seven more mutants edit a piece of source text (``EDITS``):
+Ten more mutants edit a piece of source text (``EDITS``):
 
 * ``_fsum``'s acceptance test loses the bound on the low parts'
   rounding, or compares with half ``math.ulp(c)`` instead of half the
@@ -45,6 +45,10 @@ Seven more mutants edit a piece of source text (``EDITS``):
 * ``limit_certificate`` verifies a settled limit at four times the
   jump of its tail (at least ``_CERT_TOL``), not at ``_CERT_TOL``;
   the killer is ``tests/test_counterexample.py``.
+* ``newton_from_right``'s doubling goes on past 1e300, up to its count
+  of points; the killer is ``tests/test_orlicz_functions.py``.
+* ``CappedScenarioSet`` takes any cap, and the entropic measure any
+  maximum of ``-X/theta``; the killer is ``tests/test_risk_measures.py``.
 
 A target names a module-level function by its name and a method by
 ``Class.method``.
@@ -132,6 +136,15 @@ EDITS = (
          "tol=_CERT_TOL)",
          "tol=_CERT_TOL if vanishing else max(_CERT_TOL, 4.0 * settle))",
          "tests/test_counterexample.py"),
+    Edit(Path("src/orlicz_lab/orlicz_functions.py"), "newton_from_right",
+         "hi <= _BRACKET_CAP and n < _MAX_DOUBLINGS", "n < _MAX_DOUBLINGS",
+         "tests/test_orlicz_functions.py"),
+    Edit(Path("src/orlicz_lab/risk_measures.py"), "CappedScenarioSet.__init__",
+         "if not 1.0 <= cap < math.inf:", "if False:",
+         "tests/test_risk_measures.py"),
+    Edit(Path("src/orlicz_lab/risk_measures.py"), "entropic_measure",
+         "if not math.isfinite(zmax):", "if False:",
+         "tests/test_risk_measures.py"),
 )
 
 
